@@ -88,17 +88,6 @@ Commands
     Inspect the on-disk cell cache (entry/byte census incl. quarantined
     ``*.corrupt`` files) and prune it least-recently-used-first to a
     byte budget (``--prune --max-bytes N``).
-``serve``
-    Run the multi-tenant simulation job service: an asyncio HTTP API
-    over the sweep engine with per-client fair scheduling, priority
-    lanes, in-flight cell dedup (overlapping jobs simulate each unique
-    cell exactly once), a crash-safe job journal, and graceful SIGTERM
-    drain.
-``submit KIND`` / ``jobs`` / ``cancel JOB``
-    Talk to a running service: submit a sweep/compare/fuzz/faults job
-    (``--wait --json`` prints a result byte-identical to the direct CLI
-    run minus its wall-clock cache block), list jobs and dedup/cache
-    counters, or cancel a queued/running job.
 
 System and workload names are matched case-insensitively (``o3+eve-4``
 works), and ``run`` / ``trace`` / ``stats`` accept ``--tiny`` to use the
@@ -460,9 +449,8 @@ def _cmd_sweep(args) -> int:
     if disk_cache["corrupt"]:
         print(f"sweep cache: {disk_cache['corrupt']} corrupt entr(y/ies) "
               f"quarantined (*.corrupt) and re-simulated", file=sys.stderr)
-    # The deterministic document core is shared with the job service
-    # (repro submit sweep --wait --json must be byte-identical to this
-    # payload minus the wall-clock "cache" block appended below).
+    # The deterministic document core; only the wall-clock "cache" block
+    # appended below varies between a cold and a warm run.
     payload = sweep_result_payload(runner, systems, workloads)
     cells = payload["cells"]
     speedups = payload["speedups"]
@@ -1099,10 +1087,9 @@ def _cmd_faults(args) -> int:
 
 def _cmd_events(args) -> int:
     if args.follow:
-        # Tail-mode: stream events as campaigns append them (the service
-        # writes each job's events at finalize; a long-running sweep with
-        # --events shows up the same way).  Ctrl-C exits via main's
-        # KeyboardInterrupt handler (130).
+        # Tail-mode: stream events as campaigns append them (each
+        # campaign writes its events when it finalizes).  Ctrl-C exits
+        # via main's KeyboardInterrupt handler (130).
         print(f"following {args.log} (Ctrl-C to stop)...", file=sys.stderr)
         for event in follow_events(args.log, campaign=args.campaign):
             detail = f"  {event.detail}" if event.detail else ""
@@ -1182,95 +1169,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-    from .service.server import serve
-    cache_root = None if args.no_cache else args.cache_dir
-    asyncio.run(serve(
-        args.host, args.port, jobs=args.jobs or None,
-        max_clients=args.max_clients, store_root=args.store,
-        cache_root=cache_root, max_active_jobs=args.max_active_jobs,
-        rate=args.rate, burst=args.burst))
-    return 0
-
-
-def _submit_spec(args) -> dict:
-    """The JobSpec document a ``repro submit`` invocation describes."""
-    spec: dict = {"kind": args.kind, "priority": args.priority,
-                  "tiny": args.tiny, "seed": args.seed,
-                  "compile": args.compile}
-    if args.systems:
-        spec["systems"] = list(args.systems)
-    if args.workloads:
-        spec["workloads"] = list(args.workloads)
-    if args.count is not None:
-        spec["count"] = args.count
-    return spec
-
-
-def _cmd_submit(args) -> int:
-    from .service.client import ServiceClient
-    client = ServiceClient(args.host, args.port, client=args.client)
-    record = client.submit(_submit_spec(args))
-    if not args.wait:
-        if args.json:
-            emit_json(record)
-        else:
-            print(f"submitted {record['job_id']} "
-                  f"({record['spec']['kind']}, {record['state']}, "
-                  f"fingerprint {record['fingerprint']})")
-        return 0
-    final = client.wait(record["job_id"], timeout=args.timeout)
-    if final["state"] != "done":
-        error = final.get("error") or "(no error detail)"
-        print(f"repro submit: job {final['job_id']} {final['state']}: "
-              f"{error}", file=sys.stderr)
-        return 1
-    payload = client.result(final["job_id"])
-    if args.json:
-        # Byte-identical to the direct CLI run's --json document minus
-        # its wall-clock "cache" block (the CI smoke diffs the two).
-        emit_json(payload)
-    else:
-        print(f"job {final['job_id']} done "
-              f"(attempts {final['attempts']}, "
-              f"record {final.get('result_record_id') or '-'})")
-    return 0
-
-
-def _cmd_jobs(args) -> int:
-    from .service.client import ServiceClient
-    client = ServiceClient(args.host, args.port, client=args.client)
-    records = client.jobs()
-    if args.json:
-        emit_json({"jobs": records})
-        return 0
-    rows = [[r["job_id"], r["spec"]["kind"], r["spec"]["client"],
-             r["spec"]["priority"], r["state"], r["attempts"],
-             r.get("error") or ""]
-            for r in records]
-    print(format_table(["job", "kind", "client", "priority", "state",
-                        "attempts", "error"], rows))
-    status = client.status()
-    counters = status.get("counters", {})
-    print(f"\nservice: {status.get('active', 0)} active, queue "
-          f"{status.get('queue')}, "
-          f"{counters.get('cells_simulated', 0)} cell(s) simulated, "
-          f"{counters.get('cells_deduped', 0)} deduped, "
-          f"{counters.get('cache_hits', 0)} cache hit(s)"
-          + (", DRAINING" if status.get("draining") else ""))
-    return 0
-
-
-def _cmd_cancel(args) -> int:
-    from .service.client import ServiceClient
-    client = ServiceClient(args.host, args.port, client=args.client)
-    record = client.cancel(args.job_id)
-    print(f"cancel requested for {record['job_id']} "
-          f"(state {record['state']})")
-    return 0
-
-
 def _add_jobs_arguments(sub) -> None:
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="simulate (system, workload) cells on N worker "
@@ -1321,16 +1219,6 @@ def _add_seed_argument(sub) -> None:
                      help="workload input-generation seed, folded into "
                           "cache keys and record fingerprints "
                           f"(default: {DEFAULT_SEED})")
-
-
-def _add_service_arguments(sub) -> None:
-    sub.add_argument("--host", default="127.0.0.1",
-                     help="service address (default: 127.0.0.1)")
-    sub.add_argument("--port", type=int, default=8321,
-                     help="service port (default: 8321)")
-    sub.add_argument("--client", default=None, metavar="NAME",
-                     help="client identity for fair scheduling and rate "
-                          "limiting (default: your username)")
 
 
 def _add_pair_arguments(sub, tiny_help: bool = True) -> None:
@@ -1682,85 +1570,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="byte budget for --prune (default: 0)")
     cache.add_argument("--json", action="store_true",
                        help="machine-readable census (+ prune summary)")
-
-    serve = sub.add_parser(
-        "serve", help="run the multi-tenant simulation job service "
-                      "(submit jobs with 'repro submit'; SIGTERM drains "
-                      "gracefully)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8321,
-                       help="TCP port, 0 picks a free one (default: 8321)")
-    serve.add_argument("--jobs", type=int, default=0, metavar="N",
-                       help="simulation worker processes "
-                            "(0 = all CPUs; default: 0)")
-    serve.add_argument("--max-clients", type=int, default=64, metavar="N",
-                       help="concurrent connection cap (default: 64)")
-    serve.add_argument("--max-active-jobs", type=int, default=4,
-                       metavar="N",
-                       help="jobs running concurrently; the rest queue "
-                            "(default: 4)")
-    serve.add_argument("--rate", type=float, default=20.0, metavar="R",
-                       help="per-client sustained requests/second "
-                            "(default: 20)")
-    serve.add_argument("--burst", type=int, default=40, metavar="N",
-                       help="per-client token-bucket burst (default: 40)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk cell cache")
-    serve.add_argument("--cache-dir", default=DEFAULT_CACHE_ROOT,
-                       metavar="DIR",
-                       help=f"cell-cache directory "
-                            f"(default: {DEFAULT_CACHE_ROOT})")
-    serve.add_argument("--store", default=DEFAULT_ROOT, metavar="DIR",
-                       help="run-store directory holding the job journal "
-                            f"and event log (default: {DEFAULT_ROOT})")
-
-    submit = sub.add_parser(
-        "submit", help="submit a job to a running 'repro serve' instance")
-    submit.add_argument("kind", choices=["sweep", "compare", "fuzz",
-                                         "faults"],
-                        help="experiment kind to run remotely")
-    submit.add_argument("--systems", nargs="+", type=_canonical_system,
-                        choices=all_system_names(), default=None,
-                        metavar="SYSTEM",
-                        help="restrict a sweep to these systems "
-                             "(default: all)")
-    submit.add_argument("--workloads", nargs="+", type=_canonical_workload,
-                        choices=sorted(REGISTRY), default=None,
-                        metavar="WORKLOAD",
-                        help="sweep workloads / the compare workload "
-                             "(default: all; compare requires exactly one)")
-    submit.add_argument("--tiny", action="store_true",
-                        help="use the test-sized problem inputs")
-    submit.add_argument("--count", type=int, default=None, metavar="N",
-                        help="seeds (fuzz) or injections (faults)")
-    submit.add_argument("--priority", default="normal",
-                        choices=["high", "normal", "low"],
-                        help="queue lane (default: normal)")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes and print its "
-                             "result")
-    submit.add_argument("--timeout", type=float, default=600.0,
-                        metavar="S",
-                        help="--wait deadline in seconds (default: 600)")
-    submit.add_argument("--json", action="store_true",
-                        help="machine-readable job record (or, with "
-                             "--wait, the result payload)")
-    _add_compile_argument(submit)
-    _add_seed_argument(submit)
-    _add_service_arguments(submit)
-
-    jobs = sub.add_parser(
-        "jobs", help="list the service's jobs and queue counters")
-    jobs.add_argument("--json", action="store_true",
-                      help="machine-readable job records")
-    _add_service_arguments(jobs)
-
-    cancel = sub.add_parser(
-        "cancel", help="cancel a queued or running service job")
-    cancel.add_argument("job_id", metavar="JOB",
-                        help="job id from 'repro submit' / 'repro jobs'")
-    _add_service_arguments(cancel)
     return parser
 
 
@@ -1786,10 +1595,6 @@ _COMMANDS = {
     "events": _cmd_events,
     "report": _cmd_report,
     "cache": _cmd_cache,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "jobs": _cmd_jobs,
-    "cancel": _cmd_cancel,
 }
 
 

@@ -107,20 +107,6 @@ class FaultInjectionError(ReproError):
     model, unreplayable case file, or an unarmable fault target)."""
 
 
-class ServiceError(ReproError):
-    """A job-service request is malformed or cannot be satisfied (unknown
-    job kind or id, invalid parameters, a journal the service cannot
-    replay, or a submission rejected because the service is draining).
-
-    Carries an HTTP-ish status code in :attr:`status` so the server can
-    map validation failures to 4xx responses without string matching.
-    """
-
-    def __init__(self, message: str, status: int = 400) -> None:
-        super().__init__(message)
-        self.status = int(status)
-
-
 class AttributionError(ReproError):
     """The cycle-attribution conservation invariant is violated.
 

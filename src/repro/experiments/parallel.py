@@ -38,12 +38,10 @@ import json
 import multiprocessing
 import os
 import pickle
-import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import all_system_names
-from ..errors import ExperimentError
 from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.selfprof import SelfProfiler
@@ -223,8 +221,8 @@ def _cache_entries(root: str) -> List[Tuple[float, int, str, str]]:
 
 
 def cache_stats(root: str = DEFAULT_CACHE_ROOT) -> Dict[str, object]:
-    """Entry counts and byte totals of the cell cache, by kind, plus the
-    quarantined ``*.corrupt`` census the service status endpoint reports."""
+    """Entry counts and byte totals of the cell cache, by kind, plus a
+    census of the quarantined ``*.corrupt`` files (``repro cache``)."""
     stats: Dict[str, object] = {
         "root": root,
         "exists": os.path.isdir(root),
@@ -277,122 +275,12 @@ def prune_cache(root: str = DEFAULT_CACHE_ROOT,
 
 # -- pool lifecycle ------------------------------------------------------------
 
-class WorkerPool:
-    """An explicitly managed, reusable process pool for cell fan-outs.
-
-    A plain :func:`fan_out` spins a pool up and tears it down per call;
-    a long-lived caller (the job service, a REPL session running many
-    sweeps) constructs one ``WorkerPool`` and passes it to every
-    ``fan_out`` / :class:`ParallelRunner` instead, so consecutive jobs
-    reuse warm workers rather than paying fork start-up each time.
-
-    Lifecycle is explicit and leak-proof: context-manager exit closes
-    the pool (terminates it when exiting on an exception), and both
-    :meth:`close` and :meth:`terminate` ``join()`` the workers, so no
-    exit path — including KeyboardInterrupt/SIGTERM mid-sweep — leaves
-    zombie worker processes behind.  ``jobs <= 1`` is a valid degenerate
-    pool: no process is ever forked and work runs in the caller.
-    """
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = max(1, jobs if jobs is not None
-                        else (os.cpu_count() or 1))
-        self._pool = None
-        self._closed = False
-        self._fork_lock = threading.Lock()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def started(self) -> bool:
-        """Whether worker processes currently exist."""
-        return self._pool is not None
-
-    def start(self) -> "WorkerPool":
-        """Fork the workers now (idempotent, no-op when serial).
-
-        Long-lived multithreaded callers — the job service, anything
-        pushing :meth:`apply` through executor threads — must call this
-        while the process is still quiet: forking lazily from a worker
-        thread while other threads run can clone held locks into the
-        children and deadlock them.
-        """
-        self.handle()
-        return self
-
-    def handle(self):
-        """The underlying multiprocessing pool, created lazily on first
-        use (``None`` when ``jobs <= 1`` — callers run in-process)."""
-        if self._closed:
-            raise ExperimentError("worker pool is closed")
-        if self.jobs <= 1:
-            return None
-        if self._pool is None:
-            with self._fork_lock:
-                if self._pool is None:
-                    ctx = multiprocessing.get_context(START_METHOD)
-                    self._pool = ctx.Pool(processes=self.jobs)
-        return self._pool
-
-    def apply(self, func: Callable, spec):
-        """Run one unit on the pool, blocking (in-process when serial).
-
-        The job service calls this from executor threads — one blocked
-        thread per in-flight cell — so the asyncio loop never blocks on
-        a simulation.
-        """
-        handle = self.handle()
-        if handle is None:
-            return func(spec)
-        return handle.apply(func, (spec,))
-
-    def close(self) -> None:
-        """Finish outstanding work, then reap the workers."""
-        self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def terminate(self) -> None:
-        """Stop immediately and reap the workers (no zombies)."""
-        self._closed = True
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> bool:
-        if exc_type is None:
-            self.close()
-        else:
-            self.terminate()
-        return False
-
-
 @contextlib.contextmanager
-def _leased_pool(jobs: int, count: int, pool: Optional[WorkerPool]):
-    """The multiprocessing pool one fan-out should run on.
-
-    With a persistent ``pool`` the lease leaves it open for the next
-    caller, but an interrupt (KeyboardInterrupt / SystemExit — what the
-    service's SIGTERM handler raises in the main thread) tears it down
-    so no workers outlive the sweep.  Without one, a fresh pool is
-    created and always reaped on exit: closed and joined on success,
-    terminated and joined on any error.
-    """
-    if pool is not None:
-        try:
-            yield pool.handle()
-        except (KeyboardInterrupt, SystemExit):
-            pool.terminate()
-            raise
-        return
+def _leased_pool(jobs: int, count: int):
+    """A fresh multiprocessing pool for one fan-out, always reaped on
+    exit: closed and joined on success, terminated and joined on any
+    error (including KeyboardInterrupt / SystemExit), so no worker
+    outlives the fan-out."""
     ctx = multiprocessing.get_context(START_METHOD)
     fresh = ctx.Pool(processes=min(jobs, count))
     try:
@@ -454,8 +342,7 @@ def _drain_observed(results: List, monitor,
 
 def fan_out(func: Callable, specs: Sequence, jobs: int,
             profiler: Optional[SelfProfiler] = None,
-            phase: str = "fan_out", monitor=None,
-            pool: Optional[WorkerPool] = None) -> List:
+            phase: str = "fan_out", monitor=None) -> List:
     """Map a picklable ``func`` over ``specs`` with a process pool.
 
     The shared executor behind :meth:`ParallelRunner.prefetch` and the
@@ -473,18 +360,11 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
     the monitor has seen every unit's fate, preserving the unmonitored
     path's error semantics.  With ``monitor=None`` the pre-telemetry
     code path runs unchanged (``pool.map``) — the zero-cost guarantee.
-
-    ``pool`` (a :class:`WorkerPool`) makes the pool lifecycle explicit:
-    the fan-out runs on the caller's persistent workers (``jobs`` is
-    taken from the pool) and leaves them warm for the next call, while
-    an interrupt mid-sweep still tears them down via
-    :func:`_leased_pool`.  Without one, a fresh pool is created per call
-    and always joined on exit.
+    Either way the pool is created per call and always joined on exit
+    (:func:`_leased_pool`).
     """
     if not specs:
         return []
-    if pool is not None:
-        jobs = pool.jobs
     span = (profiler.phase(phase) if profiler is not None
             else contextlib.nullcontext())
     if monitor is None:
@@ -492,7 +372,7 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
             with span:
                 return [func(spec) for spec in specs]
         with span:
-            with _leased_pool(jobs, len(specs), pool) as mp_pool:
+            with _leased_pool(jobs, len(specs)) as mp_pool:
                 return mp_pool.map(func, specs, chunksize=1)
     wrapped = functools.partial(_observed_call, func)
     with span:
@@ -505,7 +385,7 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
                 monitor.on_complete(i, obs)
                 monitor.poll()
         else:
-            with _leased_pool(jobs, len(specs), pool) as mp_pool:
+            with _leased_pool(jobs, len(specs)) as mp_pool:
                 handles = []
                 for i, spec in enumerate(specs):
                     handles.append(mp_pool.apply_async(wrapped, (spec,)))
@@ -681,18 +561,12 @@ class ParallelRunner(ExperimentRunner):
                  collect_metrics: bool = False,
                  seed: int = DEFAULT_SEED,
                  telemetry=NULL_TELEMETRY,
-                 compile_traces: bool = True,
-                 pool: Optional[WorkerPool] = None) -> None:
+                 compile_traces: bool = True) -> None:
         super().__init__(params_override=params_override, verify=verify,
                          profiler=profiler, seed=seed, telemetry=telemetry,
                          compile_traces=compile_traces)
-        #: Optional persistent :class:`WorkerPool`; when set it owns the
-        #: worker processes (and the job count) across prefetches and the
-        #: runner never spins up a one-shot pool of its own.
-        self.pool = pool
-        self.jobs = (pool.jobs if pool is not None
-                     else max(1, jobs if jobs is not None
-                              else (os.cpu_count() or 1)))
+        self.jobs = max(1, jobs if jobs is not None
+                        else (os.cpu_count() or 1))
         self.cache_root = cache_root
         self.collect_metrics = collect_metrics
         self._prefetched_metrics: Dict[Tuple[str, str], tuple] = {}
@@ -731,7 +605,7 @@ class ParallelRunner(ExperimentRunner):
                                        jobs=self.jobs)
         outs = fan_out(simulate_cell, specs, self.jobs,
                        profiler=self.profiler, phase="sweep",
-                       monitor=monitor, pool=self.pool)
+                       monitor=monitor)
         cached = corrupt = 0
         for out in outs:  # input order: the merge is deterministic
             key = (out["system"], out["workload"])

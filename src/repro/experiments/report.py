@@ -1,15 +1,14 @@
-"""Plain-text table rendering and shared JSON payload builders.
+"""Plain-text table rendering and the shared sweep payload builder.
 
-The payload builders exist so every producer of a sweep/compare document
-— ``repro sweep --json``, ``repro compare --json``, and the job service's
-result endpoint — assembles it through one code path.  That is what makes
-the service's byte-identity guarantee (a job result equals the direct CLI
-run) a structural property instead of a test-enforced coincidence.
+The payload builder exists so every producer of a sweep document —
+``repro sweep --json`` and the benchmark harness that checks sweep
+results — assembles it through one code path, so they cannot drift
+apart.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 
 def _fmt(value) -> str:
@@ -68,13 +67,3 @@ def sweep_result_payload(runner, systems: Sequence[str],
     return {"systems": list(systems), "workloads": list(workloads),
             "baseline": "IO" if base_results else None,
             "cells": cells, "speedups": speedups}
-
-
-def compare_entry(result, base) -> Tuple[Dict[str, object], float]:
-    """One system's row of a compare document: the SimResult JSON view
-    (metrics stripped) plus its speedup over the baseline result."""
-    speedup = base.time_ns / result.time_ns
-    entry = result.to_json_dict()
-    entry.pop("metrics", None)
-    entry["speedup_vs_IO"] = speedup
-    return entry, speedup

@@ -41,8 +41,8 @@ def strict_check_enabled() -> bool:
 def canonical_pairs(pairs) -> list:
     """Canonicalize (system, workload) pairs and drop duplicates,
     preserving first-seen order — the shared front half of every
-    prefetch implementation and of the job scheduler's cell expansion,
-    so all of them agree on what "the same cell" means."""
+    prefetch implementation, so all of them agree on what "the same
+    cell" means."""
     ordered = []
     seen = set()
     for system, workload in pairs:

@@ -313,36 +313,6 @@ class RunStore:
             self._write_index(index)
         return record.record_id
 
-    def append_all(self, records: List[RunRecord]) -> List[str]:
-        """Append many records under a single lock acquisition.
-
-        The service's drain checkpoint archives every completed job in
-        one batch; taking the store lock once per batch (instead of per
-        record) keeps the drain window short and guarantees the batch's
-        ids are consecutive.  Returns the assigned record ids.
-        """
-        if not records:
-            return []
-        ids: List[str] = []
-        with self._locked():
-            index = self._load_index()
-            seq = int(index.get("next_seq",
-                                len(index.get("records", [])) + 1))
-            with open(self.runs_path, "a") as handle:
-                for record in records:
-                    record.record_id = f"{seq:06d}-{record.kind}"
-                    seq += 1
-                    ids.append(record.record_id)
-                    handle.write(json.dumps(record.to_json_dict(),
-                                            sort_keys=True) + "\n")
-                    index.setdefault("records", []).append(
-                        self._summary(record))
-                handle.flush()
-                os.fsync(handle.fileno())
-            index["next_seq"] = seq
-            self._write_index(index)
-        return ids
-
     @staticmethod
     def _summary(record: RunRecord) -> Dict[str, object]:
         return {

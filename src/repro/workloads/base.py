@@ -138,5 +138,5 @@ def workload_names() -> list:
 
 def tiny_overrides() -> Dict[str, Dict[str, int]]:
     """Per-workload test-sized parameter overrides — the ``--tiny``
-    mapping the CLI, the job service, and the test suite all share."""
+    mapping the CLI and the test suite share."""
     return {name: dict(wl.tiny_params) for name, wl in REGISTRY.items()}

@@ -402,6 +402,37 @@ class TestEventsCommand:
         out = capsys.readouterr().out
         assert "showing last 3 of 10" in out
 
+    def test_check_reads_a_log_with_cancelled_units(self, tmp_path):
+        # Logs written by earlier builds record abandoned units as
+        # queued -> cancelled; they must still read and conserve.
+        from repro.obs.events import Event, EventLog
+        log = str(tmp_path / "events.jsonl")
+        EventLog(log).append([
+            Event(event="queued", unit="IO/vvadd", t=0.0, campaign="c",
+                  seq=0),
+            Event(event="cancelled", unit="IO/vvadd", t=0.5, campaign="c",
+                  seq=1)])
+        assert main(["events", "--log", log, "--check"]) == 0
+
+
+class TestCacheCommand:
+    def test_prune_to_zero_removes_every_live_entry(self, capsys, tmp_path):
+        import json
+        from repro.experiments.parallel import CellCache
+        root = str(tmp_path / "cache")
+        cache = CellCache(root)
+        cache.store(cache.trace_path("vvadd", 2048, "fp"), ["trace"])
+        for system in ("IO", "O3+EVE-4"):
+            cache.store(cache.result_path(system, "vvadd", "fp", "cfg"),
+                        {"cell": system})
+        assert main(["cache", "--cache-dir", root, "--prune",
+                     "--max-bytes", "0", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pruned"]["removed"] == 3
+        assert payload["pruned"]["remaining_bytes"] == 0
+        assert payload["trace"]["count"] == payload["result"]["count"] == 0
+        assert payload["total_bytes"] == 0
+
 
 class TestReportCommand:
     def test_report_is_written_and_self_contained(self, capsys, tmp_path):

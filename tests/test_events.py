@@ -14,7 +14,7 @@ from repro.obs.events import (CAMPAIGN_UNIT, CampaignTelemetry, Event,
                               EventLog, LIVE_EVENTS, TERMINAL_EVENTS,
                               TelemetryMonitor, Watchdog,
                               campaign_summaries, check_conservation,
-                              read_events)
+                              follow_events, read_events)
 from repro.obs.htmlreport import build_report, spark_svg, write_report
 from repro.obs.progress import (ProgressRenderer, format_bar,
                                 format_duration, make_progress)
@@ -112,6 +112,88 @@ class TestEventLog:
         path.write_text('{"bad json\n')
         with pytest.raises(EventLogError, match=":1:"):
             read_events(str(path))
+
+    def test_pool_workers_append_events_without_interleaving(self,
+                                                             tmp_path):
+        import multiprocessing
+        from repro.experiments.parallel import START_METHOD
+        path = str(tmp_path / "events.jsonl")
+        ctx = multiprocessing.get_context(START_METHOD)
+        with ctx.Pool(processes=4) as pool:
+            done = pool.map(_append_events,
+                            [(path, f"c{i}", 20) for i in range(8)])
+        assert sorted(done) == [f"c{i}" for i in range(8)]
+        events = read_events(path)
+        assert len(events) == 160  # no torn or interleaved lines
+        by_campaign = {}
+        for event in events:
+            by_campaign.setdefault(event.campaign, []).append(event.seq)
+        assert all(seqs == list(range(20))
+                   for seqs in by_campaign.values())
+
+
+def _append_events(args):
+    """Pool-worker side of the EventLog contention test (picklable)."""
+    path, campaign, count = args
+    log = EventLog(path)
+    log.append([Event(event="queued", unit=f"{campaign}/{i}", t=float(i),
+                      campaign=campaign, seq=i) for i in range(count)])
+    return campaign
+
+
+# -- following a live log ------------------------------------------------------
+
+
+def _line(unit, campaign="c"):
+    event = Event(event="queued", unit=unit, t=0.0, campaign=campaign)
+    return json.dumps(event.to_json_dict(), sort_keys=True) + "\n"
+
+
+def _follow(path, actions, **kwargs):
+    """Units ``follow_events`` yields from ``path``.  Each idle poll runs
+    the next action (a callable that edits the log) and keeps following;
+    once the actions run out, ``stop()`` is true and the stream ends."""
+    pending = list(actions)
+
+    def stop():
+        if not pending:
+            return True
+        pending.pop(0)()
+        return False
+
+    return [e.unit for e in follow_events(str(path), poll_seconds=0.0,
+                                          stop=stop, **kwargs)]
+
+
+class TestFollowEvents:
+    def test_partial_final_line_waits_for_its_newline(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        second = _line("b")
+        path.write_text(_line("a") + second[:15])
+
+        def finish_line():
+            with open(path, "a") as handle:
+                handle.write(second[15:])
+
+        assert _follow(path, [finish_line]) == ["a", "b"]
+
+    def test_truncation_restarts_from_the_top(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(_line("a") + _line("b"))
+        shrink = [lambda: path.write_text(_line("c"))]
+        assert _follow(path, shrink) == ["a", "b", "c"]
+
+    def test_campaign_filter(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(_line("a", "c1") + _line("b", "c2")
+                        + _line("c", "c1"))
+        assert _follow(path, [], campaign="c1") == ["a", "c"]
+
+    def test_returns_once_stop_is_true(self, tmp_path):
+        path = tmp_path / "events.jsonl"  # absent: no events yet
+        calls = []
+        assert _follow(path, [lambda: calls.append(1)] * 3) == []
+        assert len(calls) == 3
 
 
 # -- conservation --------------------------------------------------------------

@@ -11,11 +11,14 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentRunner, ParallelRunner, sweep_pairs
 from repro.experiments.figures import geomean
-from repro.experiments.parallel import (CellCache, fan_out,
-                                        params_fingerprint, simulate_cell,
+from repro.experiments.parallel import (CellCache, cache_stats, fan_out,
+                                        params_fingerprint, prune_cache,
+                                        simulate_cell,
                                         sweep_config_fingerprint)
 from repro.experiments.systems import canonical_system
 from repro.obs.diff import diff_records
+from repro.obs.events import (CampaignTelemetry, TelemetryMonitor,
+                              check_conservation)
 from repro.obs.runstore import RunStore, make_record
 from repro.obs.scorecard import build_scorecard, scorecard_pairs
 from repro.obs.selfprof import SelfProfiler
@@ -44,6 +47,12 @@ def _double(x):
     return x * 2
 
 
+def _fail_on_one(x):
+    if x == 1:
+        raise ValueError(f"unit {x} failed")
+    return x * 2
+
+
 class TestFanOut:
     def test_empty_specs_short_circuit(self):
         assert fan_out(_double, [], jobs=8) == []
@@ -58,6 +67,20 @@ class TestFanOut:
         profiler = SelfProfiler()
         fan_out(_double, [1, 2], jobs=1, profiler=profiler, phase="faults")
         assert "faults" in profiler.merged()
+
+    @pytest.mark.parametrize("monitored", [False, True])
+    def test_worker_error_reraises_and_reaps_the_pool(self, monitored):
+        units = ["u0", "u1", "u2"]
+        monitor = None
+        if monitored:
+            hub = CampaignTelemetry("test", campaign_id="c")
+            hub.begin(units)
+            monitor = TelemetryMonitor(hub, units, jobs=2)
+        with pytest.raises(ValueError, match="unit 1 failed"):
+            fan_out(_fail_on_one, [0, 1, 2], jobs=2, monitor=monitor)
+        assert multiprocessing.active_children() == []
+        if monitored:  # every unit's fate was recorded before the re-raise
+            assert check_conservation(hub.ordered_events()) == []
 
 
 class TestParallelDeterminism:
@@ -175,6 +198,52 @@ class TestCellCache:
 
     def test_config_fingerprint_stable(self):
         assert sweep_config_fingerprint() == sweep_config_fingerprint()
+
+
+def _store_results(root, systems, mtimes):
+    """One equal-size result entry per system, stamped with ``mtimes``."""
+    cache = CellCache(root)
+    paths = {}
+    for system, mtime in zip(systems, mtimes):
+        path = cache.result_path(system, "vvadd", "fp", "cfg")
+        cache.store(path, {"cell": system})
+        os.utime(path, (mtime, mtime))
+        paths[system] = path
+    return cache, paths
+
+
+def _surviving(paths):
+    return sorted(name for name, path in paths.items()
+                  if os.path.exists(path))
+
+
+class TestCachePrune:
+    def test_evicts_least_recently_used_and_hits_refresh(self, tmp_path):
+        root = str(tmp_path)
+        cache, paths = _store_results(root, ["A", "B", "C"],
+                                      [1000, 2000, 3000])
+        size = os.path.getsize(paths["A"])
+        assert cache.load_entry(paths["A"])[1] == "hit"  # A is now newest
+        assert prune_cache(root, max_bytes=2 * size)["removed"] == 1
+        assert _surviving(paths) == ["A", "C"]
+        prune_cache(root, max_bytes=size)
+        assert _surviving(paths) == ["A"]
+
+    def test_corrupt_files_are_never_pruned_nor_counted(self, tmp_path):
+        root = str(tmp_path)
+        cache, paths = _store_results(root, ["A"], [1000])
+        bad = cache.result_path("B", "vvadd", "fp", "cfg")
+        with open(bad, "wb") as handle:
+            handle.write(b"not a pickle" * 100)
+        assert cache.load_entry(bad)[1] == "corrupt"  # quarantined
+        live = os.path.getsize(paths["A"])
+        stats = cache_stats(root)
+        assert stats["corrupt"]["count"] == 1
+        assert stats["total_bytes"] == live
+        assert prune_cache(root, max_bytes=live)["removed"] == 0
+        assert prune_cache(root, max_bytes=0)["removed"] == 1
+        assert _surviving(paths) == []
+        assert os.path.exists(f"{bad}.corrupt")
 
 
 class TestSweepPairs:

@@ -1,6 +1,7 @@
 """Tests for the longitudinal run store: records, JSONL archive, index."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -205,6 +206,20 @@ class TestRunStore:
         # survive losing the index.
         assert [r["label"] for r in store.history()] == ["b", "a"]
         assert store.append(sample_record(label="c")) == "000003-run"
+
+    def test_threaded_runstore_appends_assign_unique_ids(self, tmp_path):
+        store = RunStore(str(tmp_path))
+
+        def append_one(i):
+            record = make_record("run", label=f"t{i}", command="test")
+            record.add_result("IO", "vvadd", cycles=float(i), time_ns=1.0)
+            return store.append(record)
+
+        with ThreadPoolExecutor(max_workers=8) as tpe:
+            ids = list(tpe.map(append_one, range(24)))
+        assert len(set(ids)) == 24
+        assert sorted(ids) == [f"{i:06d}-run" for i in range(1, 25)]
+        assert len(list(store.records())) == 24
 
     def test_corrupt_jsonl_raises_with_line_number(self, tmp_path):
         store = RunStore(str(tmp_path / "runs"))
