@@ -18,13 +18,17 @@ model's behaviour *exactly*:
   :class:`~repro.mem.dram.DramChannel` (same statistics, minus the
   instrumentation branches that are dead in uninstrumented runs);
 * identical statistics (``level_stats`` / per-cache hit/miss counters /
-  Figure 8 vector-port counters).
+  Figure 8 vector-port counters);
+* a fused :meth:`FastMemorySystem.stream` for the vector units' request
+  streams, which resolves hits at the port's first level inline and
+  sends every other request through ``access()``.
 
 All arithmetic is double precision either way (``np.float64`` *is* a C
 double), so completion times — and therefore total cycle counts — come
-out byte-identical.  ``tests/test_compiler.py`` locks this with a
-differential test against :class:`MemorySystem` on random address
-streams over all three ports.
+out byte-identical.  ``tests/test_compiler.py`` locks this with
+differential tests against :class:`MemorySystem`: random address
+streams over all three ports, and ``stream()`` request lists on every
+port with and without an LSQ window.
 
 The fast model supports no instrumentation: it is only ever constructed
 for uninstrumented runs (tracer/metrics/attribution all disabled), where
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import CacheConfig, DramConfig, SystemConfig
 from ..errors import MemoryModelError
@@ -354,7 +358,9 @@ class FastMemorySystem:
     model's with the always-false ``tracer.enabled`` / ``metrics.enabled``
     branches removed.  Internally the chains pass ``(grant, done, level,
     stall)`` tuples and only the public ``access`` allocates a
-    completion object — the callers read it once and discard it.
+    completion object — the callers read it once and discard it.  A
+    vector unit's stream reaches ``access`` only for the requests that
+    miss its port's first level.
     """
 
     def __init__(self, config: SystemConfig, tracer=None, metrics=None,
@@ -473,6 +479,87 @@ class FastMemorySystem:
             raise MemoryModelError(
                 f"unknown port {port!r} (expected one of {PORTS})")
         return FastCompletion(grant, done, level, stall)
+
+    def stream(self, start: float, lines: Sequence[int], is_store: bool,
+               port: str, interval: float,
+               window=None) -> Tuple[float, float, float, float]:
+        """Fused :meth:`MemorySystem.stream`: same contract, same results.
+
+        The stream state lives in locals, and a request that hits the
+        port's first level resolves inline: the LLC probe (EVE's VMU),
+        the L2 bank delay plus probe (DV), the L1 probe behind the
+        ``window`` slot (IV's LSQ).  Every other request goes through
+        :meth:`access`, so the miss path (MSHRs, DRAM, fills, inclusive
+        invalidation, the vector-port counters) is written once.
+
+        Results are byte-identical to the per-request loop: an inline
+        hit evaluates the chain's float operations in the chain's order,
+        and the issue rule ``max(at, grant) + interval`` is the loop's
+        rule.  The probe reads the set without touching it, so a miss
+        reaches :meth:`access` with the cache exactly as it found it;
+        the L2 bank delay does not depend on the probe, so it may follow
+        it.  The additions a hit skips are ``+ 0.0`` stalls.
+        """
+        if port == "llc":
+            cache, hit_latency, banks = self.llc, self._llc_hit, None
+        elif port == "l2":
+            cache, hit_latency = self.l2, self._l2_hit
+            banks = self._l2_bank_free
+        elif port == "l1":
+            cache, hit_latency, banks = self.l1d, self._l1_hit, None
+        else:
+            raise MemoryModelError(
+                f"unknown port {port!r} (expected one of {PORTS})")
+        access = self.access
+        acquire = release = None
+        if window is not None:
+            acquire, release = window.acquire, window.release
+        sets = cache._lru
+        n_sets = cache.sets
+        line_bytes = cache.line_bytes
+        n_banks = len(banks) if banks is not None else 0
+        t = last_done = start
+        first_done = None
+        stall = 0.0
+        hits = 0
+        for line_addr in lines:
+            at = t if acquire is None else acquire(t)[0]
+            line = line_addr // line_bytes
+            lru = sets[line % n_sets]
+            entry = None if lru is None else lru.pop(line, None)
+            if entry is None:
+                completion = access(at, line_addr, is_store, port)
+                done = completion.done
+                stall += completion.mshr_stall
+                grant = completion.grant
+                t = (grant if grant > at else at) + interval
+            else:
+                lru[line] = entry  # reinsert at the end: most recent
+                if is_store:
+                    entry[1] = True
+                hits += 1
+                if banks is None:
+                    done = at + hit_latency
+                else:
+                    bank = line % n_banks
+                    free = banks[bank]
+                    begin = free if free > at else at
+                    banks[bank] = begin + 1.0  # pipelined, 1-cycle occupancy
+                    done = begin + hit_latency
+                    stall += begin - at
+                t = at + interval
+            if release is not None:
+                release(done)
+            if first_done is None:
+                first_done = done
+            if done > last_done:
+                last_done = done
+        cache.hits += hits
+        if port == "llc":
+            self.vector_requests += hits
+        if first_done is None:
+            first_done = start
+        return t, first_done, last_done, stall
 
     # -- statistics -----------------------------------------------------------
 

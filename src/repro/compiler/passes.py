@@ -16,10 +16,11 @@ whole compiler).  What the passes buy:
 
 * :func:`hoist_memory_lines` precomputes, once per trace, the cache-line
   request list of every memory-touching event.  The interpreted machines
-  re-derive these per run from each :class:`MemAccess` pattern
-  (``np.unique`` + per-request ``int(np.int64)`` boxing); hoisting turns
-  the hot per-event loops into plain-int iteration, which is where most
-  of the compiled path's speedup on memory-bound workloads comes from.
+  re-derive these per run from each :class:`MemAccess` pattern (numpy
+  address arithmetic + ``np.unique``, through the same
+  :meth:`MemAccess.request_lines`); hoisting leaves the per-event loops
+  plain-int iteration, which is where most of the compiled path's
+  speedup on memory-bound workloads comes from.
 """
 
 from __future__ import annotations
@@ -27,12 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..analysis.checkers import check_trace
 from ..analysis.columns import TraceColumns
 from ..errors import CompilerError
-from ..isa.instructions import LINE_BYTES, ScalarBlock, VectorInstr
+from ..isa.instructions import ScalarBlock, VectorInstr
 from ..isa.opcodes import Category
 from ..isa.trace import Trace
 
@@ -163,26 +162,18 @@ def hoist_memory_lines(trace: Trace) -> LinesTable:
     """Precompute every event's cache-line request list.
 
     Vector memory ops get the exact stream the machines would derive at
-    run time: one request per element (at its line address) for strided
-    and indexed categories, one per distinct line in first-touch order
-    for unit-stride.  Scalar blocks get one line list per access pattern.
-    All entries are plain Python ints so the per-request simulation loops
-    never touch numpy scalars.
+    run time (:meth:`MemAccess.request_lines`): one request per element
+    for strided and indexed categories, one per distinct line in
+    first-touch order for unit-stride.  Scalar blocks get one line list
+    per access pattern.  All entries are plain Python ints so the
+    per-request simulation loops never touch numpy scalars.
     """
     table: LinesTable = {}
     for index, event in enumerate(trace.events):
         if isinstance(event, ScalarBlock):
             if event.accesses:
-                table[index] = [
-                    [int(line) for line in pattern.line_addresses()]
-                    for pattern in event.accesses]
+                table[index] = [pattern.request_lines(False)
+                                for pattern in event.accesses]
         elif isinstance(event, VectorInstr) and event.mem is not None:
-            per_element = event.category in (Category.MEM_STRIDE,
-                                             Category.MEM_INDEX)
-            if per_element:
-                raw = event.mem.element_addresses() // LINE_BYTES * LINE_BYTES
-            else:
-                raw = event.mem.line_addresses()
-            table[index] = [int(line)
-                            for line in np.asarray(raw, dtype=np.int64)]
+            table[index] = event.mem.request_lines(event.per_element)
     return table

@@ -353,8 +353,8 @@ class EveMachine(VectorMachineBase):
     def _load(self, start: float, instr: VectorInstr,
               lines=None) -> float:
         """VMU fetch -> DTU transpose -> rows written."""
-        per_element = instr.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
-        stream = self.vmu.stream(start, instr.mem, per_element, lines=lines)
+        stream = self.vmu.stream(start, instr.mem, instr.per_element,
+                                 lines=lines)
         dt_done = self.dtu.process(stream.first_done, stream.n_lines)
         done = max(stream.last_done, dt_done)
         self._last_dt_limited = dt_done > stream.last_done
@@ -363,18 +363,13 @@ class EveMachine(VectorMachineBase):
     def _store(self, start: float, instr: VectorInstr,
                lines=None) -> float:
         """Rows read -> DTU detranspose -> VMU write stream."""
-        per_element = instr.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
-        if lines is not None:
-            # The hoisted list is one entry per request in both modes.
-            n_lines = len(lines)
-        else:
-            n_lines = (instr.mem.num_accesses if per_element
-                       else len(instr.mem.line_addresses()))
-        dt_done = self.dtu.process(start, n_lines)
+        if lines is None:
+            lines = instr.mem.request_lines(instr.per_element)
+        dt_done = self.dtu.process(start, len(lines))
         # The VMU starts writing once the first line is detransposed.
         first_data = start + self.dtu.cycles_per_line
         stream = self.vmu.stream(max(first_data, start), instr.mem,
-                                 per_element, lines=lines)
+                                 instr.per_element, lines=lines)
         return max(stream.last_done, dt_done)
 
     def _vru_instr(self, start: float, instr: VectorInstr) -> Tuple[float, float]:

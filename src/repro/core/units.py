@@ -57,32 +57,14 @@ class VmuModel:
                per_element: bool, lines=None) -> StreamResult:
         """Issue all line requests of one memory macro-operation.
 
-        ``lines`` is the compiled path's hoisted request list (plain
-        ints, precomputed by the trace compiler); when ``None`` the
-        stream is derived from the pattern exactly as the compiler
-        would have.
+        ``lines`` is the compiled path's hoisted request list; when
+        ``None`` it is derived from the pattern exactly as the compiler
+        would have (:meth:`MemAccess.request_lines`).
         """
         if lines is None:
-            import numpy as np
-            if per_element:
-                raw = pattern.element_addresses() // 64 * 64
-            else:
-                raw = pattern.line_addresses()
-            lines = [int(line) for line in np.asarray(raw, dtype=np.int64)]
-        t = start
-        first_done = start
-        last_done = start
-        stall_total = 0.0
-        is_store = pattern.is_store
-        access = self.mem.access
-        for i, line in enumerate(lines):
-            completion = access(t, line, is_store, port="llc")
-            if i == 0:
-                first_done = completion.done
-            last_done = max(last_done, completion.done)
-            stall_total += completion.mshr_stall
-            t = max(t + self.CYCLES_PER_REQUEST,
-                    completion.grant + self.CYCLES_PER_REQUEST)
+            lines = pattern.request_lines(per_element)
+        t, first_done, last_done, stall_total = self.mem.stream(
+            start, lines, pattern.is_store, "llc", self.CYCLES_PER_REQUEST)
         self.free_at = t
         self.busy_cycles += t - start
         self.stall_cycles += stall_total

@@ -187,7 +187,8 @@ class DecoupledVectorMachine(VectorMachineBase):
 
     def _memory_instr(self, instr: VectorInstr, now: float,
                       lines=None) -> Tuple[float, float]:
-        per_element = instr.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
+        if lines is None:
+            lines = instr.mem.request_lines(instr.per_element)
         # Address generation occupies the memory pipe as soon as the index
         # register (if any) is ready; store *data* may arrive later — the
         # store queue decouples it, so later loads are not serialised
@@ -198,15 +199,11 @@ class DecoupledVectorMachine(VectorMachineBase):
         # Write-allocate fetches launch at address time; the store only
         # *completes* once its data has arrived from the producer.
         first_done, last_done, _ = self.stream_lines(
-            addr_start, instr.mem, port="l2", per_element=per_element,
+            addr_start, instr.mem, port="l2", per_element=instr.per_element,
             issue_interval=1.0, lines=lines)
         if instr.info.is_store and instr.vd >= 0:
             last_done = max(last_done, self._chain.get(instr.vd, (0.0, 0.0))[1])
-        if lines is not None:
-            n_requests = len(lines)
-        else:
-            n_requests = (instr.mem.num_accesses if per_element
-                          else len(instr.mem.line_addresses()))
+        n_requests = len(lines)
         self._pipe_free["memory"] = addr_start + n_requests
         if self.attr.enabled:
             self.attr.charge("pipe", "memory", float(n_requests))

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..config import SystemConfig
 from ..errors import SimulationError
 from ..isa.instructions import ScalarBlock, VectorInstr
@@ -182,29 +180,17 @@ class IntegratedVectorMachine(VectorMachineBase):
         # coalesces them, so one line request per distinct line.  Strided
         # and indexed ops become one scalar request per element.  Each
         # in-flight request holds one of the shared LSQ window's slots.
-        per_element = instr.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
         if lines is None:
-            if per_element:
-                raw = instr.mem.element_addresses() // 64 * 64
-            else:
-                raw = instr.mem.line_addresses()
-            lines = [int(line) for line in np.asarray(raw, dtype=np.int64)]
+            lines = instr.mem.request_lines(instr.per_element)
         # Indexed accesses also extract each address from a vector register
         # (an extra scalar μop per element).
         interval = 1.0 / self.LSQ_PORTS
         if instr.category is Category.MEM_INDEX:
             interval = 2.0 / self.LSQ_PORTS
-        t = start
-        last_done = start
-        is_store = instr.mem.is_store
-        for line in lines:
-            slot_at, _ = self._lsq_window.acquire(t)
-            completion = self.mem.access(slot_at, line,
-                                         is_store, port="l1")
-            self._lsq_window.release(completion.done)
-            last_done = max(last_done, completion.done)
-            t = max(slot_at, completion.grant) + interval
-        n_uops = instr.mem.num_accesses if per_element else max(
+        t, _, last_done, _ = self.mem.stream(
+            start, lines, instr.mem.is_store, "l1", interval,
+            window=self._lsq_window)
+        n_uops = instr.mem.num_accesses if instr.per_element else max(
             1, math.ceil(instr.vl / self.vl))
         self._issue_end = start + n_uops * interval
         if self.tracer.enabled:

@@ -119,7 +119,7 @@ class ScalarCore:
         l1_hit = self.config.l1d.hit_latency
         now += issue_cycles
         if lines is None:
-            lines = [[int(line) for line in pattern.line_addresses()]
+            lines = [pattern.request_lines(False)
                      for pattern in block.accesses]
         access = self.mem.access
         for pattern, pattern_lines in zip(block.accesses, lines):
@@ -142,7 +142,7 @@ class ScalarCore:
         l1_hit = self.config.l1d.hit_latency
         end_issue = now + issue_cycles
         if lines is None:
-            lines = [[int(line) for line in pattern.line_addresses()]
+            lines = [pattern.request_lines(False)
                      for pattern in block.accesses]
         n_lines = sum(len(pattern_lines) for pattern_lines in lines) or 1
         spacing = issue_cycles / n_lines

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from ..config import SystemConfig
 from ..isa.instructions import MemAccess, ScalarBlock, VectorInstr
 from ..mem.hierarchy import MemorySystem
@@ -97,7 +95,7 @@ class VectorMachineBase:
         end = now + issue_cycles
         t = now
         if lines is None:
-            lines = [[int(line) for line in pattern.line_addresses()]
+            lines = [pattern.request_lines(False)
                      for pattern in block.accesses]
         for pattern, pattern_lines in zip(block.accesses, lines):
             is_store = pattern.is_store
@@ -135,31 +133,10 @@ class VectorMachineBase:
         ``(first_done, last_done, mshr_stall_total)``.
         """
         if lines is None:
-            if per_element:
-                # One request per element, at the line its address falls
-                # in (duplicates intentionally kept: each element is a
-                # request).
-                raw = pattern.element_addresses() // 64 * 64
-            else:
-                raw = pattern.line_addresses()
-            lines = [int(line) for line in np.asarray(raw, dtype=np.int64)]
-        if len(lines) == 0:
-            return start, start, 0.0
-        t = start
-        first_done = None
-        last_done = start
-        stall_total = 0.0
-        is_store = pattern.is_store
-        access = self.mem.access
-        for line in lines:
-            completion = access(t, line, is_store, port=port)
-            if first_done is None:
-                first_done = completion.done
-            last_done = max(last_done, completion.done)
-            stall_total += completion.mshr_stall
-            # The next request leaves once this one was accepted.
-            t = max(t + issue_interval, completion.grant + issue_interval)
-        if self.tracer.enabled:
+            lines = pattern.request_lines(per_element)
+        t, first_done, last_done, stall_total = self.mem.stream(
+            start, lines, pattern.is_store, port, issue_interval)
+        if self.tracer.enabled and lines:
             self.tracer.span(
                 "VMU", f"stream:{'st' if pattern.is_store else 'ld'}",
                 start, t, n_requests=len(lines), mshr_stall=stall_total)

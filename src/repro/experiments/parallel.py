@@ -38,6 +38,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import queue
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -317,26 +318,39 @@ def _observed_call(func: Callable, spec) -> Dict[str, object]:
             "t1": time.monotonic(), "pid": os.getpid()}
 
 
-def _drain_observed(results: List, monitor,
+def _notify(landed: queue.SimpleQueue, index: int, _outcome) -> None:
+    """``apply_async`` callback: hand the landed unit's index to the
+    drain."""
+    landed.put(index)
+
+
+def _drain_observed(results: List, landed: queue.SimpleQueue, monitor,
                     poll_seconds: float = 0.05) -> List[Dict[str, object]]:
     """Collect ``apply_async`` observations, feeding the monitor live.
 
-    Completions are reported to ``monitor.on_complete`` *as they land*
-    (completion order — only live progress/heartbeat state depends on
-    it); the returned list is input-ordered, so the downstream merge
-    stays deterministic.
+    ``landed`` receives each unit's index from its ``apply_async``
+    callback (or error callback) the moment its result arrives, so the
+    drain wakes on completion; a wait of ``poll_seconds`` with nothing
+    landed still calls ``monitor.poll()``, keeping heartbeats and the
+    stall watchdog on their cadence.  Completions are reported to
+    ``monitor.on_complete`` *as they land* (completion order — only live
+    progress/heartbeat state depends on it); the returned list is
+    input-ordered, so the downstream merge stays deterministic.
     """
     observed: List[Optional[Dict[str, object]]] = [None] * len(results)
-    pending = set(range(len(results)))
+    pending = len(results)
     while pending:
-        landed = [i for i in sorted(pending) if results[i].ready()]
-        for i in landed:
-            pending.discard(i)
+        try:
+            i = landed.get(timeout=poll_seconds)
+        except queue.Empty:
+            pass
+        else:
+            # The callback runs just before the result marks itself
+            # ready; get() waits out that gap (or re-raises a failure).
             observed[i] = results[i].get()
+            pending -= 1
             monitor.on_complete(i, observed[i])
         monitor.poll()
-        if pending and not landed:
-            time.sleep(poll_seconds)
     return observed
 
 
@@ -385,12 +399,18 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
                 monitor.on_complete(i, obs)
                 monitor.poll()
         else:
+            landed = queue.SimpleQueue()
             with _leased_pool(jobs, len(specs)) as mp_pool:
                 handles = []
                 for i, spec in enumerate(specs):
-                    handles.append(mp_pool.apply_async(wrapped, (spec,)))
+                    # Runs on the pool's result-handler thread: it only
+                    # enqueues, and never touches the monitor.
+                    notify = functools.partial(_notify, landed, i)
+                    handles.append(mp_pool.apply_async(
+                        wrapped, (spec,), callback=notify,
+                        error_callback=notify))
                     monitor.on_dispatch(i)
-                observed = _drain_observed(handles, monitor)
+                observed = _drain_observed(handles, landed, monitor)
     for obs in observed:  # first failure wins, in input order
         if obs["error"] is not None:
             raise obs["error"]

@@ -10,7 +10,7 @@ requests; this keeps traces small while driving a real cache simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +67,23 @@ class MemAccess:
         _, first = np.unique(lines, return_index=True)
         return lines[np.sort(first)] * LINE_BYTES
 
+    def request_lines(self, per_element: bool) -> List[int]:
+        """The cache-line request stream a machine issues for this
+        pattern, as plain ints.
+
+        ``per_element`` (strided and indexed accesses) issues one request
+        per element at the line its address falls in, duplicates kept:
+        each element is a request.  Otherwise one request per distinct
+        line, in first-touch order.  The trace compiler's hoisted lists
+        and the interpreted machines both come from here, so the two
+        paths always stream the same requests.
+        """
+        if per_element:
+            lines = self.element_addresses() // LINE_BYTES * LINE_BYTES
+        else:
+            lines = self.line_addresses()
+        return lines.tolist()
+
     def total_bytes(self) -> int:
         return self.num_accesses * self.elem_bytes
 
@@ -107,6 +124,12 @@ class VectorInstr:
     @property
     def category(self) -> Category:
         return self.info.category
+
+    @property
+    def per_element(self) -> bool:
+        """Strided and indexed memory ops issue one request per element
+        (see :meth:`MemAccess.request_lines`)."""
+        return self.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
 
     @property
     def sources(self) -> Tuple[int, ...]:

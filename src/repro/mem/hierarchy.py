@@ -11,12 +11,15 @@ connect vector units to either the L2 cache or the LLC"):
 The hierarchy is inclusive: an LLC eviction invalidates inner copies.
 Misses hold an MSHR at their level until the fill returns; acquiring a
 full pool stalls the requester (Figure 8's metric for the EVE VMU).
+The vector units hand each memory macro-op's whole request list to
+:meth:`MemorySystem.stream`; scalar cores issue single ``access()``
+calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -173,6 +176,38 @@ class MemorySystem:
         if self.metrics.enabled:
             self._latency_hist[port].observe(completion.done - now)
         return completion
+
+    def stream(self, start: float, lines: Sequence[int], is_store: bool,
+               port: str, interval: float,
+               window: Optional[MshrPool] = None
+               ) -> Tuple[float, float, float, float]:
+        """Issue one memory macro-op's request list as a pipelined stream.
+
+        Each request leaves ``interval`` cycles after the previous one
+        was accepted (its grant).  With a ``window`` (the IV's LSQ slots)
+        a request first waits for a free slot and holds it until its data
+        returns.  Returns ``(issue_end, first_done, last_done,
+        mshr_stall)``: when the next request could leave, the first and
+        the latest data return, and the summed MSHR stall.  An empty list
+        returns ``(start, start, start, 0.0)``.
+
+        Every request goes through :meth:`access`, so instrumented runs
+        keep each per-access span, histogram sample and charge.
+        """
+        t = first_done = last_done = start
+        stall = 0.0
+        for i, line in enumerate(lines):
+            at = t if window is None else window.acquire(t)[0]
+            completion = self.access(at, line, is_store, port)
+            done = completion.done
+            if window is not None:
+                window.release(done)
+            if i == 0:
+                first_done = done
+            last_done = max(last_done, done)
+            stall += completion.mshr_stall
+            t = max(at, completion.grant) + interval
+        return t, first_done, last_done, stall
 
     # -- statistics -------------------------------------------------------------
 

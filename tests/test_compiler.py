@@ -31,7 +31,7 @@ from repro.compiler import (CompilerConfig, compile_trace,
 from repro.compiler.blocks import event_kind
 from repro.compiler.memengine import FastMemorySystem
 from repro.compiler.passes import DceResult
-from repro.config import make_system
+from repro.config import all_system_names, make_system
 from repro.errors import CompilerError, MemoryModelError
 from repro.experiments import ExperimentRunner
 from repro.experiments.parallel import (CACHE_VERSION, params_fingerprint,
@@ -40,7 +40,8 @@ from repro.faults import fuzz
 from repro.faults.fuzz import (FUZZ_WIDTHS, compare_runs, generate_case,
                                run_dut, run_oracle)
 from repro.isa.intrinsics import VectorContext
-from repro.mem.hierarchy import MemorySystem
+from repro.mem.hierarchy import PORTS, MemorySystem
+from repro.mem.mshr import MshrPool
 from repro.workloads import REGISTRY
 
 #: Tiny problem sizes, same shape the conftest `tiny_runner` uses.
@@ -219,17 +220,42 @@ def compiled_runner():
                             compile_traces=True)
 
 
+#: vvadd at this size stalls DV's L2 MSHRs and EVE's LLC MSHRs, which
+#: the tiny grid barely reaches.
+MSHR_BOUND_VVADD = {"vvadd": {"n": 4096}}
+
+
+def _assert_same_result(compiled, reference):
+    assert compiled.cycles == reference.cycles
+    assert compiled.instructions == reference.instructions
+    assert compiled.mem_stats == reference.mem_stats
+    assert (compiled.breakdown is None) == (reference.breakdown is None)
+    if reference.breakdown is not None:
+        assert compiled.breakdown.as_dict() == reference.breakdown.as_dict()
+    assert compiled.vmu_llc_stall_frac == reference.vmu_llc_stall_frac
+
+
 class TestCompiledMachineEquivalence:
-    @pytest.mark.parametrize("system", ["IO", "O3+EVE-4"])
+    @pytest.mark.parametrize("system", all_system_names())
     @pytest.mark.parametrize("workload", sorted(REGISTRY))
     def test_cycles_and_stats_are_byte_identical(self, system, workload,
                                                  interpreted_runner,
                                                  compiled_runner):
-        reference = interpreted_runner.run(system, workload)
-        compiled = compiled_runner.run(system, workload)
-        assert compiled.cycles == reference.cycles
-        assert compiled.instructions == reference.instructions
-        assert compiled.mem_stats == reference.mem_stats
+        _assert_same_result(compiled_runner.run(system, workload),
+                            interpreted_runner.run(system, workload))
+
+    @pytest.mark.parametrize("system", all_system_names())
+    def test_mshr_bound_vvadd_is_byte_identical(self, system):
+        reference = ExperimentRunner(params_override=MSHR_BOUND_VVADD,
+                                     compile_traces=False).run(system,
+                                                               "vvadd")
+        compiled = ExperimentRunner(params_override=MSHR_BOUND_VVADD,
+                                    compile_traces=True).run(system, "vvadd")
+        _assert_same_result(compiled, reference)
+        stalled = {"O3+DV": "l2_mshr", "O3+EVE-4": "llc_mshr",
+                   "O3+EVE-32": "llc_mshr"}.get(system)
+        if stalled is not None:
+            assert reference.mem_stats[stalled]["stall_cycles"] > 0
 
     def test_instrumented_runs_fall_back_to_the_interpreter(self,
                                                             compiled_runner):
@@ -258,7 +284,98 @@ def _stream(seed, count=3000):
     return lines.tolist(), stores.tolist(), ports.tolist(), gaps.tolist()
 
 
+#: Request-list shapes the ``stream()`` differential cycles through on
+#: each port, in this order: ``hits`` re-streams the ``misses`` list
+#: (resident by then), ``saturating`` streams 200 never-touched lines at
+#: once so the port's MSHRs run out.
+STREAM_SHAPES = ("misses", "hits", "empty", "saturating", "mixed")
+
+#: The cache each port probes first.
+FIRST_LEVEL = {"l1": "l1d", "l2": "l2", "llc": "llc"}
+
+
+def _stream_plan(seed, rounds=20):
+    """Seeded ``(port, shape, lines, is_store, interval)`` stream calls:
+    every port, every shape in turn."""
+    rng = np.random.default_rng(seed)
+    fresh = iter(range(1 << 24, 1 << 34, 64))
+    plan = []
+    for _ in range(rounds):
+        port = str(rng.choice(PORTS))
+        previous = []
+        for shape in STREAM_SHAPES:
+            if shape == "misses":
+                lines = [next(fresh) for _ in range(int(rng.integers(1, 40)))]
+            elif shape == "hits":
+                lines = previous
+            elif shape == "empty":
+                lines = []
+            elif shape == "saturating":
+                lines = [next(fresh) for _ in range(200)]
+            else:
+                hot = rng.integers(0, 256, size=60) * 64
+                cold = rng.integers(0, 1 << 18, size=60) * 64
+                lines = np.where(rng.random(60) < 0.6, hot, cold).tolist()
+            previous = lines
+            plan.append((port, shape, lines, bool(rng.random() < 0.3),
+                         float(rng.choice([0.5, 1.0, 2.0]))))
+    return plan
+
+
 class TestFastMemorySystem:
+    @pytest.mark.parametrize("windowed", [False, True])
+    @pytest.mark.parametrize("system,seed", [("O3+DV", 11),
+                                             ("O3+EVE-4", 12)])
+    def test_stream_matches_the_reference_loop(self, system, seed,
+                                               windowed):
+        config = make_system(system)
+        reference = MemorySystem(config)
+        fast = FastMemorySystem(config)
+        # Wider than every MSHR pool, so both the window and the MSHRs
+        # behind it fill up.
+        ref_window = MshrPool(48, "lsq") if windowed else None
+        fast_window = MshrPool(48, "lsq") if windowed else None
+        singles = zip(*_stream(seed, count=200))
+        now = 0.0
+        stall = 0.0
+        for port, shape, lines, store, interval in _stream_plan(seed):
+            first = getattr(reference, FIRST_LEVEL[port])
+            misses = first.misses
+            expect = reference.stream(now, lines, store, port, interval,
+                                      window=ref_window)
+            got = fast.stream(now, lines, store, port, interval,
+                              window=fast_window)
+            assert got == expect, (port, shape)
+            if shape == "empty":
+                assert got == (now, now, now, 0.0)
+            if shape == "hits":
+                assert first.misses == misses, port
+            stall += got[3]
+            now = max(now + 1.0, got[0] - 40.0)
+            # Interleave one single request on a random port.
+            line, single_store, single_port, gap = next(singles)
+            want = reference.access(now, line, single_store, single_port)
+            have = fast.access(now, line, single_store, single_port)
+            assert (have.grant, have.done, have.level, have.mshr_stall) == \
+                (want.grant, want.done, want.level, want.mshr_stall)
+            now += gap
+        assert stall > 0  # saturating streams took the MSHR slow path
+        assert fast.level_stats(elapsed=now) == \
+            reference.level_stats(elapsed=now)
+        assert fast.vector_requests == reference.vector_requests
+        assert fast.vector_mshr_stall == reference.vector_mshr_stall
+        assert fast.vector_stalled_requests == \
+            reference.vector_stalled_requests
+        if windowed:
+            assert fast_window.stats() == ref_window.stats()
+            assert fast_window.stall_cycles > 0
+            assert fast_window.outstanding == ref_window.outstanding
+
+    def test_stream_rejects_an_unknown_port(self):
+        fast = FastMemorySystem(make_system("IO"))
+        with pytest.raises(MemoryModelError):
+            fast.stream(0.0, [0], False, "l3", 1.0)
+
     @pytest.mark.parametrize("system,seed", [("IO", 3), ("O3+EVE-4", 4)])
     def test_matches_the_reference_model_access_for_access(self, system,
                                                            seed):

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
+import time
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentRunner, ParallelRunner, sweep_pairs
 from repro.experiments.figures import geomean
@@ -17,7 +20,7 @@ from repro.experiments.parallel import (CellCache, cache_stats, fan_out,
                                         sweep_config_fingerprint)
 from repro.experiments.systems import canonical_system
 from repro.obs.diff import diff_records
-from repro.obs.events import (CampaignTelemetry, TelemetryMonitor,
+from repro.obs.events import (CampaignTelemetry, EventLog, TelemetryMonitor,
                               check_conservation)
 from repro.obs.runstore import RunStore, make_record
 from repro.obs.scorecard import build_scorecard, scorecard_pairs
@@ -53,6 +56,28 @@ def _fail_on_one(x):
     return x * 2
 
 
+def _first_lands_last(x):
+    if x == 0:
+        time.sleep(0.5)
+    return x * 2
+
+
+def _unpicklable_on_one(x):
+    return (lambda: x) if x == 1 else x
+
+
+class _OrderRecorder(TelemetryMonitor):
+    """A monitor that also records the order completions land in."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.landed = []
+
+    def on_complete(self, index, observed):
+        self.landed.append(index)
+        super().on_complete(index, observed)
+
+
 class TestFanOut:
     def test_empty_specs_short_circuit(self):
         assert fan_out(_double, [], jobs=8) == []
@@ -81,6 +106,36 @@ class TestFanOut:
         assert multiprocessing.active_children() == []
         if monitored:  # every unit's fate was recorded before the re-raise
             assert check_conservation(hub.ordered_events()) == []
+
+    def test_out_of_order_completions_return_in_input_order(self, tmp_path,
+                                                            capsys):
+        units = [f"u{i}" for i in range(4)]
+        log = str(tmp_path / "events.jsonl")
+        hub = CampaignTelemetry("test", log=EventLog(log), campaign_id="c")
+        hub.begin(units)
+        monitor = _OrderRecorder(hub, units, jobs=2)
+        got = fan_out(_first_lands_last, [0, 1, 2, 3], jobs=2,
+                      monitor=monitor)
+        hub.finalize()
+        assert got == [0, 2, 4, 6]
+        assert sorted(monitor.landed) == [0, 1, 2, 3]
+        assert monitor.landed[-1] == 0  # the slow first unit landed last
+        assert multiprocessing.active_children() == []
+        assert main(["events", "--log", log, "--check"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("monitored", [False, True])
+    def test_unpicklable_result_reraises_and_reaps_the_pool(self,
+                                                            monitored):
+        units = ["u0", "u1", "u2"]
+        monitor = None
+        if monitored:
+            hub = CampaignTelemetry("test", campaign_id="c")
+            hub.begin(units)
+            monitor = TelemetryMonitor(hub, units, jobs=2)
+        with pytest.raises(multiprocessing.pool.MaybeEncodingError):
+            fan_out(_unpicklable_on_one, [0, 1, 2], jobs=2, monitor=monitor)
+        assert multiprocessing.active_children() == []
 
 
 class TestParallelDeterminism:
