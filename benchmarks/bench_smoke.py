@@ -158,7 +158,7 @@ def time_compiler(full: bool):
         compiled = compile_trace(trace)
         compile_seconds = time.perf_counter() - start
         build_machine(system).run(trace)  # warm shared ROM caches
-        interpreted = batched = float("inf")
+        interpreted = compiled_seconds = float("inf")
         interp_result = compiled_result = None
         for _ in range(rounds):
             machine = build_machine(system)
@@ -168,13 +168,14 @@ def time_compiler(full: bool):
             machine = build_machine(system)
             start = time.perf_counter()
             compiled_result = machine.run(trace, compiled=compiled)
-            batched = min(batched, time.perf_counter() - start)
-        speedup = interpreted / batched
+            compiled_seconds = min(compiled_seconds,
+                                   time.perf_counter() - start)
+        speedup = interpreted / compiled_seconds
         out[system] = {
             "workload": COMPILER_WORKLOAD,
             "compile_seconds": compile_seconds,
             "interpreted_seconds": interpreted,
-            "compiled_seconds": batched,
+            "compiled_seconds": compiled_seconds,
             "speedup": speedup,
             "meets_advisory": speedup >= COMPILER_SPEEDUP_MIN,
             "cycles_identical": (

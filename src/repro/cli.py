@@ -435,8 +435,7 @@ def _sweep_cache_stats(stats) -> dict:
 def _cmd_sweep(args) -> int:
     telemetry = _make_telemetry(args, "sweep")
     runner = _make_runner(args, telemetry=telemetry)
-    systems = args.systems or all_system_names()
-    workloads = args.workloads or sorted(REGISTRY)
+    systems, workloads = args.systems, args.workloads
     pairs = sweep_pairs(systems, workloads)
     try:
         stats = runner.prefetch(pairs)
@@ -612,8 +611,7 @@ def _cmd_attribute(args) -> int:
 
 
 def _cmd_bottleneck(args) -> int:
-    systems = args.systems or all_system_names()
-    workloads = args.workloads or sorted(REGISTRY)
+    systems, workloads = args.systems, args.workloads
     runner = _make_runner(args)
     rows = []
     cells: dict = {}
@@ -1187,8 +1185,36 @@ def _add_record_arguments(sub) -> None:
                      help="diff this run against REF (a record id, "
                           "'latest', 'latest~N', or a record JSON file); "
                           "exits non-zero on regression")
+    _add_store_argument(sub)
+
+
+def _add_store_argument(sub) -> None:
     sub.add_argument("--store", default=DEFAULT_ROOT, metavar="DIR",
                      help=f"run-store directory (default: {DEFAULT_ROOT})")
+
+
+def _add_json_out_argument(sub) -> None:
+    sub.add_argument("--json-out", default=None, metavar="FILE",
+                     help="also write the JSON report to FILE")
+
+
+def _add_tiny_argument(sub) -> None:
+    sub.add_argument("--tiny", action="store_true",
+                     help="use the test-sized problem inputs")
+
+
+def _add_grid_arguments(sub) -> None:
+    """``--systems`` / ``--workloads`` (resolved here to the full grid
+    when omitted) and ``--tiny``."""
+    sub.add_argument("--systems", nargs="+", type=_canonical_system,
+                     choices=all_system_names(), default=all_system_names(),
+                     metavar="SYSTEM",
+                     help="restrict to these systems (default: all)")
+    sub.add_argument("--workloads", nargs="+", type=_canonical_workload,
+                     choices=sorted(REGISTRY), default=sorted(REGISTRY),
+                     metavar="WORKLOAD",
+                     help="restrict to these workloads (default: all)")
+    _add_tiny_argument(sub)
 
 
 def _add_telemetry_arguments(sub) -> None:
@@ -1208,10 +1234,11 @@ def _add_telemetry_arguments(sub) -> None:
 def _add_compile_argument(sub) -> None:
     sub.add_argument("--compile", action=argparse.BooleanOptionalAction,
                      default=True,
-                     help="run uninstrumented simulations through the "
-                          "trace compiler's batched evaluator "
-                          "(cycle-identical to the interpreter; "
-                          "--no-compile forces the reference path)")
+                     help="run uninstrumented simulations on the trace "
+                          "compiler's hoisted request lists and flattened "
+                          "memory model (cycle-identical to the "
+                          "interpreter; --no-compile forces the reference "
+                          "path)")
 
 
 def _add_seed_argument(sub) -> None:
@@ -1221,14 +1248,12 @@ def _add_seed_argument(sub) -> None:
                           f"(default: {DEFAULT_SEED})")
 
 
-def _add_pair_arguments(sub, tiny_help: bool = True) -> None:
+def _add_pair_arguments(sub) -> None:
     sub.add_argument("system", type=_canonical_system,
                      choices=all_system_names())
     sub.add_argument("workload", type=_canonical_workload,
                      choices=sorted(REGISTRY))
-    if tiny_help:
-        sub.add_argument("--tiny", action="store_true",
-                         help="use the test-sized problem inputs")
+    _add_tiny_argument(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1253,8 +1278,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="one workload on every system")
     compare.add_argument("workload", type=_canonical_workload,
                          choices=sorted(REGISTRY))
-    compare.add_argument("--tiny", action="store_true",
-                         help="use the test-sized problem inputs")
+    _add_tiny_argument(compare)
     compare.add_argument("--json", action="store_true",
                          help="machine-readable output (per-system SimResult "
                               "fields + stall breakdown)")
@@ -1269,16 +1293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="simulate a systems x workloads cross-product, "
                       "optionally fanned out over worker processes")
-    sweep.add_argument("--systems", nargs="+", type=_canonical_system,
-                       choices=all_system_names(), default=None,
-                       metavar="SYSTEM",
-                       help="restrict to these systems (default: all)")
-    sweep.add_argument("--workloads", nargs="+", type=_canonical_workload,
-                       choices=sorted(REGISTRY), default=None,
-                       metavar="WORKLOAD",
-                       help="restrict to these workloads (default: all)")
-    sweep.add_argument("--tiny", action="store_true",
-                       help="use the test-sized problem inputs")
+    _add_grid_arguments(sweep)
     sweep.add_argument("--json", action="store_true",
                        help="machine-readable per-cell cycles/time and "
                             "speedups (deterministic: no wall-clock)")
@@ -1322,26 +1337,14 @@ def build_parser() -> argparse.ArgumentParser:
     attribute.add_argument("--json", action="store_true",
                            help="machine-readable report (conservation + "
                                 "taxonomy + critical path + rankings)")
-    attribute.add_argument("--json-out", default=None, metavar="FILE",
-                           help="also write the JSON report to FILE")
+    _add_json_out_argument(attribute)
     _add_seed_argument(attribute)
     _add_record_arguments(attribute)
 
     bottleneck = sub.add_parser(
         "bottleneck", help="bound-by summary across a systems x "
                            "workloads grid (conservation-checked)")
-    bottleneck.add_argument("--systems", nargs="+", type=_canonical_system,
-                            choices=all_system_names(), default=None,
-                            metavar="SYSTEM",
-                            help="restrict to these systems (default: all)")
-    bottleneck.add_argument("--workloads", nargs="+",
-                            type=_canonical_workload,
-                            choices=sorted(REGISTRY), default=None,
-                            metavar="WORKLOAD",
-                            help="restrict to these workloads "
-                                 "(default: all)")
-    bottleneck.add_argument("--tiny", action="store_true",
-                            help="use the test-sized problem inputs")
+    _add_grid_arguments(bottleneck)
     bottleneck.add_argument("--top", type=int, default=5, metavar="K",
                             help="rank depth per cell in --json output "
                                  "(default: 5)")
@@ -1366,8 +1369,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "for this system")
     history.add_argument("--json", action="store_true",
                          help="machine-readable record summaries")
-    history.add_argument("--store", default=DEFAULT_ROOT, metavar="DIR",
-                         help=f"run-store directory (default: {DEFAULT_ROOT})")
+    _add_store_argument(history)
 
     diff = sub.add_parser(
         "diff", help="compare two run records (exits non-zero on a gated "
@@ -1388,10 +1390,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "discipline), not just regressions")
     diff.add_argument("--json", action="store_true",
                       help="machine-readable diff report")
-    diff.add_argument("--json-out", default=None, metavar="FILE",
-                      help="also write the JSON report to FILE")
-    diff.add_argument("--store", default=DEFAULT_ROOT, metavar="DIR",
-                      help=f"run-store directory (default: {DEFAULT_ROOT})")
+    _add_json_out_argument(diff)
+    _add_store_argument(diff)
 
     scorecard = sub.add_parser(
         "scorecard", help="grade the reproduction against the paper's "
@@ -1415,9 +1415,7 @@ def build_parser() -> argparse.ArgumentParser:
     scorecard.add_argument("--gate", action="store_true",
                            help="exit non-zero when the fidelity verdict "
                                 "is FAIL")
-    scorecard.add_argument("--store", default=DEFAULT_ROOT, metavar="DIR",
-                           help=f"run-store directory "
-                                f"(default: {DEFAULT_ROOT})")
+    _add_store_argument(scorecard)
     _add_jobs_arguments(scorecard)
 
     uprog = sub.add_parser("uprog", help="show a macro-op micro-program")
@@ -1451,16 +1449,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--vlmax", type=int, default=2048, metavar="VL",
                        help="hardware vector length for the generated "
                             "traces (default: 2048)")
-    check.add_argument("--tiny", action="store_true",
-                       help="use the test-sized problem inputs")
+    _add_tiny_argument(check)
     check.add_argument("--corpus", default=None, metavar="DIR",
                        help="check saved fuzz-case JSONs under DIR instead "
                             "of workload traces")
     check.add_argument("--json", action="store_true",
                        help="machine-readable findings + per-trace "
                             "analyzer summaries")
-    check.add_argument("--json-out", default=None, metavar="FILE",
-                       help="also write the JSON report to FILE")
+    _add_json_out_argument(check)
     _add_seed_argument(check)
 
     figure = sub.add_parser("figure", help="regenerate a static figure")
@@ -1514,8 +1510,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--json", action="store_true",
                         help="machine-readable campaign report (includes "
                              "every classified outcome)")
-    faults.add_argument("--json-out", default=None, metavar="FILE",
-                        help="also write the JSON report to FILE")
+    _add_json_out_argument(faults)
     _add_record_arguments(faults)
     _add_telemetry_arguments(faults)
 
@@ -1550,8 +1545,7 @@ def build_parser() -> argparse.ArgumentParser:
                              f"(default: {DEFAULT_EVENTS_PATH})")
     report.add_argument("--last", type=int, default=20, metavar="N",
                         help="records per trend line (default: 20)")
-    report.add_argument("--store", default=DEFAULT_ROOT, metavar="DIR",
-                        help=f"run-store directory (default: {DEFAULT_ROOT})")
+    _add_store_argument(report)
 
     cache = sub.add_parser(
         "cache", help="inspect or prune the on-disk cell cache")

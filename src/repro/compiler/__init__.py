@@ -1,10 +1,10 @@
-"""Trace compiler: DCE + line hoisting + block scheduling + fast backends.
+"""Trace compiler: DCE + line hoisting + block scheduling + fast memory.
 
 The per-event interpreter loop is the simulator's dispatch bottleneck:
-every memory event re-derives its cache-line stream through numpy, every
-functional macro-op runs a per-cycle micro-program, and every cache
-access crosses several delegation layers.  This package compiles a trace
-once and lets the machines replay the compiled form:
+every memory event re-derives its cache-line stream through numpy and
+every cache access crosses several delegation layers.  This package
+compiles a trace once and lets the timing machines replay the compiled
+form:
 
 * :mod:`passes` — dead-op elimination (the architectural work view,
   gated against the static checkers) and memory-line hoisting (the
@@ -12,8 +12,6 @@ once and lets the machines replay the compiled form:
 * :mod:`blocks` — the block scheduler, packing events into
   dependence-legal kind-homogeneous blocks proved against the
   :class:`~repro.analysis.depgraph.DepGraph`;
-* :mod:`batched` — the numpy word-level datapath behind
-  ``EveFunctionalEngine(batched=True)``;
 * :mod:`memengine` — the flattened memory hierarchy the machines swap
   in for uninstrumented compiled runs.
 
@@ -21,8 +19,8 @@ Cycle accounting is byte-identical to the interpreted path by
 construction: the machines replay every original event in original
 order (blocks outer, events inner), dead ops included — elimination
 changes what the *checkers* see, never what the timing models charge.
-Instrumented runs (tracer, metrics, attribution, fault injection)
-always take the reference interpreter path.
+Instrumented runs (tracer, metrics, attribution) always take the
+reference interpreter path.
 
 :data:`COMPILER_VERSION` and the pass list are folded into experiment
 fingerprints (see :func:`CompilerConfig.descriptor`) so compiled and

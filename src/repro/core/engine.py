@@ -20,7 +20,6 @@ from typing import Dict, Optional, Tuple
 
 from ..config import SystemConfig
 from ..errors import SimulationError
-from ..faults.inject import NULL_FAULTS
 from ..isa.instructions import ScalarBlock, VectorInstr
 from ..isa.opcodes import Category
 from ..isa.trace import Trace
@@ -63,12 +62,11 @@ class EveMachine(VectorMachineBase):
     def __init__(self, config: SystemConfig,
                  tracer: Optional[SpanTracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 faults=None, attribution=None) -> None:
+                 attribution=None) -> None:
         if config.vector is None or config.vector.kind != "eve":
             raise SimulationError("EveMachine needs an 'eve' config")
         super().__init__(config, tracer=tracer, metrics=metrics,
                          attribution=attribution)
-        self.faults = faults if faults is not None else NULL_FAULTS
         self.metrics.reserve("eve", "EveMachine")
         sram = config.eve_sram
         self.factor = config.vector.factor
@@ -180,10 +178,6 @@ class EveMachine(VectorMachineBase):
                 continue
             instr: VectorInstr = event
             instructions += 1
-            if self.faults.enabled:
-                # Same context hook as the functional engine: lets an
-                # injector attribute a fault to the macro-op in flight.
-                self.faults.on_macro(instr.op)
             arrival = max(core_time + self.COMMIT_LATENCY,
                           last_commit + self.COMMIT_INTERVAL)
             last_commit = arrival

@@ -66,52 +66,12 @@ class EveMask(EveVec):
 Operand = Union[EveVec, int, np.integer]
 
 
-class _BitDatapath:
-    """Macro-block execution on the bit-exact EVE SRAM.
-
-    The default backend: each macro in a block resolves to its ROM
-    micro-program and runs on the :class:`MicroEngine`
-    (:meth:`~repro.uops.executor.MicroEngine.run_block`).
-    """
-
-    def __init__(self, rom: MacroOpRom, engine: MicroEngine, sram: EveSram,
-                 layout: RegisterLayout) -> None:
-        self.rom = rom
-        self.engine = engine
-        self.sram = sram
-        self.layout = layout
-
-    def execute(self, block) -> int:
-        return self.engine.run_block(
-            [(self.rom.program(macro, **params),
-              Binding(layout=self.layout, regs=regs, scalar=scalar))
-             for macro, regs, scalar, params in block],
-            self.sram)
-
-    def read_vreg(self, reg: int) -> np.ndarray:
-        return self.sram.read_vreg(self.layout, reg)
-
-    def write_vreg(self, reg: int, values: np.ndarray) -> None:
-        self.sram.write_vreg(self.layout, reg, values)
-
-
 class EveFunctionalEngine:
-    """Bit-exact vector execution on the EVE SRAM pool.
-
-    With ``batched=True`` the per-μop bit datapath is swapped for the
-    compiler's :class:`~repro.compiler.batched.WordDatapath`: macro blocks
-    evaluate as vectorised word arithmetic with cycles charged from the
-    ROM's (data-independent) timing runs.  Register allocation, spilling,
-    and macro emission are identical either way, so cycle counts, spill
-    counts, and every observable value match the bit path exactly —
-    ``tests/test_compiler.py`` holds the two modes bit-for-bit together
-    over the fuzz corpus.  Fault injection hooks into the μop stream, so
-    the batched mode refuses an enabled fault plan.
-    """
+    """Bit-exact vector execution on the EVE SRAM pool."""
 
     def __init__(self, factor: int, capacity: int = 64,
                  num_vregs: int = 32, element_bits: int = 32,
-                 faults=None, batched: bool = False) -> None:
+                 faults=None) -> None:
         segments = element_bits // factor
         rows = max(256, num_vregs * segments)
         cols = capacity * factor
@@ -127,18 +87,6 @@ class EveFunctionalEngine:
         self.engine = MicroEngine(faults=self.faults)
         self.vm = VirtualMemory()
         self.capacity = capacity
-        self.batched = batched
-        if batched:
-            if self.faults.enabled:
-                raise SimulationError(
-                    "batched evaluation cannot model μop-level fault "
-                    "injection; use the bit datapath for fault campaigns")
-            from ..compiler.batched import WordDatapath
-            self._dp = WordDatapath(self.rom, capacity)
-        else:
-            self._dp = _BitDatapath(self.rom, self.engine, self.sram,
-                                    self.layout)
-        self._pending: list = []     # macro ops awaiting block execution
         self.vl = 0
         self.cycles = 0
         self.spills = 0
@@ -161,7 +109,7 @@ class EveFunctionalEngine:
             holder = self._bound.get(reg)
             handle = holder() if holder is not None else None
             if handle is not None and handle.reg == reg and handle.spilled is None:
-                handle.spilled = self._dp_read(reg)
+                handle.spilled = self.sram.read_vreg(self.layout, reg)
                 handle.reg = -1
                 self.spills += 1
             if owner is not None:
@@ -186,7 +134,7 @@ class EveFunctionalEngine:
             raise SimulationError(
                 "stale register handle (overwritten without a spill)")
         reg = self._alloc(owner=handle)
-        self._dp_write(reg, handle.spilled)
+        self.sram.write_vreg(self.layout, reg, handle.spilled)
         handle.reg = reg
         handle.spilled = None
         return reg
@@ -206,35 +154,21 @@ class EveFunctionalEngine:
         return temp.reg, temp
 
     def _run(self, macro: str, regs: dict, scalar: int = 0, **params) -> None:
-        """Queue one macro-operation for block execution.
+        """Execute one macro-operation's ROM micro-program on the SRAM.
 
-        Emission order is execution order: any datapath read or write
-        (spill, reload, host observation) flushes the pending block first,
-        so the macro stream the datapath sees is byte-for-byte the
-        sequence the per-macro interpreter executed.
+        The fault hook learns the macro just before its program runs, so
+        an injector attributes a fault to the macro-op in flight.
         """
         if self.faults.enabled:
             self.faults.on_macro(macro)
-        self._pending.append((macro, regs, int(scalar), params))
-
-    def _flush(self) -> None:
-        """Execute the pending macro block on the active datapath."""
-        if self._pending:
-            block, self._pending = self._pending, []
-            self.cycles += self._dp.execute(block)
-
-    def _dp_read(self, reg: int) -> np.ndarray:
-        self._flush()
-        return self._dp.read_vreg(reg)
-
-    def _dp_write(self, reg: int, values: np.ndarray) -> None:
-        self._flush()
-        self._dp.write_vreg(reg, values)
+        self.cycles += self.engine.run(
+            self.rom.program(macro, **params), self.sram,
+            Binding(layout=self.layout, regs=regs, scalar=int(scalar)))
 
     def _read(self, handle_or_reg) -> np.ndarray:
         reg = (self._ensure(handle_or_reg)
                if isinstance(handle_or_reg, EveVec) else handle_or_reg)
-        return self._dp_read(reg)[: self.vl]
+        return self.sram.read_vreg(self.layout, reg)[: self.vl]
 
     def peek(self, handle: EveVec) -> np.ndarray:
         """Host-side read of a handle's current value (``vl`` elements).
@@ -248,7 +182,7 @@ class EveFunctionalEngine:
         handle = self._new_handle(cls)
         full = np.zeros(self.capacity, dtype=np.int64)
         full[: len(values)] = np.asarray(values, dtype=np.int64)
-        self._dp_write(handle.reg, full)
+        self.sram.write_vreg(self.layout, handle.reg, full)
         return handle
 
     # -- control ----------------------------------------------------------------
@@ -321,7 +255,6 @@ class EveFunctionalEngine:
             self._run(macro, {"vs1": a_reg, "vs2": b_reg, "vd": vd.reg},
                       **params)
         finally:
-            self._flush()
             self._pinned.clear()
         return vd
 
@@ -345,7 +278,6 @@ class EveFunctionalEngine:
             self._run(macro, {"vs1": a_reg, "vs2": b_reg, "vd": vd.reg,
                               "vm": m_reg}, masked=True)
         finally:
-            self._flush()
             self._pinned.clear()
         return vd
 
@@ -450,7 +382,6 @@ class EveFunctionalEngine:
             self._run("div", {"vs1": a_reg, "vs2": b_reg, "vd": vd.reg,
                               "vm": scratch}, op=op)
         finally:
-            self._flush()
             self._pinned.clear()
         return vd
 
@@ -483,7 +414,6 @@ class EveFunctionalEngine:
                 self._run("shift_scalar", {"vs1": a_reg, "vd": vd.reg},
                           scalar=amount, op=op, amount=amount)
         finally:
-            self._flush()
             self._pinned.clear()
         return vd
 
@@ -529,7 +459,6 @@ class EveFunctionalEngine:
             self._run("merge", {"vs1": a_reg, "vs2": b_reg, "vd": vd.reg,
                                 "vm": m_reg})
         finally:
-            self._flush()
             self._pinned.clear()
         return vd
 
@@ -546,7 +475,6 @@ class EveFunctionalEngine:
                 vd = self._new_handle()
                 self._run("splat", {"vd": vd.reg}, scalar=int(value))
         finally:
-            self._flush()
             self._pinned.clear()
         return vd
 

@@ -51,18 +51,16 @@ class VectorMachineBase:
         """Gate a compiled trace on instrumentation and install the fast
         memory model.
 
-        Instrumented runs (tracer, metrics, attribution, fault
-        injection) always take the reference interpreter path — the
-        observability stack hooks the layered hierarchy, and equivalence
-        there is guaranteed by running identical code, not by argument.
-        Returns the compiled trace to use, or ``None``.
+        Instrumented runs (tracer, metrics, attribution) always take
+        the reference interpreter path — the observability stack hooks
+        the layered hierarchy, and equivalence there is guaranteed by
+        running identical code, not by argument.  Returns the compiled
+        trace to use, or ``None``.
         """
         if compiled is None:
             return None
-        faults = getattr(self, "faults", None)
         if (self.tracer.enabled or self.metrics.enabled
-                or self.attr.enabled
-                or (faults is not None and faults.enabled)):
+                or self.attr.enabled):
             return None
         from ..compiler.memengine import FastMemorySystem
         self.mem = FastMemorySystem(self.config)

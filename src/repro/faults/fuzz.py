@@ -267,10 +267,8 @@ def run_oracle(case: FuzzCase) -> dict:
     return _run_guarded(case, VectorContext(case.vlmax, name="fuzz"))
 
 
-def run_dut(case: FuzzCase, factor: int, faults=None,
-            batched: bool = False) -> dict:
-    engine = EveFunctionalEngine(factor, capacity=case.vlmax, faults=faults,
-                                 batched=batched)
+def run_dut(case: FuzzCase, factor: int, faults=None) -> dict:
+    engine = EveFunctionalEngine(factor, capacity=case.vlmax, faults=faults)
     return _run_guarded(case, engine)
 
 

@@ -10,9 +10,13 @@ they are masked, detected, or become silent data corruption.
 
 The hook pattern mirrors the observability layer: every hooked object
 (:class:`~repro.sram.EveSram`, :class:`~repro.uops.executor.MicroEngine`,
-the machine models) carries :data:`NULL_FAULTS` by default and guards
-every call site with ``if self.faults.enabled:``, so the fault plumbing
-costs nothing when disabled.
+:class:`~repro.core.functional.EveFunctionalEngine`) carries
+:data:`NULL_FAULTS` by default and guards every call site with
+``if self.faults.enabled:``, so the fault plumbing costs nothing when
+disabled.  The functional engine calls ``on_macro`` just before each
+macro-op's program runs and the micro-engine calls ``on_program`` as the
+program starts, so a fault is attributed to the macro-op in flight.
+The timing machines carry no fault hook.
 
 Seed addressing is a two-pass protocol:
 

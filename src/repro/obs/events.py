@@ -51,18 +51,13 @@ the parent's; the log never depends on wall-clock time.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # POSIX advisory locking; other hosts degrade to lockless appends.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX hosts
-    fcntl = None
-
 from ..errors import EventLogError
+from .journal import Journal
 
 #: Bump when the event layout changes incompatibly.
 EVENT_SCHEMA_VERSION = 1
@@ -143,60 +138,38 @@ class Event:
 # -- the on-disk log -----------------------------------------------------------
 
 class EventLog:
-    """Append-only JSONL event file, flock-serialised like the run store.
-
-    Concurrent campaigns appending to one log never interleave partial
-    lines; readers tolerate trailing garbage on the final line (a
-    crashed writer) but raise :class:`EventLogError` on any interior
-    corruption.
-    """
+    """Append-only JSONL event file under the journal contract of
+    :mod:`repro.obs.journal` (locked on the log file itself): concurrent
+    campaigns never interleave lines, readers skip an unterminated tail
+    and raise :class:`EventLogError` on interior corruption."""
 
     def __init__(self, path: str = DEFAULT_EVENTS_PATH) -> None:
         self.path = path
 
     def append(self, events: Sequence[Event]) -> int:
+        """Append ``events``; returns how many were written."""
         if not events:
             return 0
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(self.path, "a") as handle:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                for event in events:
-                    handle.write(json.dumps(event.to_json_dict(),
-                                            sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        _journal(self.path).append([event.to_json_dict()
+                                    for event in events])
         return len(events)
 
     def read(self, campaign: Optional[str] = None) -> List["Event"]:
         return read_events(self.path, campaign=campaign)
 
 
+def _journal(path: str) -> Journal:
+    return Journal(path, EventLogError, "event")
+
+
 def read_events(path: str, campaign: Optional[str] = None,
                 tail: Optional[int] = None) -> List[Event]:
-    """Every event in ``path`` (oldest first), optionally filtered to
-    one campaign and/or the last ``tail`` events."""
+    """Every committed event in ``path`` (oldest first), optionally
+    filtered to one campaign and/or the last ``tail`` events."""
     if not os.path.exists(path):
         raise EventLogError(f"no event log at {path!r} (record one with: "
                             f"repro sweep --events {path})")
-    events: List[Event] = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EventLogError(
-                    f"{path}:{lineno}: corrupt event: {exc}") from exc
-            events.append(Event.from_json_dict(doc))
+    events = [Event.from_json_dict(doc) for doc in _journal(path).docs()]
     if campaign is not None:
         events = [e for e in events if e.campaign == campaign]
     if tail is not None and tail >= 0:
@@ -209,40 +182,26 @@ def follow_events(path: str, poll_seconds: float = 0.5,
                   campaign: Optional[str] = None) -> Iterable[Event]:
     """Yield events appended to ``path`` as they land (``tail -f``).
 
-    Polls the flock'd JSONL for growth; a missing file simply means "no
-    events yet" (no campaign has finalized into it), and a shrinking
-    file (rotated/truncated log) restarts from the top.
-    A partial final line — an appender mid-write on a non-flock host —
-    is buffered until its newline arrives, never parsed early.  ``stop``
-    is checked once per poll; without one, iterate until interrupted.
+    Polls the journal for newly committed lines with the same reader
+    :func:`read_events` uses, so a line is yielded only once its newline
+    is on disk.  A missing file simply means "no events yet" (no
+    campaign has finalized into it), and a shrinking file (rotated or
+    truncated log) restarts from the top.  ``stop`` is checked once per
+    idle poll; without one, iterate until interrupted.
     """
-    offset = 0
-    buffer = ""
+    journal = _journal(path)
+    offset = lineno = 0
     while True:
         size = os.path.getsize(path) if os.path.exists(path) else 0
         if size < offset:  # truncated or rotated: start over
-            offset = 0
-            buffer = ""
-        if size > offset:
-            with open(path) as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-                offset = handle.tell()
-            buffer += chunk
-            while "\n" in buffer:
-                line, buffer = buffer.split("\n", 1)
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise EventLogError(
-                        f"{path}: corrupt event while following: "
-                        f"{exc}") from exc
-                event = Event.from_json_dict(doc)
-                if campaign is None or event.campaign == campaign:
-                    yield event
+            offset = lineno = 0
+        progressed = False
+        for lineno, offset, doc in journal.scan(offset, lineno):
+            progressed = True
+            event = Event.from_json_dict(doc)
+            if campaign is None or event.campaign == campaign:
+                yield event
+        if progressed:
             continue  # re-check immediately after a batch
         if stop is not None and stop():
             return

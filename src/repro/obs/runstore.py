@@ -14,8 +14,9 @@ Storage layout (``root`` defaults to ``.eve-runs``)::
     .eve-runs/runs.jsonl    one JSON record per line, append-only
     .eve-runs/index.json    id -> summary cache (rebuilt if missing)
 
-``runs.jsonl`` is the source of truth; the index is a derived cache so a
-corrupted or deleted index never loses history.  Records are compared by
+``runs.jsonl`` is a :class:`~repro.obs.journal.Journal` and the source
+of truth; the index is a derived cache so a corrupted, stale or deleted
+index never loses history.  Records are compared by
 :mod:`repro.obs.diff` and rendered by ``repro history``.
 """
 
@@ -27,16 +28,11 @@ import os
 import platform
 import subprocess
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-try:  # POSIX advisory locking; Windows degrades to lockless appends.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX hosts
-    fcntl = None
-
 from ..errors import RunStoreError
+from .journal import Journal
 
 #: Bump when the record layout changes incompatibly.  Loading a record
 #: with a different major version raises :class:`RunStoreError` — a diff
@@ -245,15 +241,17 @@ def flatten_record(record: RunRecord) -> Dict[str, float]:
 class RunStore:
     """Append-only archive of :class:`RunRecord` lines plus an index.
 
-    Appends are serialised by an advisory ``flock`` on ``.lock`` so
+    ``runs.jsonl`` follows the journal contract in
+    :mod:`repro.obs.journal`.  Appends hold the lock on ``.lock``, so
     concurrent sweep workers (or parallel CI jobs sharing one store) get
-    unique sequence ids and never interleave partial JSONL lines, and
-    the index is always rewritten atomically (unique temp file +
-    ``os.replace``) so readers never observe a half-written cache.
+    unique sequence ids, and the index is written only under that lock,
+    atomically (unique temp file + ``os.replace``).
     """
 
     def __init__(self, root: str = DEFAULT_ROOT) -> None:
         self.root = root
+        self._journal = Journal(self.runs_path, RunStoreError, "record",
+                                lock_path=self.lock_path)
 
     @property
     def runs_path(self) -> str:
@@ -267,49 +265,19 @@ class RunStore:
     def lock_path(self) -> str:
         return os.path.join(self.root, LOCK_FILENAME)
 
-    # -- locking ---------------------------------------------------------------
-
-    @contextmanager
-    def _locked(self):
-        """Exclusive advisory lock over the store (no-op off-POSIX).
-
-        Not re-entrant: public mutators take it once and call only
-        unlocked ``_``-helpers inside.
-        """
-        os.makedirs(self.root, exist_ok=True)
-        handle = open(self.lock_path, "a+")
-        try:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            finally:
-                handle.close()
-
     # -- writing ---------------------------------------------------------------
 
     def append(self, record: RunRecord) -> str:
-        """Assign an id, append one JSONL line, refresh the index.
-
-        Safe against concurrent appenders: id assignment, the JSONL
-        write (flushed and fsync'd before the lock drops), and the index
-        refresh happen under the store lock.
-        """
-        with self._locked():
+        """Assign an id, append one JSONL line, refresh the index, all
+        under the store lock."""
+        with self._journal.locked():
             index = self._load_index()
-            seq = int(index.get("next_seq",
-                                len(index.get("records", [])) + 1))
+            seq = index["next_seq"]
             record.record_id = f"{seq:06d}-{record.kind}"
-            with open(self.runs_path, "a") as handle:
-                handle.write(json.dumps(record.to_json_dict(),
-                                        sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            index["journal_bytes"] = self._journal.write(
+                [json.dumps(record.to_json_dict(), sort_keys=True)])
             index["next_seq"] = seq + 1
-            index.setdefault("records", []).append(self._summary(record))
+            index["records"].append(self._summary(record))
             self._write_index(index)
         return record.record_id
 
@@ -329,20 +297,10 @@ class RunStore:
     # -- reading ---------------------------------------------------------------
 
     def records(self) -> Iterator[RunRecord]:
-        """Every record, oldest first (empty iterator if no store yet)."""
-        if not os.path.exists(self.runs_path):
-            return
-        with open(self.runs_path) as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RunStoreError(
-                        f"{self.runs_path}:{lineno}: corrupt record: {exc}") from exc
-                yield RunRecord.from_json_dict(doc)
+        """Every committed record, oldest first (empty iterator if no
+        store yet)."""
+        for doc in self._journal.docs():
+            yield RunRecord.from_json_dict(doc)
 
     def history(self, limit: Optional[int] = None,
                 kind: Optional[str] = None) -> List[Dict[str, object]]:
@@ -384,20 +342,29 @@ class RunStore:
 
     # -- the index cache -------------------------------------------------------
 
+    def _journal_bytes(self) -> int:
+        try:
+            return os.path.getsize(self.runs_path)
+        except OSError:
+            return 0
+
     def _load_index(self) -> Dict[str, object]:
+        """The index, rebuilt in memory from the journal when it is
+        missing, unreadable, or stale (its ``journal_bytes`` no longer
+        match the journal).  Never writes; lock holders publish."""
         try:
             with open(self.index_path) as handle:
                 index = json.load(handle)
-            if not isinstance(index, dict):
-                raise ValueError("index is not an object")
-            return index
+            if (isinstance(index, dict)
+                    and index.get("journal_bytes") == self._journal_bytes()):
+                return index
         except (OSError, ValueError):
-            return self._rebuild_index()
+            pass
+        return self._index_from_journal()
 
     def _write_index(self, index: Dict[str, object]) -> None:
         # Unique temp name + os.replace: a crashed or concurrent writer
         # can never leave a torn index or clobber another's temp file.
-        os.makedirs(self.root, exist_ok=True)
         tmp = f"{self.index_path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as handle:
@@ -409,22 +376,23 @@ class RunStore:
 
     def rebuild_index(self) -> Dict[str, object]:
         """Recreate the index cache from ``runs.jsonl`` (source of
-        truth), serialised against concurrent appenders."""
-        with self._locked():
-            return self._rebuild_index()
+        truth) and publish it, serialised against concurrent appenders."""
+        with self._journal.locked():
+            index = self._index_from_journal()
+            self._write_index(index)
+        return index
 
-    def _rebuild_index(self) -> Dict[str, object]:
-        records = list(self.records()) if os.path.exists(self.runs_path) else []
+    def _index_from_journal(self) -> Dict[str, object]:
+        journal_bytes = self._journal_bytes()
+        records = list(self.records())
         seqs = [int(r.record_id.split("-", 1)[0]) for r in records
                 if r.record_id]
-        index = {
+        return {
             "version": 1,
+            "journal_bytes": journal_bytes,
             "next_seq": (max(seqs) + 1) if seqs else 1,
             "records": [self._summary(r) for r in records],
         }
-        if records:
-            self._write_index(index)
-        return index
 
 
 def load_record_file(path: str) -> RunRecord:

@@ -224,20 +224,3 @@ class MicroEngine:
             self.metrics.counter("uprog.invocations").inc()
             self.metrics.histogram("uprog.cycles").observe(cycles)
         return cycles
-
-    def run_block(self, block, sram: Optional[EveSram] = None,
-                  histogram: Optional[Dict[str, int]] = None) -> int:
-        """Execute a block of ``(program, binding)`` pairs in order.
-
-        Block-at-a-time entry point: callers assemble the macro-op
-        sequence for one architectural operation (or a scheduled pack of
-        them) and submit it whole instead of driving :meth:`run` per
-        macro.  Returns the block's total cycle count; per-program
-        semantics (watchdog, fault hooks, tracer spans) are exactly those
-        of :meth:`run` since programs execute back to back on the same
-        counter file and SRAM.
-        """
-        cycles = 0
-        for program, binding in block:
-            cycles += self.run(program, sram, binding, histogram=histogram)
-        return cycles

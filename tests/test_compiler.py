@@ -5,9 +5,9 @@ The compiler's contract has two halves, and this module tests both:
 * **Timing is untouched.**  A compiled run replays every original event
   in original order, so cycles, instruction counts, and memory-system
   statistics must be byte-identical to the interpreted path — across
-  every workload x system cell, across the fuzz corpus at every segment
-  width, and at the component level for :class:`FastMemorySystem`
-  against the reference :class:`~repro.mem.hierarchy.MemorySystem`.
+  every workload x system cell, and at the component level for
+  :class:`FastMemorySystem` against the reference
+  :class:`~repro.mem.hierarchy.MemorySystem`.
 
 * **Analysis is conservative.**  Dead-op elimination produces the
   checker-facing view; its findings must be exactly the original
@@ -37,8 +37,6 @@ from repro.experiments import ExperimentRunner
 from repro.experiments.parallel import (CACHE_VERSION, params_fingerprint,
                                         simulate_cell)
 from repro.faults import fuzz
-from repro.faults.fuzz import (FUZZ_WIDTHS, compare_runs, generate_case,
-                               run_dut, run_oracle)
 from repro.isa.intrinsics import VectorContext
 from repro.mem.hierarchy import PORTS, MemorySystem
 from repro.mem.mshr import MshrPool
@@ -48,8 +46,8 @@ from repro.workloads import REGISTRY
 TINY_PARAMS = {name: dict(wl.tiny_params) for name, wl in REGISTRY.items()}
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
-CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
-CORPUS_IDS = [os.path.splitext(os.path.basename(p))[0] for p in CORPUS]
+CORPUS_IDS = [os.path.splitext(os.path.basename(p))[0] for p in
+              sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))]
 
 #: Corpus cases whose traces legitimately fail ``repro check`` with
 #: dead-write errors (see test_analysis_corpus) — the satellite's
@@ -176,33 +174,6 @@ class TestBlockScheduler:
         compiled = compile_trace(trace)
         assert compiled.blocks
         assert list(compiled.iter_events()) == list(enumerate(trace.events))
-
-
-# -- satellite 4: batched datapath vs oracle, fuzz + corpus -------------------
-
-
-class TestBatchedDatapath:
-    @pytest.mark.parametrize("path", CORPUS, ids=CORPUS_IDS)
-    def test_corpus_replays_clean_batched_at_every_width(self, path):
-        case = fuzz.load_case(path)
-        oracle = run_oracle(case)
-        for factor in FUZZ_WIDTHS:
-            divergence = compare_runs(
-                oracle, run_dut(case, factor, batched=True))
-            assert divergence is None, (factor, divergence)
-
-    @pytest.mark.parametrize("chunk", range(8))
-    def test_200_fuzz_seeds_replay_clean_batched_at_every_width(self, chunk):
-        # 200 generated cases split into chunks so a divergence pins a
-        # narrow seed range; every case runs at all six segment widths.
-        for seed in range(chunk * 25, (chunk + 1) * 25):
-            case = generate_case(seed)
-            oracle = run_oracle(case)
-            assert "crash" not in oracle, (seed, oracle)
-            for factor in FUZZ_WIDTHS:
-                divergence = compare_runs(
-                    oracle, run_dut(case, factor, batched=True))
-                assert divergence is None, (seed, factor, divergence)
 
 
 # -- compiled vs interpreted machine equivalence ------------------------------

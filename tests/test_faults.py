@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.functional import EveFunctionalEngine
 from repro.errors import FaultInjectionError
 from repro.faults.campaign import (OUTCOMES, CampaignReport, family_of,
                                    run_campaign)
@@ -24,7 +25,37 @@ class TestFaultSpec:
         assert NULL_FAULTS.enabled is False
 
 
+class _RecordingProbe(FaultProbe):
+    """A probe that also logs every context hook in call order."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def on_macro(self, macro):
+        super().on_macro(macro)
+        self.calls.append(("macro", macro))
+
+    def on_program(self, name):
+        super().on_program(name)
+        self.calls.append(("program", name))
+
+
 class TestProbe:
+    def test_macro_context_follows_execution(self):
+        # vsub(a, a) first copies `a` into a temporary (the sub program
+        # complements one source in place), so the copy's program must
+        # run under its own macro, not under `sub`.
+        probe = _RecordingProbe()
+        engine = EveFunctionalEngine(4, capacity=8, faults=probe)
+        engine.setvl(8)
+        a = engine.vmv(5)
+        probe.calls.clear()
+        diff = engine.vsub(a, a)
+        assert probe.calls == [("macro", "move"), ("program", "move/4"),
+                               ("macro", "sub"), ("program", "sub/4")]
+        assert engine.peek(diff).tolist() == [0] * 8
+
     def test_counts_events_on_a_real_program(self):
         case = generate_case(0, vlmax=8, num_ops=6)
         probe = FaultProbe()
