@@ -185,7 +185,8 @@ def _make_telemetry(args, kind: str) -> Optional[CampaignTelemetry]:
     hint = None
     try:
         hint = historical_cell_seconds(
-            RunStore(getattr(args, "store", DEFAULT_ROOT)))
+            RunStore(getattr(args, "store", DEFAULT_ROOT)),
+            tiny=getattr(args, "tiny", False))
     except RunStoreError:
         hint = None  # a corrupt store must not kill the campaign
     if progress is not None:

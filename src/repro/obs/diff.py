@@ -181,8 +181,10 @@ class RecordDiff:
                 if e.status == "regressed" and e.gate]
 
     def gated_changes(self) -> List[DiffEntry]:
+        """Gated entries that changed, regressed, or that the baseline
+        has and the current record lacks (a cell that went missing)."""
         return [e for e in self.entries
-                if e.gate and e.status in ("changed", "regressed")]
+                if e.gate and e.status in ("changed", "regressed", "removed")]
 
     def interesting(self) -> List[DiffEntry]:
         """Everything except unchanged entries, worst first."""
@@ -199,7 +201,7 @@ class RecordDiff:
 
     def exit_code(self, strict: bool = False) -> int:
         """Nonzero on any gated regression (``strict``: on any gated
-        change at all, the golden-file discipline)."""
+        change or removal at all, the golden-file discipline)."""
         failing = self.gated_changes() if strict else self.regressions()
         return 1 if failing else 0
 

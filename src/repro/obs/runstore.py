@@ -3,11 +3,11 @@
 The in-run observability layer (metrics, tracer, self-profiler) answers
 "what happened in *this* run"; the :class:`RunStore` answers "what
 happened across the PR trajectory".  Every ``repro run`` / ``compare`` /
-``stats`` / ``scorecard`` invocation and every ``bench_smoke`` execution
-can archive a schema-versioned :class:`RunRecord` — git SHA, config
-fingerprint, host info, per-(system, workload) cycle counts, the flat
-metrics snapshot, and the self-profiler's host wall-clock — into an
-append-only JSONL file under ``.eve-runs/``.
+``sweep`` / ``stats`` / ``scorecard`` invocation can archive a
+schema-versioned :class:`RunRecord` — git SHA, config fingerprint, host
+info, per-(system, workload) cycle counts, the flat metrics snapshot,
+and the self-profiler's host wall-clock — into an append-only JSONL
+file under ``.eve-runs/``.
 
 Storage layout (``root`` defaults to ``.eve-runs``)::
 
@@ -171,7 +171,8 @@ def flatten_record(record: RunRecord) -> Dict[str, float]:
     * ``metrics.<name>`` — the flat registry snapshot;
     * ``self_profile.<phase>.seconds`` — host wall-clock (noisy,
       advisory);
-    * ``bench.<workload>.<field>`` — bench_smoke wall-clock;
+    * ``bench.sweep.<field>`` — a recorded sweep's cell counts and
+      host wall-clock (advisory);
     * ``faults.<field>`` / ``faults.<dim>.<bucket>.<field>`` — a
       fault-injection campaign's classification counts and SDC rates
       (deterministic given the campaign seed);
@@ -194,13 +195,6 @@ def flatten_record(record: RunRecord) -> Dict[str, float]:
         seconds = info.get("seconds") if isinstance(info, dict) else info
         if isinstance(seconds, (int, float)):
             out[f"self_profile.{phase}.seconds"] = float(seconds)
-    bench = record.extra.get("bench_workloads")
-    if isinstance(bench, dict):
-        for workload, fields_ in bench.items():
-            if isinstance(fields_, dict):
-                for key, value in fields_.items():
-                    if isinstance(value, (int, float)):
-                        out[f"bench.{workload}.{key}"] = float(value)
     sweep = record.extra.get("sweep")
     if isinstance(sweep, dict):
         for key, value in sweep.items():

@@ -3,8 +3,8 @@
 ROADMAP's north star is simulator speed, so the toolkit watches its own
 perf trajectory: the :class:`SelfProfiler` attributes host wall-clock
 seconds to named phases (``trace_build``, ``sim:<system>``, ``report``)
-via nestable context managers.  ``benchmarks/bench_smoke.py`` and
-``repro run --record`` archive these numbers into the run store
+via nestable context managers.  ``repro run --record`` and
+``repro sweep --record`` archive these numbers into the run store
 (:mod:`repro.obs.runstore`) so CI records the trend.
 
 Each phase records **exclusive** time: a child phase's elapsed seconds

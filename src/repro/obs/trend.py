@@ -202,18 +202,21 @@ def trend_report(store: RunStore, *, kind: Optional[str] = None,
 
 # -- historical wall-clock (ETA / watchdog seed) -------------------------------
 
-def historical_cell_seconds(store: RunStore,
+def historical_cell_seconds(store: RunStore, tiny: bool = False,
                             last: int = 10) -> Optional[float]:
     """Median per-simulated-cell wall-clock from recent sweep-carrying
-    records, or ``None`` with no usable history.
+    records at the same input scale (``tiny``), or ``None`` with no
+    usable history.
 
     Only cells actually simulated count — cache hits would drag the
     estimate toward zero and make the first cold cell look stalled.
+    Tiny cells run in milliseconds, so a tiny record must never seed a
+    full-scale campaign's watchdog (nor the other way round).
     """
     samples: List[float] = []
     for record in list(store.records())[-4 * last:]:
         sweep = record.extra.get("sweep")
-        if not isinstance(sweep, dict):
+        if record.tiny != tiny or not isinstance(sweep, dict):
             continue
         seconds = sweep.get("seconds")
         simulated = sweep.get("simulated")

@@ -325,15 +325,17 @@ class TestSeedOption:
 
 class TestTelemetryOptions:
     SWEEP = ["sweep", "--tiny", "--systems", "IO", "O3+EVE-4",
-             "--workloads", "vvadd", "--jobs", "2", "--no-cache", "--json"]
+             "--workloads", "vvadd", "--no-cache", "--json"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_json_identical_with_and_without_events(self, capsys,
-                                                          tmp_path):
+                                                          tmp_path, jobs):
         log = str(tmp_path / "events.jsonl")
-        store = ["--store", str(tmp_path / "runs")]
-        assert main(self.SWEEP + store) == 0
+        sweep = self.SWEEP + ["--jobs", jobs,
+                              "--store", str(tmp_path / "runs")]
+        assert main(sweep) == 0
         bare = capsys.readouterr().out
-        assert main(self.SWEEP + store + ["--events", log]) == 0
+        assert main(sweep + ["--events", log]) == 0
         observed = capsys.readouterr().out
         assert observed == bare  # byte-identical results, telemetry or not
         import json
@@ -343,7 +345,8 @@ class TestTelemetryOptions:
     def test_sweep_events_log_passes_the_conservation_gate(self, capsys,
                                                            tmp_path):
         log = str(tmp_path / "events.jsonl")
-        assert main(self.SWEEP + ["--store", str(tmp_path / "runs"),
+        assert main(self.SWEEP + ["--jobs", "2",
+                                  "--store", str(tmp_path / "runs"),
                                   "--events", log]) == 0
         err = capsys.readouterr().err
         assert "events: " in err and "campaign" in err

@@ -6,6 +6,7 @@ same regression within budget stays green.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +21,11 @@ from repro.obs.diff import (
     policy_for,
     relative,
 )
-from repro.obs.runstore import RunStore
+from repro.obs.runstore import RunStore, flatten_record
 from tests.test_runstore import sample_record
+
+GOLDEN = (Path(__file__).resolve().parents[1]
+          / "benchmarks" / "golden" / "baseline-tiny.json")
 
 
 class TestTolerancePolicy:
@@ -98,6 +102,7 @@ class TestDiffRecords:
         assert statuses["metrics.new.counter"] == "added"
         assert statuses["self_profile.sim.seconds"] == "removed"
         assert diff.exit_code() == 0
+        assert diff.exit_code(strict=True) == 0  # both keys are advisory
 
     def test_cycle_change_is_gated(self):
         a, b = sample_record(), sample_record()
@@ -128,6 +133,17 @@ class TestDiffRecords:
         a, b = sample_record(), sample_record()
         b.results["IO"]["vvadd"]["instructions"] = 43
         diff = diff_records(a, b)
+        assert diff.exit_code() == 0
+        assert diff.exit_code(strict=True) == 1
+
+    def test_strict_gates_removed_keys(self):
+        a, b = sample_record(), sample_record()
+        del b.results["O3+EVE-4"]
+        diff = diff_records(a, b)
+        removed = [e.name for e in diff.gated_changes()]
+        assert removed == ["results.O3+EVE-4.vvadd.cycles",
+                           "results.O3+EVE-4.vvadd.instructions",
+                           "results.O3+EVE-4.vvadd.time_ns"]
         assert diff.exit_code() == 0
         assert diff.exit_code(strict=True) == 1
 
@@ -214,3 +230,38 @@ class TestDiffCli:
         store.append(worse)
         assert main(["diff", str(golden), "latest",
                      "--store", store.root]) == 1
+
+
+class TestGoldenGate:
+    """CI's regression gate: a tiny IO + O3+EVE-4 sweep record must match
+    every gated value of the committed golden baseline exactly."""
+
+    def _gate(self, tmp_path, capsys, systems):
+        store = str(tmp_path / "runs")
+        assert main(["sweep", "--tiny", "--systems", *systems, "--record",
+                     "--store", store]) == 0
+        capsys.readouterr()
+        out_file = tmp_path / "diff.json"
+        code = main(["diff", str(GOLDEN), "latest", "--store", store,
+                     "--strict", "--json-out", str(out_file)])
+        capsys.readouterr()
+        return code, json.loads(out_file.read_text())
+
+    def test_sweep_record_matches_golden(self, tmp_path, capsys):
+        code, doc = self._gate(tmp_path, capsys, ["IO", "O3+EVE-4"])
+        assert code == 0
+        golden = RunStore(str(tmp_path / "runs")).resolve(str(GOLDEN))
+        gated = [name for name in flatten_record(golden)
+                 if name.startswith(("results.", "speedup."))]
+        assert len(gated) == 49
+        not_same = {e["name"]: e["status"] for e in doc["entries"]}
+        assert {name: not_same[name] for name in gated
+                if name in not_same} == {}
+
+    def test_missing_system_fails_the_gate(self, tmp_path, capsys):
+        code, doc = self._gate(tmp_path, capsys, ["IO"])
+        assert code == 1
+        removed = [e["name"] for e in doc["entries"]
+                   if e["status"] == "removed" and e["gate"]]
+        assert len(removed) == 28
+        assert all("O3+EVE-4" in name for name in removed)

@@ -619,6 +619,16 @@ class TestTrends:
                                    {"seconds": 0.0, "simulated": 0}))
         assert historical_cell_seconds(store) == pytest.approx(2.0)
 
+    def test_historical_cell_seconds_matches_input_scale(self, tmp_path):
+        store = RunStore(str(tmp_path / "runs"))
+        record = _trend_record("tiny", 100.0,
+                               {"seconds": 0.112, "simulated": 14})
+        record.tiny = True
+        store.append(record)
+        hint = historical_cell_seconds(store, tiny=True)
+        assert hint == pytest.approx(0.008)
+        assert historical_cell_seconds(store, tiny=False) is None
+
     def test_sparkline(self):
         assert sparkline([]) == ""
         assert sparkline([1.0, 1.0]) == "▁▁"

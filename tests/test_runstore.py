@@ -93,8 +93,7 @@ class TestRunRecord:
 class TestFlatten:
     def test_key_families(self):
         record = sample_record()
-        record.extra["bench_workloads"] = {
-            "vvadd": {"seconds": 0.1, "sim_seconds": 0.05}}
+        record.extra["sweep"] = {"cells": 2, "simulated": 2, "seconds": 0.1}
         flat = flatten_record(record)
         assert flat["results.IO.vvadd.cycles"] == 5328.0
         assert flat["results.O3+EVE-4.vvadd.time_ns"] == 1000.0
@@ -102,7 +101,7 @@ class TestFlatten:
         assert flat["speedup.vvadd.O3+EVE-4"] == 4.32
         assert flat["metrics.sim.cycles.value"] == 5328.0
         assert flat["self_profile.sim.seconds"] == 0.25
-        assert flat["bench.vvadd.seconds"] == 0.1
+        assert flat["bench.sweep.seconds"] == 0.1
 
     def test_skips_non_numeric_values(self):
         record = sample_record()
