@@ -153,7 +153,6 @@ def _make_runner(args, collect_metrics: bool = False,
     if seed is None:
         seed = DEFAULT_SEED
     telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    compile_traces = getattr(args, "compile", True)
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs != 1:
         cache_root = (None if getattr(args, "no_cache", False)
@@ -161,11 +160,9 @@ def _make_runner(args, collect_metrics: bool = False,
         return ParallelRunner(params_override=override, jobs=jobs or None,
                               cache_root=cache_root,
                               collect_metrics=collect_metrics, seed=seed,
-                              telemetry=telemetry,
-                              compile_traces=compile_traces)
+                              telemetry=telemetry)
     return ExperimentRunner(params_override=override, seed=seed,
-                            telemetry=telemetry,
-                            compile_traces=compile_traces)
+                            telemetry=telemetry)
 
 
 def _make_telemetry(args, kind: str) -> Optional[CampaignTelemetry]:
@@ -215,17 +212,14 @@ def _finalize_telemetry(telemetry: Optional[CampaignTelemetry]) -> None:
 
 def _fingerprint_extra(runner: ExperimentRunner):
     """Record-fingerprint payload: params override plus any non-default
-    input seed, so seeded records are config-distinct from default runs.
-    Compiled runs additionally fold in the compiler descriptor (pass
-    list + compiler version), so a record produced through the trace
-    compiler can never be mistaken for an interpreter baseline."""
+    input seed, so seeded records are config-distinct from default runs,
+    plus the compiler descriptor (pass list + compiler version) of the
+    compiled traces every run replays."""
     extra = dict(runner.params_override) if runner.params_override else {}
     if runner.seed != DEFAULT_SEED:
         extra["__seed__"] = runner.seed
-    descriptor = compiler_descriptor(getattr(runner, "compile_traces", False))
-    if descriptor is not None:
-        extra["__compiler__"] = descriptor
-    return extra or None
+    extra["__compiler__"] = compiler_descriptor()
+    return extra
 
 
 def _prefetch(runner: ExperimentRunner, pairs) -> None:
@@ -1232,16 +1226,6 @@ def _add_telemetry_arguments(sub) -> None:
                       help="suppress the live progress display")
 
 
-def _add_compile_argument(sub) -> None:
-    sub.add_argument("--compile", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="run uninstrumented simulations on the trace "
-                          "compiler's hoisted request lists and flattened "
-                          "memory model (cycle-identical to the "
-                          "interpreter; --no-compile forces the reference "
-                          "path)")
-
-
 def _add_seed_argument(sub) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="N",
                      help="workload input-generation seed, folded into "
@@ -1272,7 +1256,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics-out", default=None, metavar="FILE",
                      help="write the metrics-registry snapshot as JSON "
                           "('-' for stdout)")
-    _add_compile_argument(run)
     _add_seed_argument(run)
     _add_record_arguments(run)
 
@@ -1285,7 +1268,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "fields + stall breakdown)")
     compare.add_argument("--metrics-out", default=None, metavar="FILE",
                          help="write per-system metrics snapshots as JSON")
-    _add_compile_argument(compare)
     _add_seed_argument(compare)
     _add_jobs_arguments(compare)
     _add_record_arguments(compare)
@@ -1298,7 +1280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--json", action="store_true",
                        help="machine-readable per-cell cycles/time and "
                             "speedups (deterministic: no wall-clock)")
-    _add_compile_argument(sweep)
     _add_seed_argument(sweep)
     _add_jobs_arguments(sweep)
     _add_record_arguments(sweep)

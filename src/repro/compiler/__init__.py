@@ -1,10 +1,9 @@
-"""Trace compiler: DCE + line hoisting + block scheduling + fast memory.
+"""Trace compiler: DCE + line hoisting + block scheduling.
 
-The per-event interpreter loop is the simulator's dispatch bottleneck:
-every memory event re-derives its cache-line stream through numpy and
-every cache access crosses several delegation layers.  This package
-compiles a trace once and lets the timing machines replay the compiled
-form:
+Without it, every simulation would re-derive each memory event's
+cache-line stream through numpy.  This package compiles a trace once,
+and every simulation of it, on any system at its vlmax, replays the
+compiled form:
 
 * :mod:`passes` — dead-op elimination (the architectural work view,
   gated against the static checkers) and memory-line hoisting (the
@@ -12,19 +11,19 @@ form:
 * :mod:`blocks` — the block scheduler, packing events into
   dependence-legal kind-homogeneous blocks proved against the
   :class:`~repro.analysis.depgraph.DepGraph`;
-* :mod:`memengine` — the flattened memory hierarchy the machines swap
-  in for uninstrumented compiled runs.
+* :mod:`memengine` — a re-export of :mod:`repro.mem`'s uninstrumented
+  model under the import path the benchmark harness's layer targets
+  name; nothing in the package uses it.
 
-Cycle accounting is byte-identical to the interpreted path by
-construction: the machines replay every original event in original
-order (blocks outer, events inner), dead ops included — elimination
-changes what the *checkers* see, never what the timing models charge.
-Instrumented runs (tracer, metrics, attribution) always take the
-reference interpreter path.
+The machines replay every original event in original order (blocks
+outer, events inner), dead ops included — elimination changes what
+the *checkers* see, never what the timing models charge — so a
+compiled run takes the cycles of a run of the bare trace.  Instrumented
+runs (tracer, metrics, attribution) replay the compiled trace too.
 
 :data:`COMPILER_VERSION` and the pass list are folded into experiment
-fingerprints (see :func:`CompilerConfig.descriptor`) so compiled and
-uncompiled results can never collide in the result cache.
+fingerprints (see :func:`compiler_descriptor`), so results of different
+compiler versions never collide in the result cache or the run store.
 """
 
 from __future__ import annotations
@@ -173,12 +172,9 @@ def compile_trace(trace: Trace, config: Optional[CompilerConfig] = None,
                          dce_ok=dce_ok, dce_mismatch=dce_mismatch)
 
 
-def compiler_descriptor(enabled: bool,
-                        config: Optional[CompilerConfig] = None):
-    """The fingerprint ingredient for a run: a descriptor dict when the
-    compiled path is on, ``None`` when interpreted."""
-    if not enabled:
-        return None
+def compiler_descriptor(config: Optional[CompilerConfig] = None
+                        ) -> Dict[str, object]:
+    """The fingerprint ingredient every simulated result carries."""
     return (config if config is not None else CompilerConfig()).descriptor()
 
 

@@ -23,7 +23,6 @@ from ..errors import SimulationError
 from ..isa.instructions import ScalarBlock, VectorInstr
 from ..isa.opcodes import Category
 from ..isa.trace import Trace
-from ..mem.hierarchy import MemorySystem
 from ..mem.reconfig import spawn_cost
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import SpanTracer
@@ -116,12 +115,9 @@ class EveMachine(VectorMachineBase):
     # -- main loop -----------------------------------------------------------------
 
     def run(self, trace: Trace, compiled=None) -> SimResult:
+        self.reset()
         tracer = self.tracer
         attr = self.attr
-        compiled = self._prepare_compiled(compiled)  # installs fast mem
-        if compiled is None:
-            self.mem = MemorySystem(self.config, tracer=tracer,
-                                    metrics=self.metrics, attribution=attr)
         self.vmu = VmuModel(self.mem)
         self.dtu = DtuPool(self.num_dtus, self.segments,
                            bit_parallel=(self.factor == 32), tracer=tracer,

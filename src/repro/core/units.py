@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..isa.instructions import MemAccess
-from ..mem.hierarchy import MemorySystem
+from ..mem.hierarchy import FastMemorySystem
 from ..obs.attribution import NULL_ATTRIBUTION
 from ..obs.tracer import NULL_TRACER, SpanTracer
 
@@ -38,7 +38,7 @@ class VmuModel:
     #: Request generation + TLB translation per line (Section VII-A).
     CYCLES_PER_REQUEST = 1.0
 
-    def __init__(self, mem: MemorySystem) -> None:
+    def __init__(self, mem: FastMemorySystem) -> None:
         self.mem = mem
         self.tracer = mem.tracer
         self.attr = mem.attr

@@ -47,17 +47,17 @@ class DecoupledVectorMachine(VectorMachineBase):
         super().__init__(config, tracer=tracer, metrics=metrics,
                          attribution=attribution)
         self.vl = config.vector.hardware_vl
+
+    def reset(self) -> None:
+        super().reset()
         self._pipe_free: Dict[str, float] = {name: 0.0 for name in PIPES}
         #: register -> (chain-ready time, fully-done time)
         self._chain: Dict[int, Tuple[float, float]] = {}
 
     def run(self, trace: Trace, compiled=None) -> SimResult:
         self.reset()
-        self._pipe_free = {name: 0.0 for name in PIPES}
-        self._chain.clear()
         tracer = self.tracer
         attr = self.attr
-        compiled = self._prepare_compiled(compiled)  # installs fast mem
         if compiled is None:
             events = enumerate(trace)
             lines_for = None

@@ -47,6 +47,9 @@ class IntegratedVectorMachine(VectorMachineBase):
                          attribution=attribution)
         self.metrics.reserve("lsq", "IntegratedVectorMachine")
         self.vl = config.vector.hardware_vl
+
+    def reset(self) -> None:
+        super().reset()
         self._lsq_window = MshrPool(self.VECTOR_MLP, "iv-lsq",
                                     attribution=self.attr)
 
@@ -54,7 +57,6 @@ class IntegratedVectorMachine(VectorMachineBase):
         self.reset()
         tracer = self.tracer
         attr = self.attr
-        compiled = self._prepare_compiled(compiled)  # installs fast mem
         if compiled is None:
             events = enumerate(trace)
             lines_for = None

@@ -16,7 +16,7 @@ from ..config import SystemConfig
 from ..errors import SimulationError
 from ..isa.instructions import ScalarBlock
 from ..isa.trace import Trace
-from ..mem.hierarchy import MemorySystem
+from ..mem.hierarchy import memory_system
 from ..obs.attribution import NULL_ATTRIBUTION
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, SpanTracer
@@ -36,23 +36,19 @@ class ScalarCore:
         self.attr = (attribution if attribution is not None
                      else NULL_ATTRIBUTION)
         self.metrics.reserve("sim", "ScalarCore")
-        self.mem = MemorySystem(config, tracer=self.tracer,
-                                metrics=self.metrics, attribution=self.attr)
+        self.mem = memory_system(config, self.tracer, self.metrics,
+                                 self.attr)
 
     def run(self, trace: Trace, compiled=None) -> SimResult:
         core = self.config.core
         tracer = self.tracer
         attr = self.attr
-        if compiled is not None and (tracer.enabled or self.metrics.enabled
-                                     or attr.enabled):
-            # Instrumented runs take the reference interpreter path.
-            compiled = None
+        # Every run starts on a cold hierarchy.
+        self.mem = memory_system(self.config, tracer, self.metrics, attr)
         if compiled is None:
             events = enumerate(trace)
             lines_for = None
         else:
-            from ..compiler.memengine import FastMemorySystem
-            self.mem = FastMemorySystem(self.config)
             events = compiled.iter_events()
             lines_for = compiled.lines_for
         now = 0.0

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from ..config import SystemConfig
 from ..isa.instructions import MemAccess, ScalarBlock, VectorInstr
-from ..mem.hierarchy import MemorySystem
+from ..mem.hierarchy import memory_system
 from ..obs.attribution import NULL_ATTRIBUTION
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, SpanTracer
@@ -36,35 +36,13 @@ class VectorMachineBase:
         owner = type(self).__name__
         self.metrics.reserve("sim", owner)
         self.metrics.reserve("breakdown", owner)
-        self.mem = MemorySystem(config, tracer=self.tracer,
-                                metrics=self.metrics, attribution=self.attr)
         #: vector register -> time its value is ready
         self.reg_ready: Dict[int, float] = {}
         #: Control-processor attribution totals ("core" unit); reset per
         #: run by the subclasses, accumulated in run_scalar_block.
         self._core_busy = 0.0
         self._core_stall = 0.0
-
-    # -- compiled-trace support ------------------------------------------
-
-    def _prepare_compiled(self, compiled):
-        """Gate a compiled trace on instrumentation and install the fast
-        memory model.
-
-        Instrumented runs (tracer, metrics, attribution) always take
-        the reference interpreter path — the observability stack hooks
-        the layered hierarchy, and equivalence there is guaranteed by
-        running identical code, not by argument.  Returns the compiled
-        trace to use, or ``None``.
-        """
-        if compiled is None:
-            return None
-        if (self.tracer.enabled or self.metrics.enabled
-                or self.attr.enabled):
-            return None
-        from ..compiler.memengine import FastMemorySystem
-        self.mem = FastMemorySystem(self.config)
-        return compiled
+        self.reset()
 
     # -- scoreboard ------------------------------------------------------
 
@@ -77,7 +55,12 @@ class VectorMachineBase:
             self.reg_ready[reg] = at
 
     def reset(self) -> None:
+        """Return to a cold machine: an empty scoreboard and a fresh
+        memory hierarchy.  Every ``run()`` starts here, so running one
+        machine twice gives the same result twice."""
         self.reg_ready.clear()
+        self.mem = memory_system(self.config, self.tracer, self.metrics,
+                                 self.attr)
 
     # -- scalar control blocks -----------------------------------------------
 

@@ -57,7 +57,7 @@ DEFAULT_CACHE_ROOT = ".eve-cache"
 #: v2: traces carry ``vlmax``/``buffers`` metadata, the ``vid`` opcode,
 #: and free-list register allocation.
 #: v3: result-cell keys fold the trace-compiler configuration (pass list
-#: + compiler version), so compiled and ``--no-compile`` sweeps can never
+#: + compiler version), so results of different compilers can never
 #: collide on one cache entry.
 CACHE_VERSION = 3
 
@@ -79,9 +79,9 @@ def params_fingerprint(workload_name: str,
     cache cells.
 
     ``compiler`` is the :func:`repro.compiler.compiler_descriptor` of the
-    execution path (``None`` for the reference interpreter): folding it in
-    keeps compiled and ``--no-compile`` results on distinct cells, so a
-    compiler bug can never poison an interpreter baseline (or vice versa).
+    run (``None`` for the compiler-independent trace cells): folding it
+    into result cells keeps results of different compiler versions or
+    pass lists on distinct cells.
     """
     workload = get_workload(canonical_workload(workload_name))
     resolved = workload.resolve(
@@ -423,30 +423,25 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
     """Simulate one (system, workload) cell; runs inside a pool worker.
 
     ``spec`` is a picklable tuple ``(system, workload, params_override,
-    cache_root, collect_metrics, verify[, seed[, compile]])`` — the
-    trailing seed defaults to :data:`~repro.workloads.DEFAULT_SEED` and
-    the trailing compile flag to ``True``, so pre-existing shorter specs
-    keep working.  Returns the
-    :class:`~repro.cores.result.SimResult` plus the worker's
+    cache_root, collect_metrics, verify[, seed])`` — the trailing seed
+    defaults to :data:`~repro.workloads.DEFAULT_SEED`.  Every cell, with
+    or without metrics, compiles its trace and replays it; a metered
+    cell times on the hooked memory model, which takes the same cycles.
+    Returns the :class:`~repro.cores.result.SimResult` plus the worker's
     self-profiler phases and (optionally) its metrics-registry snapshot,
     all picklable for the parent-side merge.
     """
     system, workload, params_override, cache_root, collect_metrics, \
         verify = spec[:6]
     seed = spec[6] if len(spec) > 6 else DEFAULT_SEED
-    compile_traces = spec[7] if len(spec) > 7 else True
     system = canonical_system(system)
     workload = canonical_workload(workload)
     profiler = SelfProfiler()
     cache = CellCache(cache_root) if cache_root else None
-    from ..compiler import compiler_descriptor
-    # Instrumented cells always run the reference interpreter, so their
-    # cells carry no compiler descriptor either way.
-    use_compiler = compile_traces and not collect_metrics
+    from ..compiler import CompilerConfig, compile_trace, compiler_descriptor
     trace_fp = params_fingerprint(workload, params_override, seed=seed)
-    params_fp = params_fingerprint(
-        workload, params_override, seed=seed,
-        compiler=compiler_descriptor(use_compiler))
+    params_fp = params_fingerprint(workload, params_override, seed=seed,
+                                   compiler=compiler_descriptor())
     config_fp = sweep_config_fingerprint()
 
     # Cache telemetry for this cell: entry statuses plus the quarantined
@@ -476,7 +471,7 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
     trace_path = None
     if cache is not None:
         # Traces are compiler-independent, so the trace cache keys on the
-        # bare params fingerprint and stays shared across compile modes.
+        # bare params fingerprint.
         trace_path = cache.trace_path(workload, vlmax, trace_fp)
         trace, status = cache.load_entry(trace_path)
         cache_info["trace"] = status
@@ -497,12 +492,9 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
                                   context=f"strict check, vlmax={vlmax}")
         if trace_path is not None:
             cache.store(trace_path, trace)
-    compiled = None
-    if use_compiler:
-        from ..compiler import CompilerConfig, compile_trace
-        with profiler.phase("compile"):
-            compiled = compile_trace(
-                trace, CompilerConfig(strict=strict_check_enabled()))
+    with profiler.phase("compile"):
+        compiled = compile_trace(
+            trace, CompilerConfig(strict=strict_check_enabled()))
     with profiler.phase(f"sim:{system}"):
         result = machine.run(trace, compiled=compiled)
 
@@ -580,11 +572,9 @@ class ParallelRunner(ExperimentRunner):
                  cache_root: Optional[str] = DEFAULT_CACHE_ROOT,
                  collect_metrics: bool = False,
                  seed: int = DEFAULT_SEED,
-                 telemetry=NULL_TELEMETRY,
-                 compile_traces: bool = True) -> None:
+                 telemetry=NULL_TELEMETRY) -> None:
         super().__init__(params_override=params_override, verify=verify,
-                         profiler=profiler, seed=seed, telemetry=telemetry,
-                         compile_traces=compile_traces)
+                         profiler=profiler, seed=seed, telemetry=telemetry)
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
         self.cache_root = cache_root
@@ -608,8 +598,7 @@ class ParallelRunner(ExperimentRunner):
         ordered: List[Tuple[str, str]] = canonical_pairs(pairs)
         todo = [key for key in ordered if key not in self._results]
         specs = [(system, workload, self.params_override, self.cache_root,
-                  self.collect_metrics, self.verify, self.seed,
-                  self.compile_traces)
+                  self.collect_metrics, self.verify, self.seed)
                  for system, workload in todo]
         start = time.perf_counter()
         if not specs:

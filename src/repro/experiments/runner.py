@@ -6,10 +6,12 @@ VL=64 trace.  Scalar systems run the workload's scalar trace.
 
 The runner also carries the observability plumbing: a
 :class:`~repro.obs.SelfProfiler` attributes the simulator's own host
-wall-clock time to ``trace_build`` / ``sim:<system>`` phases, and
-:meth:`run` accepts a tracer and/or metrics registry to instrument a
-single simulation (instrumented runs bypass the result cache so the
-instruments observe a real execution).
+wall-clock time to ``trace_build`` / ``compile`` / ``sim:<system>``
+phases, and :meth:`run` accepts a tracer, metrics registry and/or
+attribution collector to instrument a single simulation.  Every run,
+instrumented or not, replays the same cached
+:class:`~repro.compiler.CompiledTrace`; instrumented runs bypass the
+result cache so the instruments observe a real execution.
 """
 
 from __future__ import annotations
@@ -54,15 +56,23 @@ def canonical_pairs(pairs) -> list:
 
 
 class ExperimentRunner:
-    """Runs (system, workload) pairs, caching traces and results."""
+    """Runs (system, workload) pairs, caching traces, compiled traces and
+    results.
+
+    Each trace is compiled once and every system at its vlmax replays
+    that :class:`~repro.compiler.CompiledTrace`.  A run given a tracer,
+    metrics registry or attribution collector replays it too: the
+    machine then times on the hooked
+    :class:`~repro.mem.hierarchy.MemorySystem`, which takes the same
+    cycles as the plain model.
+    """
 
     def __init__(self, params_override: Optional[Dict[str, dict]] = None,
                  verify: bool = True,
                  profiler: Optional[SelfProfiler] = None,
                  seed: int = DEFAULT_SEED,
                  strict_check: Optional[bool] = None,
-                 telemetry=NULL_TELEMETRY,
-                 compile_traces: bool = True) -> None:
+                 telemetry=NULL_TELEMETRY) -> None:
         #: workload name -> params override (benchmarks use smaller inputs).
         self.params_override = params_override or {}
         self.verify = verify
@@ -79,10 +89,6 @@ class ExperimentRunner:
         #: in sweeps, on in CI).
         self.strict_check = (strict_check_enabled() if strict_check is None
                              else strict_check)
-        #: Run uninstrumented simulations through the trace compiler
-        #: (``--no-compile`` turns this off; instrumented runs always take
-        #: the reference interpreter path regardless).
-        self.compile_traces = compile_traces
         self._traces: Dict[Tuple[str, int], Trace] = {}
         self._compiled: Dict[Tuple[str, int], object] = {}
         self._results: Dict[Tuple[str, str], SimResult] = {}
@@ -143,11 +149,7 @@ class ExperimentRunner:
                                 attribution=attribution)
         vlmax = trace_vlmax(machine.config)
         trace = self._trace(workload_name, vlmax)
-        # The compiled path is only valid (and only faster) uninstrumented;
-        # the machines also gate on this, but skipping the compile here
-        # avoids paying for a CompiledTrace an instrumented run ignores.
-        compiled = (self._compiled_for(workload_name, vlmax)
-                    if self.compile_traces and not instrumented else None)
+        compiled = self._compiled_for(workload_name, vlmax)
         with self.profiler.phase(f"sim:{system_name}"):
             result = machine.run(trace, compiled=compiled)
         if not instrumented:

@@ -11,20 +11,30 @@ LRU and dirty state; misses occupy MSHR entries for their full duration
   scalar and vector ports.
 * :mod:`repro.mem.reconfig` — ephemeral spawn/teardown of the EVE ways
   (Section V-E).
+
+Every run, plain or instrumented, times on the same model:
+:class:`FastMemorySystem` and :class:`FastDramChannel` are the model,
+and :class:`MemorySystem` / :class:`DramChannel` subclass them to add
+only the tracer, metrics and attribution hooks.  Machines call
+:func:`memory_system`, which picks the subclass only when a hook is on.
 """
 
 from .mshr import MshrPool
 from .cache import CacheArray
-from .dram import DramChannel
-from .hierarchy import Completion, MemorySystem
+from .dram import DramChannel, FastDramChannel
+from .hierarchy import (Completion, FastMemorySystem, MemorySystem,
+                        memory_system)
 from .reconfig import ReconfigCost, spawn_cost, teardown_cost
 
 __all__ = [
     "MshrPool",
     "CacheArray",
     "DramChannel",
+    "FastDramChannel",
     "Completion",
+    "FastMemorySystem",
     "MemorySystem",
+    "memory_system",
     "ReconfigCost",
     "spawn_cost",
     "teardown_cost",

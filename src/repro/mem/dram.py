@@ -4,6 +4,9 @@ Each line request pays a fixed access latency and occupies the channel for
 its transfer time (line size / peak bandwidth); requests serialise on the
 channel, so a miss burst beyond the sustainable bandwidth queues — the
 memory-bound plateau of vvadd and friends comes from here.
+
+:class:`FastDramChannel` is the model; :class:`DramChannel` adds the
+tracer and attribution hooks for instrumented runs.
 """
 
 from __future__ import annotations
@@ -15,25 +18,23 @@ from ..obs.attribution import NULL_ATTRIBUTION
 from ..obs.tracer import NULL_TRACER, SpanTracer
 
 
-class DramChannel:
+class FastDramChannel:
     """A bandwidth-limited, fixed-latency memory channel."""
 
-    def __init__(self, config: DramConfig, line_bytes: int = 64,
-                 tracer: Optional[SpanTracer] = None,
-                 attribution=None) -> None:
+    __slots__ = ("config", "line_bytes", "transfer_cycles", "access_latency",
+                 "_next_free", "requests", "writebacks", "busy_cycles")
+
+    def __init__(self, config: DramConfig, line_bytes: int = 64) -> None:
         self.config = config
         self.line_bytes = line_bytes
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.attr = attribution if attribution is not None else NULL_ATTRIBUTION
+        #: Channel occupancy of one line transfer.
+        self.transfer_cycles = line_bytes / (config.bytes_per_cycle
+                                             * config.channels)
+        self.access_latency = config.access_latency
         self._next_free = 0.0
         self.requests = 0
         self.writebacks = 0
         self.busy_cycles = 0.0
-
-    @property
-    def transfer_cycles(self) -> float:
-        """Channel occupancy of one line transfer."""
-        return self.line_bytes / (self.config.bytes_per_cycle * self.config.channels)
 
     def service(self, now: float) -> Tuple[float, float]:
         """Issue one line request at ``now``.
@@ -41,37 +42,24 @@ class DramChannel:
         Returns ``(start, done)``: the transfer starts when the channel is
         free and data arrives a fixed access latency after that.
         """
-        start = max(now, self._next_free)
-        self._next_free = start + self.transfer_cycles
-        done = start + self.config.access_latency
+        transfer = self.transfer_cycles
+        next_free = self._next_free
+        start = now if now > next_free else next_free
+        self._next_free = start + transfer
         self.requests += 1
-        self.busy_cycles += self.transfer_cycles
-        if self.attr.enabled:
-            self.attr.charge("dram", "busy", self.transfer_cycles)
-        if self.tracer.enabled:
-            self.tracer.span("DRAM", "service", start,
-                             start + self.transfer_cycles, queued=start - now)
-            # Counter track: transfers still queued behind this one (the
-            # backlog the serialised channel has accumulated).
-            self.tracer.sample("DRAM", "dram_backlog", now,
-                               (self._next_free - now) / self.transfer_cycles)
-        return start, done
+        self.busy_cycles += transfer
+        return start, start + self.access_latency
 
     def writeback(self, now: float) -> float:
         """Queue a dirty-line writeback; only occupies bandwidth."""
-        start = max(now, self._next_free)
-        self._next_free = start + self.transfer_cycles
+        transfer = self.transfer_cycles
+        next_free = self._next_free
+        start = now if now > next_free else next_free
+        self._next_free = start + transfer
         self.requests += 1
         self.writebacks += 1
-        self.busy_cycles += self.transfer_cycles
-        if self.attr.enabled:
-            self.attr.charge("dram", "busy", self.transfer_cycles)
-        if self.tracer.enabled:
-            self.tracer.span("DRAM", "writeback", start,
-                             start + self.transfer_cycles)
-            self.tracer.sample("DRAM", "dram_backlog", now,
-                               (self._next_free - now) / self.transfer_cycles)
-        return start + self.transfer_cycles
+        self.busy_cycles += transfer
+        return start + transfer
 
     def utilisation(self, elapsed: float) -> float:
         return self.busy_cycles / elapsed if elapsed > 0 else 0.0
@@ -85,8 +73,38 @@ class DramChannel:
             "utilisation": self.utilisation(elapsed),
         }
 
-    def reset_stats(self) -> None:
-        self.requests = 0
-        self.writebacks = 0
-        self.busy_cycles = 0.0
-        self._next_free = 0.0
+
+class DramChannel(FastDramChannel):
+    """:class:`FastDramChannel` plus per-transfer spans, a backlog counter
+    track and ``dram``/``busy`` attribution charges."""
+
+    __slots__ = ("tracer", "attr")
+
+    def __init__(self, config: DramConfig, line_bytes: int = 64,
+                 tracer: Optional[SpanTracer] = None,
+                 attribution=None) -> None:
+        super().__init__(config, line_bytes)
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.attr = attribution if attribution is not None else NULL_ATTRIBUTION
+
+    def service(self, now: float) -> Tuple[float, float]:
+        start, done = super().service(now)
+        self._observe("service", now, start, queued=start - now)
+        return start, done
+
+    def writeback(self, now: float) -> float:
+        start = max(now, self._next_free)
+        done = super().writeback(now)
+        self._observe("writeback", now, start)
+        return done
+
+    def _observe(self, name: str, now: float, start: float, **args) -> None:
+        transfer = self.transfer_cycles
+        if self.attr.enabled:
+            self.attr.charge("dram", "busy", transfer)
+        if self.tracer.enabled:
+            self.tracer.span("DRAM", name, start, start + transfer, **args)
+            # Counter track: transfers still queued behind this one (the
+            # backlog the serialised channel has accumulated).
+            self.tracer.sample("DRAM", "dram_backlog", now,
+                               (self._next_free - now) / transfer)

@@ -12,16 +12,18 @@ The hierarchy is inclusive: an LLC eviction invalidates inner copies.
 Misses hold an MSHR at their level until the fill returns; acquiring a
 full pool stalls the requester (Figure 8's metric for the EVE VMU).
 The vector units hand each memory macro-op's whole request list to
-:meth:`MemorySystem.stream`; scalar cores issue single ``access()``
-calls.
+``stream()``; scalar cores issue single ``access()`` calls.
+
+There is one model.  :class:`FastMemorySystem` carries no
+instrumentation branches on its hot path; :class:`MemorySystem`
+subclasses it and adds only the tracer, metrics and attribution hooks.
+:func:`memory_system` picks between them from the hooks a machine was
+given, so an instrumented run times exactly what a plain run times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..config import SystemConfig
 from ..errors import MemoryModelError
@@ -29,7 +31,7 @@ from ..obs.attribution import NULL_ATTRIBUTION
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, SpanTracer
 from .cache import CacheArray
-from .dram import DramChannel
+from .dram import DramChannel, FastDramChannel
 from .mshr import MshrPool
 
 PORTS = ("l1", "l2", "llc")
@@ -38,107 +40,108 @@ PORTS = ("l1", "l2", "llc")
 _PORT_TRACK = {"l1": "L1D", "l2": "L2", "llc": "LLC"}
 
 
-@dataclass(frozen=True)
 class Completion:
     """Outcome of one line request."""
 
-    grant: float       # when the request was accepted (after MSHR stalls)
-    done: float        # when the data is available
-    level: str         # 'l1' | 'l2' | 'llc' | 'dram'
-    mshr_stall: float  # time spent waiting to even send the request
+    __slots__ = ("grant", "done", "level", "mshr_stall")
+
+    def __init__(self, grant: float, done: float, level: str,
+                 mshr_stall: float) -> None:
+        self.grant = grant            # when the request was accepted
+        self.done = done              # when the data is available
+        self.level = level            # 'l1' | 'l2' | 'llc' | 'dram'
+        self.mshr_stall = mshr_stall  # time spent waiting to send it
 
 
-class MemorySystem:
-    """Timeline-based cycle-approximate model of Table III's hierarchy."""
+class FastMemorySystem:
+    """Timeline-based cycle-approximate model of Table III's hierarchy.
 
-    def __init__(self, config: SystemConfig,
-                 tracer: Optional[SpanTracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 attribution=None) -> None:
+    Internally the level chains pass ``(grant, done, level, stall)``
+    tuples and only the public :meth:`access` allocates a
+    :class:`Completion`.  A vector unit's :meth:`stream` reaches
+    ``access`` only for the requests that miss its port's first level.
+    """
+
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.attr = attribution if attribution is not None else NULL_ATTRIBUTION
-        for prefix in ("mem", "mshr", "dram"):
-            self.metrics.reserve(prefix, "MemorySystem")
+        self.tracer = NULL_TRACER
+        self.metrics = NULL_METRICS
+        self.attr = NULL_ATTRIBUTION
         self.l1d = CacheArray(config.l1d)
         self.l2 = CacheArray(config.l2)
         self.llc = CacheArray(config.llc)
-        self.l1d_mshrs = MshrPool(config.l1d.mshrs, "l1d",
-                                  attribution=self.attr)
-        self.l2_mshrs = MshrPool(config.l2.mshrs, "l2",
-                                 attribution=self.attr)
-        self.llc_mshrs = MshrPool(config.llc.mshrs, "llc",
-                                  attribution=self.attr)
-        self.dram = DramChannel(config.dram, config.llc.line_bytes,
-                                tracer=self.tracer, attribution=self.attr)
-        self._l2_bank_free = np.zeros(config.l2.banks)
+        self.l1d_mshrs = MshrPool(config.l1d.mshrs, "l1d")
+        self.l2_mshrs = MshrPool(config.l2.mshrs, "l2")
+        self.llc_mshrs = MshrPool(config.llc.mshrs, "llc")
+        self.dram = FastDramChannel(config.dram, config.llc.line_bytes)
+        self._l2_bank_free = [0.0] * config.l2.banks
         #: Figure 8 accounting for the vector (LLC) port.
         self.vector_mshr_stall = 0.0
         self.vector_requests = 0
         self.vector_stalled_requests = 0
-        #: Pre-bound per-port latency histograms (no-ops when disabled).
-        self._latency_hist = {
-            port: self.metrics.histogram(f"mem.{port}.latency")
-            for port in PORTS}
+        # Hoisted hot constants (attribute loads add up at 1.7M calls).
+        self._l1_hit = config.l1d.hit_latency
+        self._l2_hit = config.l2.hit_latency
+        self._llc_hit = config.llc.hit_latency
 
-    # -- internal level chain ------------------------------------------------
+    # -- internal level chain (tuples: grant, done, level, stall) -----------
 
-    def _l2_bank_delay(self, line_addr: int, at: float) -> float:
-        bank = self.l2.bank_of(line_addr)
-        start = max(at, self._l2_bank_free[bank])
-        self._l2_bank_free[bank] = start + 1.0  # pipelined, 1-cycle occupancy
-        return start
-
-    def _from_dram(self, now: float, line_addr: int, is_store: bool) -> Completion:
+    def _from_dram(self, now: float, line_addr: int,
+                   is_store: bool) -> Tuple[float, float, str, float]:
         grant, stall = self.llc_mshrs.acquire(now)
-        _, done = self.dram.service(grant + self.config.llc.hit_latency)
-        evicted = self.llc.fill(line_addr, dirty=is_store)
+        dram = self.dram
+        _, done = dram.service(grant + self._llc_hit)
+        evicted = self.llc.fill(line_addr, is_store)
         if evicted is not None:
-            if evicted.dirty:
-                self.dram.writeback(done)
+            ev_line, ev_dirty = evicted
+            if ev_dirty:
+                dram.writeback(done)
             # Inclusive hierarchy: drop inner copies of the victim.
-            if self.l2.invalidate(evicted.line_addr):
-                self.dram.writeback(done)
-            self.l1d.invalidate(evicted.line_addr)
+            if self.l2.invalidate(ev_line):
+                dram.writeback(done)
+            self.l1d.invalidate(ev_line)
         self.llc_mshrs.release(done)
-        return Completion(grant=grant, done=done, level="dram", mshr_stall=stall)
+        return grant, done, "dram", stall
 
-    def _from_llc(self, now: float, line_addr: int, is_store: bool) -> Completion:
+    def _from_llc(self, now: float, line_addr: int,
+                  is_store: bool) -> Tuple[float, float, str, float]:
         if self.llc.lookup(line_addr, is_store):
-            return Completion(grant=now, done=now + self.config.llc.hit_latency,
-                              level="llc", mshr_stall=0.0)
+            return now, now + self._llc_hit, "llc", 0.0
         return self._from_dram(now, line_addr, is_store)
 
-    def _from_l2(self, now: float, line_addr: int, is_store: bool) -> Completion:
-        start = self._l2_bank_delay(line_addr, now)
+    def _from_l2(self, now: float, line_addr: int,
+                 is_store: bool) -> Tuple[float, float, str, float]:
+        bank_free = self._l2_bank_free
+        bank = self.l2.bank_of(line_addr)
+        at = bank_free[bank]
+        start = at if at > now else now
+        bank_free[bank] = start + 1.0  # pipelined, 1-cycle occupancy
         if self.l2.lookup(line_addr, is_store):
-            return Completion(grant=now, done=start + self.config.l2.hit_latency,
-                              level="l2", mshr_stall=start - now)
+            return now, start + self._l2_hit, "l2", start - now
         grant, stall = self.l2_mshrs.acquire(start)
-        inner = self._from_llc(grant + self.config.l2.hit_latency, line_addr, False)
-        evicted = self.l2.fill(line_addr, dirty=is_store)
-        if evicted is not None and evicted.dirty:
+        _, done, level, inner_stall = self._from_llc(
+            grant + self._l2_hit, line_addr, False)
+        evicted = self.l2.fill(line_addr, is_store)
+        if evicted is not None and evicted[1]:
             # Dirty L2 victims write back into the LLC.
-            if not self.llc.lookup(evicted.line_addr, is_store=True):
-                self.llc.fill(evicted.line_addr, dirty=True)
-        self.l2_mshrs.release(inner.done)
-        return Completion(grant=grant, done=inner.done, level=inner.level,
-                          mshr_stall=stall + inner.mshr_stall)
+            if not self.llc.lookup(evicted[0], is_store=True):
+                self.llc.fill(evicted[0], True)
+        self.l2_mshrs.release(done)
+        return grant, done, level, stall + inner_stall
 
-    def _from_l1(self, now: float, line_addr: int, is_store: bool) -> Completion:
+    def _from_l1(self, now: float, line_addr: int,
+                 is_store: bool) -> Tuple[float, float, str, float]:
         if self.l1d.lookup(line_addr, is_store):
-            return Completion(grant=now, done=now + self.config.l1d.hit_latency,
-                              level="l1", mshr_stall=0.0)
+            return now, now + self._l1_hit, "l1", 0.0
         grant, stall = self.l1d_mshrs.acquire(now)
-        inner = self._from_l2(grant + self.config.l1d.hit_latency, line_addr, False)
-        evicted = self.l1d.fill(line_addr, dirty=is_store)
-        if evicted is not None and evicted.dirty:
-            if not self.l2.lookup(evicted.line_addr, is_store=True):
-                self.l2.fill(evicted.line_addr, dirty=True)
-        self.l1d_mshrs.release(inner.done)
-        return Completion(grant=grant, done=inner.done, level=inner.level,
-                          mshr_stall=stall + inner.mshr_stall)
+        _, done, level, inner_stall = self._from_l2(
+            grant + self._l1_hit, line_addr, False)
+        evicted = self.l1d.fill(line_addr, is_store)
+        if evicted is not None and evicted[1]:
+            if not self.l2.lookup(evicted[0], is_store=True):
+                self.l2.fill(evicted[0], True)
+        self.l1d_mshrs.release(done)
+        return grant, done, level, stall + inner_stall
 
     # -- public ports ---------------------------------------------------------
 
@@ -146,18 +149,163 @@ class MemorySystem:
                port: str = "l1") -> Completion:
         """Issue one cache-line request on the given port."""
         if port == "l1":
-            completion = self._from_l1(now, line_addr, is_store)
+            grant, done, level, stall = self._from_l1(now, line_addr,
+                                                      is_store)
         elif port == "l2":
-            completion = self._from_l2(now, line_addr, is_store)
+            grant, done, level, stall = self._from_l2(now, line_addr,
+                                                      is_store)
         elif port == "llc":
-            completion = self._from_llc(now, line_addr, is_store)
+            grant, done, level, stall = self._from_llc(now, line_addr,
+                                                       is_store)
             self.vector_requests += 1
-            self.vector_mshr_stall += completion.mshr_stall
-            if completion.mshr_stall > 0:
+            self.vector_mshr_stall += stall
+            if stall > 0:
                 self.vector_stalled_requests += 1
         else:
             raise MemoryModelError(
                 f"unknown port {port!r} (expected one of {PORTS})")
+        return Completion(grant, done, level, stall)
+
+    def stream(self, start: float, lines: Sequence[int], is_store: bool,
+               port: str, interval: float,
+               window: Optional[MshrPool] = None
+               ) -> Tuple[float, float, float, float]:
+        """Issue one memory macro-op's request list as a pipelined stream.
+
+        Each request leaves ``interval`` cycles after the previous one
+        was accepted (its grant).  With a ``window`` (the IV's LSQ slots)
+        a request first waits for a free slot and holds it until its data
+        returns.  Returns ``(issue_end, first_done, last_done,
+        mshr_stall)``: when the next request could leave, the first and
+        the latest data return, and the summed MSHR stall.  An empty list
+        returns ``(start, start, start, 0.0)``.
+
+        The stream state lives in locals, and a request that hits the
+        port's first level resolves inline: the LLC probe (EVE's VMU),
+        the L2 bank delay plus probe (DV), the L1 probe behind the
+        ``window`` slot (IV's LSQ).  Every other request goes through
+        :meth:`access`, so the miss path (MSHRs, DRAM, fills, inclusive
+        invalidation, the vector-port counters) is written once.
+
+        Results are byte-identical to issuing every request through
+        :meth:`access` (what :meth:`MemorySystem.stream` does): an
+        inline hit evaluates the chain's float operations in the chain's
+        order, and the issue rule ``max(at, grant) + interval`` is the
+        same.  The probe reads the set without touching it, so a miss
+        reaches :meth:`access` with the cache exactly as it found it;
+        the L2 bank delay does not depend on the probe, so it may follow
+        it.  The additions a hit skips are ``+ 0.0`` stalls.
+        """
+        if port == "llc":
+            cache, hit_latency, banks = self.llc, self._llc_hit, None
+        elif port == "l2":
+            cache, hit_latency = self.l2, self._l2_hit
+            banks = self._l2_bank_free
+        elif port == "l1":
+            cache, hit_latency, banks = self.l1d, self._l1_hit, None
+        else:
+            raise MemoryModelError(
+                f"unknown port {port!r} (expected one of {PORTS})")
+        access = self.access
+        acquire = release = None
+        if window is not None:
+            acquire, release = window.acquire, window.release
+        sets = cache._lru
+        n_sets = cache.sets
+        line_bytes = cache.line_bytes
+        n_banks = len(banks) if banks is not None else 0
+        t = last_done = start
+        first_done = None
+        stall = 0.0
+        hits = 0
+        for line_addr in lines:
+            at = t if acquire is None else acquire(t)[0]
+            line = line_addr // line_bytes
+            lru = sets[line % n_sets]
+            entry = None if lru is None else lru.pop(line, None)
+            if entry is None:
+                completion = access(at, line_addr, is_store, port)
+                done = completion.done
+                stall += completion.mshr_stall
+                grant = completion.grant
+                t = (grant if grant > at else at) + interval
+            else:
+                lru[line] = entry  # reinsert at the end: most recent
+                if is_store:
+                    entry[1] = True
+                hits += 1
+                if banks is None:
+                    done = at + hit_latency
+                else:
+                    bank = line % n_banks
+                    free = banks[bank]
+                    begin = free if free > at else at
+                    banks[bank] = begin + 1.0  # pipelined, 1-cycle occupancy
+                    done = begin + hit_latency
+                    stall += begin - at
+                t = at + interval
+            if release is not None:
+                release(done)
+            if first_done is None:
+                first_done = done
+            if done > last_done:
+                last_done = done
+        cache.hits += hits
+        if port == "llc":
+            self.vector_requests += hits
+        if first_done is None:
+            first_done = start
+        return t, first_done, last_done, stall
+
+    # -- statistics -----------------------------------------------------------
+
+    def level_stats(self, elapsed: float = 0.0) -> dict:
+        """Hit/miss pairs per level, plus MSHR occupancy / stall accounting
+        and DRAM channel utilisation (``elapsed`` is the run's total
+        cycles; utilisation reads 0 when it is not supplied)."""
+        stats = {
+            "l1d": (self.l1d.hits, self.l1d.misses),
+            "l2": (self.l2.hits, self.l2.misses),
+            "llc": (self.llc.hits, self.llc.misses),
+            "dram": self.dram.stats(elapsed),
+        }
+        for pool in (self.l1d_mshrs, self.l2_mshrs, self.llc_mshrs):
+            stats[f"{pool.name}_mshr"] = pool.stats()
+        return stats
+
+    def populate_metrics(self, elapsed: float = 0.0) -> None:
+        """No-op: only :class:`MemorySystem` publishes metrics."""
+
+
+class MemorySystem(FastMemorySystem):
+    """:class:`FastMemorySystem` plus the observability hooks: one span
+    and one latency-histogram sample per access, MSHR occupancy counter
+    tracks, MSHR-stall and DRAM-busy attribution charges, and the
+    end-of-run metrics publication."""
+
+    def __init__(self, config: SystemConfig,
+                 tracer: Optional[SpanTracer] = None,
+                 metrics: Optional[MetricsRegistry] = None,
+                 attribution=None) -> None:
+        super().__init__(config)
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.attr = attribution if attribution is not None else NULL_ATTRIBUTION
+        for prefix in ("mem", "mshr", "dram"):
+            self.metrics.reserve(prefix, "MemorySystem")
+        for pool in (self.l1d_mshrs, self.l2_mshrs, self.llc_mshrs):
+            pool.attr = self.attr
+        self.dram = DramChannel(config.dram, config.llc.line_bytes,
+                                tracer=self.tracer, attribution=self.attr)
+        #: Pre-bound per-port latency histograms (no-ops when disabled).
+        self._latency_hist = {
+            port: self.metrics.histogram(f"mem.{port}.latency")
+            for port in PORTS}
+
+    def access(self, now: float, line_addr: int, is_store: bool,
+               port: str = "l1") -> Completion:
+        """Issue one cache-line request on the given port."""
+        completion = super().access(now, line_addr, is_store, port)
         if self.tracer.enabled:
             self.tracer.span(
                 _PORT_TRACK[port],
@@ -181,19 +329,9 @@ class MemorySystem:
                port: str, interval: float,
                window: Optional[MshrPool] = None
                ) -> Tuple[float, float, float, float]:
-        """Issue one memory macro-op's request list as a pipelined stream.
-
-        Each request leaves ``interval`` cycles after the previous one
-        was accepted (its grant).  With a ``window`` (the IV's LSQ slots)
-        a request first waits for a free slot and holds it until its data
-        returns.  Returns ``(issue_end, first_done, last_done,
-        mshr_stall)``: when the next request could leave, the first and
-        the latest data return, and the summed MSHR stall.  An empty list
-        returns ``(start, start, start, 0.0)``.
-
-        Every request goes through :meth:`access`, so instrumented runs
-        keep each per-access span, histogram sample and charge.
-        """
+        """:meth:`FastMemorySystem.stream`'s contract, one :meth:`access`
+        per request, so every request keeps its span, histogram sample
+        and charges."""
         t = first_done = last_done = start
         stall = 0.0
         for i, line in enumerate(lines):
@@ -208,22 +346,6 @@ class MemorySystem:
             stall += completion.mshr_stall
             t = max(at, completion.grant) + interval
         return t, first_done, last_done, stall
-
-    # -- statistics -------------------------------------------------------------
-
-    def level_stats(self, elapsed: float = 0.0) -> dict:
-        """Hit/miss pairs per level, plus MSHR occupancy / stall accounting
-        and DRAM channel utilisation (``elapsed`` is the run's total
-        cycles; utilisation reads 0 when it is not supplied)."""
-        stats = {
-            "l1d": (self.l1d.hits, self.l1d.misses),
-            "l2": (self.l2.hits, self.l2.misses),
-            "llc": (self.llc.hits, self.llc.misses),
-            "dram": self.dram.stats(elapsed),
-        }
-        for pool in (self.l1d_mshrs, self.l2_mshrs, self.llc_mshrs):
-            stats[f"{pool.name}_mshr"] = pool.stats()
-        return stats
 
     def populate_metrics(self, elapsed: float = 0.0) -> None:
         """Publish the hierarchy's aggregate stats into the registry
@@ -256,12 +378,14 @@ class MemorySystem:
         metrics.counter("mem.vector.mshr_stall_cycles").inc(
             self.vector_mshr_stall)
 
-    def reset_stats(self) -> None:
-        for cache in (self.l1d, self.l2, self.llc):
-            cache.reset_stats()
-        for pool in (self.l1d_mshrs, self.l2_mshrs, self.llc_mshrs):
-            pool.reset_stats()
-        self.dram.reset_stats()
-        self.vector_mshr_stall = 0.0
-        self.vector_requests = 0
-        self.vector_stalled_requests = 0
+
+def memory_system(config: SystemConfig,
+                  tracer: SpanTracer = NULL_TRACER,
+                  metrics: MetricsRegistry = NULL_METRICS,
+                  attribution=NULL_ATTRIBUTION) -> FastMemorySystem:
+    """A cold hierarchy for one run: :class:`MemorySystem` when any hook
+    is enabled, the hook-free :class:`FastMemorySystem` otherwise."""
+    if tracer.enabled or metrics.enabled or attribution.enabled:
+        return MemorySystem(config, tracer=tracer, metrics=metrics,
+                            attribution=attribution)
+    return FastMemorySystem(config)

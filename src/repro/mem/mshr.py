@@ -8,7 +8,7 @@ the mechanism behind the limited-MSHR effect of Section VII-B.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import List, Tuple
 
 from ..errors import MemoryModelError
@@ -17,6 +17,9 @@ from ..obs.attribution import NULL_ATTRIBUTION
 
 class MshrPool:
     """A pool of ``size`` miss-status registers."""
+
+    __slots__ = ("size", "name", "attr", "_busy", "acquires", "stall_cycles",
+                 "stalled_acquires", "occupancy_hwm")
 
     def __init__(self, size: int, name: str = "mshr",
                  attribution=None) -> None:
@@ -38,37 +41,38 @@ class MshrPool:
         Returns ``(grant_time, stall)`` where ``stall`` is how long the
         requester had to wait for a free entry.  The entry must be released
         with :meth:`release` once the fill completes.
+
+        The heap holds only entries still busy past the grant time, and
+        each acquire is released before the pool's next acquire, so the
+        granted entry plus the heap is the exact occupancy right now.
         """
-        while self._busy and self._busy[0] <= now:
-            heapq.heappop(self._busy)
-        if len(self._busy) < self.size:
+        busy = self._busy
+        while busy and busy[0] <= now:
+            heappop(busy)
+        if len(busy) < self.size:
             self.acquires += 1
-            self._note_occupancy()
+            occupancy = len(busy) + 1
+            if occupancy > self.occupancy_hwm:
+                self.occupancy_hwm = occupancy
             return now, 0.0
-        grant = self._busy[0]
+        grant = busy[0]
         # Every release at or before the grant time frees an entry.
-        while self._busy and self._busy[0] <= grant:
-            heapq.heappop(self._busy)
+        while busy and busy[0] <= grant:
+            heappop(busy)
         stall = grant - now
         self.stall_cycles += stall
         if self.attr.enabled:
             self.attr.charge("mshr", self.name, stall)
         self.stalled_acquires += 1
         self.acquires += 1
-        self._note_occupancy()
-        return grant, stall
-
-    def _note_occupancy(self) -> None:
-        # The heap holds only entries still busy past the grant time, and
-        # each acquire is released before the pool's next acquire, so the
-        # granted entry plus the heap is the exact occupancy right now.
-        occupancy = len(self._busy) + 1
+        occupancy = len(busy) + 1
         if occupancy > self.occupancy_hwm:
             self.occupancy_hwm = occupancy
+        return grant, stall
 
     def release(self, at: float) -> None:
         """Mark one acquired entry busy until ``at``."""
-        heapq.heappush(self._busy, at)
+        heappush(self._busy, at)
 
     @property
     def outstanding(self) -> int:
@@ -83,9 +87,3 @@ class MshrPool:
             "stall_cycles": self.stall_cycles,
             "occupancy_hwm": self.occupancy_hwm,
         }
-
-    def reset_stats(self) -> None:
-        self.acquires = 0
-        self.stall_cycles = 0.0
-        self.stalled_acquires = 0
-        self.occupancy_hwm = 0

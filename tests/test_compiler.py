@@ -1,23 +1,26 @@
-"""Trace-compiler equivalence suite.
+"""Trace-compiler and memory-model equivalence suite.
 
 The compiler's contract has two halves, and this module tests both:
 
 * **Timing is untouched.**  A compiled run replays every original event
   in original order, so cycles, instruction counts, and memory-system
-  statistics must be byte-identical to the interpreted path — across
-  every workload x system cell, and at the component level for
-  :class:`FastMemorySystem` against the reference
-  :class:`~repro.mem.hierarchy.MemorySystem`.
+  statistics must be byte-identical to a run of the bare trace, with or
+  without instrumentation — across every workload x system cell.  Both
+  memory models (:class:`FastMemorySystem`, and :class:`MemorySystem`
+  with every hook on) must reproduce a frozen reference request for
+  request and cell for cell.
 
 * **Analysis is conservative.**  Dead-op elimination produces the
   checker-facing view; its findings must be exactly the original
   findings minus the eliminated sites (the known-dirty corpus cases
   ``mask_merge`` and ``strided`` anchor this), the block schedule must
-  respect every dependence edge, and compiled/uncompiled results must
-  never collide in the sweep cache.
+  respect every dependence edge, and result cells carry the compiler
+  descriptor in their cache keys.
 """
 
 import glob
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -29,17 +32,20 @@ from repro.compiler import (CompilerConfig, compile_trace,
                             compiler_descriptor, eliminate_dead_ops,
                             schedule_blocks, verify_dce_findings)
 from repro.compiler.blocks import event_kind
-from repro.compiler.memengine import FastMemorySystem
 from repro.compiler.passes import DceResult
 from repro.config import all_system_names, make_system
+from repro.core.engine import EveMachine
 from repro.errors import CompilerError, MemoryModelError
 from repro.experiments import ExperimentRunner
 from repro.experiments.parallel import (CACHE_VERSION, params_fingerprint,
                                         simulate_cell)
+from repro.experiments.systems import build_machine
 from repro.faults import fuzz
 from repro.isa.intrinsics import VectorContext
-from repro.mem.hierarchy import PORTS, MemorySystem
+from repro.mem.hierarchy import (PORTS, FastMemorySystem, MemorySystem,
+                                 memory_system)
 from repro.mem.mshr import MshrPool
+from repro.obs import AttributionCollector, MetricsRegistry, SpanTracer
 from repro.workloads import REGISTRY
 
 #: Tiny problem sizes, same shape the conftest `tiny_runner` uses.
@@ -176,19 +182,60 @@ class TestBlockScheduler:
         assert list(compiled.iter_events()) == list(enumerate(trace.events))
 
 
-# -- compiled vs interpreted machine equivalence ------------------------------
+# -- the frozen memory-model reference ----------------------------------------
+
+#: Answers of the numpy-backed hierarchy that preceded the current model,
+#: captured at ``bbd22c8`` on bare traces: every request of the seeded
+#: plans below, and a digest per simulated cell.  Both memory models must
+#: reproduce it exactly.  ``_stream`` and ``_stream_plan`` must keep
+#: generating the requests they generated then.
+REFERENCE_PATH = os.path.join(os.path.dirname(__file__), "reference",
+                              "memory_model.json")
 
 
 @pytest.fixture(scope="module")
-def interpreted_runner():
-    return ExperimentRunner(params_override=TINY_PARAMS,
-                            compile_traces=False)
+def reference():
+    with open(REFERENCE_PATH) as handle:
+        return json.load(handle)
 
 
-@pytest.fixture(scope="module")
-def compiled_runner():
-    return ExperimentRunner(params_override=TINY_PARAMS,
-                            compile_traces=True)
+def _plain(value):
+    """``value`` as the reference's JSON holds it (tuples become lists)."""
+    return json.loads(json.dumps(value))
+
+
+def _breakdown(result):
+    return (result.breakdown.as_dict() if result.breakdown is not None
+            else None)
+
+
+def _cell_digest(result):
+    """Cycles in clear plus a digest of every deterministic result field,
+    floats by ``repr`` — the form the reference stores per cell."""
+    full = {"cycles": result.cycles, "instructions": result.instructions,
+            "time_ns": result.time_ns, "mem_stats": result.mem_stats,
+            "breakdown": _breakdown(result),
+            "vmu_llc_stall_frac": result.vmu_llc_stall_frac}
+    blob = json.dumps(full, sort_keys=True).encode()
+    return {"cycles": result.cycles,
+            "sha256": hashlib.sha256(blob).hexdigest()}
+
+
+def _hooks():
+    """Every instrumentation hook, enabled."""
+    return {"tracer": SpanTracer(), "metrics": MetricsRegistry(),
+            "attribution": AttributionCollector()}
+
+
+def _runs(system, workload, params):
+    """One cell three ways: the bare trace on the plain model, the
+    compiled trace on the plain model, and the compiled trace on the
+    hooked model with every hook on."""
+    runner = ExperimentRunner(params_override=params)
+    trace = runner.trace_for(system, workload)
+    return {"bare": build_machine(system).run(trace),
+            "compiled": runner.run(system, workload),
+            "instrumented": runner.run(system, workload, **_hooks())}
 
 
 #: vvadd at this size stalls DV's L2 MSHRs and EVE's LLC MSHRs, which
@@ -196,50 +243,67 @@ def compiled_runner():
 MSHR_BOUND_VVADD = {"vvadd": {"n": 4096}}
 
 
-def _assert_same_result(compiled, reference):
-    assert compiled.cycles == reference.cycles
-    assert compiled.instructions == reference.instructions
-    assert compiled.mem_stats == reference.mem_stats
-    assert (compiled.breakdown is None) == (reference.breakdown is None)
-    if reference.breakdown is not None:
-        assert compiled.breakdown.as_dict() == reference.breakdown.as_dict()
-    assert compiled.vmu_llc_stall_frac == reference.vmu_llc_stall_frac
-
-
 class TestCompiledMachineEquivalence:
     @pytest.mark.parametrize("system", all_system_names())
     @pytest.mark.parametrize("workload", sorted(REGISTRY))
     def test_cycles_and_stats_are_byte_identical(self, system, workload,
-                                                 interpreted_runner,
-                                                 compiled_runner):
-        _assert_same_result(compiled_runner.run(system, workload),
-                            interpreted_runner.run(system, workload))
+                                                 reference):
+        want = reference["cells"]["tiny"][f"{system}/{workload}"]
+        for path, result in _runs(system, workload, TINY_PARAMS).items():
+            assert _cell_digest(result) == want, path
 
     @pytest.mark.parametrize("system", all_system_names())
-    def test_mshr_bound_vvadd_is_byte_identical(self, system):
-        reference = ExperimentRunner(params_override=MSHR_BOUND_VVADD,
-                                     compile_traces=False).run(system,
-                                                               "vvadd")
-        compiled = ExperimentRunner(params_override=MSHR_BOUND_VVADD,
-                                    compile_traces=True).run(system, "vvadd")
-        _assert_same_result(compiled, reference)
+    def test_mshr_bound_vvadd_is_byte_identical(self, system, reference):
+        want = reference["cells"]["vvadd_n4096"][f"{system}/vvadd"]
+        runs = _runs(system, "vvadd", MSHR_BOUND_VVADD)
+        for path, result in runs.items():
+            assert _cell_digest(result) == want, path
         stalled = {"O3+DV": "l2_mshr", "O3+EVE-4": "llc_mshr",
                    "O3+EVE-32": "llc_mshr"}.get(system)
         if stalled is not None:
-            assert reference.mem_stats[stalled]["stall_cycles"] > 0
+            assert runs["compiled"].mem_stats[stalled]["stall_cycles"] > 0
 
-    def test_instrumented_runs_fall_back_to_the_interpreter(self,
-                                                            compiled_runner):
-        from repro.obs import MetricsRegistry
-        plain = compiled_runner.run("O3+EVE-4", "vvadd")
-        metrics = MetricsRegistry()
-        instrumented = compiled_runner.run("O3+EVE-4", "vvadd",
-                                           metrics=metrics)
-        assert instrumented.cycles == plain.cycles
-        assert metrics.flat()
+    def test_instrumentation_never_moves_timing(self, monkeypatch):
+        runner = ExperimentRunner(params_override=TINY_PARAMS)
+        for system in all_system_names():
+            for workload in sorted(REGISTRY):
+                plain = runner.run(system, workload)
+                hooked = runner.run(system, workload, **_hooks())
+                assert hooked.cycles == plain.cycles, (system, workload)
+                assert hooked.mem_stats == plain.mem_stats
+                assert _breakdown(hooked) == _breakdown(plain)
+        # An attributed run replays the very CompiledTrace a plain run of
+        # the same trace was handed: the runner compiles once.
+        seen = []
+        replay = EveMachine.run
+
+        def spy(machine, trace, compiled=None):
+            seen.append(compiled)
+            return replay(machine, trace, compiled=compiled)
+
+        monkeypatch.setattr(EveMachine, "run", spy)
+        fresh = ExperimentRunner(params_override=TINY_PARAMS)
+        fresh.run("O3+EVE-4", "backprop")
+        attribution = AttributionCollector()
+        fresh.run("O3+EVE-4", "backprop", attribution=attribution)
+        assert len(seen) == 2 and seen[0] is not None
+        assert seen[1] is seen[0]
+        attribution.require_conserved()
 
 
-# -- FastMemorySystem differential --------------------------------------------
+class TestRepeatedRuns:
+    @pytest.mark.parametrize("system", all_system_names())
+    def test_a_second_run_equals_the_first(self, system, tiny_runner):
+        trace = tiny_runner.trace_for(system, "vvadd")
+        compiled = compile_trace(trace)
+        machine = build_machine(system)
+        first = _cell_digest(machine.run(trace))
+        assert _cell_digest(machine.run(trace)) == first
+        assert _cell_digest(machine.run(trace, compiled=compiled)) == first
+        assert _cell_digest(machine.run(trace, compiled=compiled)) == first
+
+
+# -- the memory models against the reference ----------------------------------
 
 
 def _stream(seed, count=3000):
@@ -293,126 +357,130 @@ def _stream_plan(seed, rounds=20):
     return plan
 
 
+def _models(config):
+    """Both memory models: the plain one and the hooked one with every
+    hook on."""
+    return {"FastMemorySystem": FastMemorySystem(config),
+            "MemorySystem": MemorySystem(config, **_hooks())}
+
+
+def _completion(c):
+    return [c.grant, c.done, c.level, c.mshr_stall]
+
+
+def _vector_counters(mem):
+    return {"vector_requests": mem.vector_requests,
+            "vector_mshr_stall": mem.vector_mshr_stall,
+            "vector_stalled_requests": mem.vector_stalled_requests}
+
+
 class TestFastMemorySystem:
+    """Each seeded plan, request by request, on both models."""
+
     @pytest.mark.parametrize("windowed", [False, True])
     @pytest.mark.parametrize("system,seed", [("O3+DV", 11),
                                              ("O3+EVE-4", 12)])
     def test_stream_matches_the_reference_loop(self, system, seed,
-                                               windowed):
-        config = make_system(system)
-        reference = MemorySystem(config)
-        fast = FastMemorySystem(config)
-        # Wider than every MSHR pool, so both the window and the MSHRs
-        # behind it fill up.
-        ref_window = MshrPool(48, "lsq") if windowed else None
-        fast_window = MshrPool(48, "lsq") if windowed else None
-        singles = zip(*_stream(seed, count=200))
-        now = 0.0
-        stall = 0.0
-        for port, shape, lines, store, interval in _stream_plan(seed):
-            first = getattr(reference, FIRST_LEVEL[port])
-            misses = first.misses
-            expect = reference.stream(now, lines, store, port, interval,
-                                      window=ref_window)
-            got = fast.stream(now, lines, store, port, interval,
-                              window=fast_window)
-            assert got == expect, (port, shape)
-            if shape == "empty":
-                assert got == (now, now, now, 0.0)
-            if shape == "hits":
-                assert first.misses == misses, port
-            stall += got[3]
-            now = max(now + 1.0, got[0] - 40.0)
-            # Interleave one single request on a random port.
-            line, single_store, single_port, gap = next(singles)
-            want = reference.access(now, line, single_store, single_port)
-            have = fast.access(now, line, single_store, single_port)
-            assert (have.grant, have.done, have.level, have.mshr_stall) == \
-                (want.grant, want.done, want.level, want.mshr_stall)
-            now += gap
-        assert stall > 0  # saturating streams took the MSHR slow path
-        assert fast.level_stats(elapsed=now) == \
-            reference.level_stats(elapsed=now)
-        assert fast.vector_requests == reference.vector_requests
-        assert fast.vector_mshr_stall == reference.vector_mshr_stall
-        assert fast.vector_stalled_requests == \
-            reference.vector_stalled_requests
-        if windowed:
-            assert fast_window.stats() == ref_window.stats()
-            assert fast_window.stall_cycles > 0
-            assert fast_window.outstanding == ref_window.outstanding
+                                               windowed, reference):
+        want = reference["stream"][f"{system}-{seed}-{windowed}"]
+        for name, mem in _models(make_system(system)).items():
+            # Wider than every MSHR pool, so both the window and the
+            # MSHRs behind it fill up.
+            window = MshrPool(48, "lsq") if windowed else None
+            singles = zip(*_stream(seed, count=200))
+            steps = iter(want["steps"])
+            now = 0.0
+            stall = 0.0
+            for port, shape, lines, store, interval in _stream_plan(seed):
+                step = next(steps)
+                first = getattr(mem, FIRST_LEVEL[port])
+                misses = first.misses
+                got = mem.stream(now, lines, store, port, interval,
+                                 window=window)
+                assert list(got) == step["stream"], (name, port, shape)
+                if shape == "empty":
+                    assert got == (now, now, now, 0.0)
+                if shape == "hits":
+                    assert first.misses == misses, (name, port)
+                stall += got[3]
+                now = max(now + 1.0, got[0] - 40.0)
+                # Interleave one single request on a random port.
+                line, single_store, single_port, gap = next(singles)
+                have = mem.access(now, line, single_store, single_port)
+                assert _completion(have) == step["access"], name
+                now += gap
+            assert stall > 0  # saturating streams took the MSHR slow path
+            assert now == want["elapsed"]
+            assert _plain(mem.level_stats(elapsed=now)) == \
+                want["level_stats"], name
+            assert _vector_counters(mem) == {
+                key: want[key] for key in _vector_counters(mem)}, name
+            if windowed:
+                assert window.stall_cycles > 0
+                assert dict(window.stats(),
+                            outstanding=window.outstanding) == want["window"]
 
     def test_stream_rejects_an_unknown_port(self):
-        fast = FastMemorySystem(make_system("IO"))
-        with pytest.raises(MemoryModelError):
-            fast.stream(0.0, [0], False, "l3", 1.0)
+        for mem in _models(make_system("IO")).values():
+            with pytest.raises(MemoryModelError):
+                mem.stream(0.0, [0], False, "l3", 1.0)
 
     @pytest.mark.parametrize("system,seed", [("IO", 3), ("O3+EVE-4", 4)])
     def test_matches_the_reference_model_access_for_access(self, system,
-                                                           seed):
-        config = make_system(system)
-        reference = MemorySystem(config)
-        fast = FastMemorySystem(config)
-        lines, stores, ports, gaps = _stream(seed)
-        now = 0.0
-        for line, store, port, gap in zip(lines, stores, ports, gaps):
-            expect = reference.access(now, line, store, port)
-            got = fast.access(now, line, store, port)
-            assert (got.grant, got.done, got.level, got.mshr_stall) == \
-                (expect.grant, expect.done, expect.level, expect.mshr_stall)
-            now = max(now + gap, expect.done - 40.0)
-        assert fast.level_stats(elapsed=now) == \
-            reference.level_stats(elapsed=now)
-        assert fast.vector_requests == reference.vector_requests
-        assert fast.vector_mshr_stall == reference.vector_mshr_stall
-        assert fast.vector_stalled_requests == \
-            reference.vector_stalled_requests
+                                                           seed, reference):
+        want = reference["access"][f"{system}-{seed}"]
+        for name, mem in _models(make_system(system)).items():
+            lines, stores, ports, gaps = _stream(seed)
+            now = 0.0
+            for i, (line, store, port, gap) in enumerate(
+                    zip(lines, stores, ports, gaps)):
+                got = mem.access(now, line, store, port)
+                assert _completion(got) == want["accesses"][i], (name, i)
+                now = max(now + gap, got.done - 40.0)
+            assert _plain(mem.level_stats(elapsed=now)) == \
+                want["level_stats"], name
+            assert _vector_counters(mem) == {
+                key: want[key] for key in _vector_counters(mem)}, name
 
-    def test_matches_reconfiguration_views_and_flush(self):
+    def test_matches_reconfiguration_views_and_flush(self, reference):
+        want = reference["reconfig"]
         config = make_system("O3+EVE-4")
-        reference = MemorySystem(config)
-        fast = FastMemorySystem(config)
-        lines, stores, ports, gaps = _stream(seed=7, count=2000)
-        now = 0.0
-        for line, store, port, gap in zip(lines, stores, ports, gaps):
-            expect = reference.access(now, line, store, port)
-            fast.access(now, line, store, port)
-            now = max(now + gap, expect.done - 40.0)
+        for name, mem in _models(config).items():
+            now = 0.0
+            for i, (line, store, port, gap) in enumerate(
+                    zip(*_stream(seed=7, count=2000))):
+                got = mem.access(now, line, store, port)
+                assert _completion(got) == want["before"][i], (name, i)
+                now = max(now + gap, got.done - 40.0)
 
-        doomed = slice(config.llc.ways // 2, config.llc.ways)
-        assert fast.llc.resident_lines(doomed) == \
-            reference.llc.resident_lines(doomed)
-        assert fast.llc.warm_fraction() == reference.llc.warm_fraction()
-        assert fast.llc.flush_ways(doomed) == reference.llc.flush_ways(doomed)
+            doomed = slice(config.llc.ways // 2, config.llc.ways)
+            assert list(mem.llc.resident_lines(doomed)) == \
+                want["resident_lines"]
+            assert mem.llc.warm_fraction() == want["warm_fraction"]
+            assert list(mem.llc.flush_ways(doomed)) == want["flush_ways"]
 
-        # Behaviour after the flush must track too (victim selection
-        # depends on the freed ways being reissued in way order).
-        for line, store, port, gap in zip(*_stream(seed=8, count=1000)):
-            expect = reference.access(now, line, store, port)
-            got = fast.access(now, line, store, port)
-            assert (got.done, got.level) == (expect.done, expect.level)
-            now = max(now + gap, expect.done - 40.0)
-        assert fast.level_stats(now) == reference.level_stats(now)
+            # Behaviour after the flush must track too (victim selection
+            # depends on the freed ways being reissued in way order).
+            for i, (line, store, port, gap) in enumerate(
+                    zip(*_stream(seed=8, count=1000))):
+                got = mem.access(now, line, store, port)
+                assert _completion(got) == want["after"][i], (name, i)
+                now = max(now + gap, got.done - 40.0)
+            assert _plain(mem.level_stats(now)) == want["level_stats"]
 
-    def test_reset_stats_matches_the_reference(self):
+    def test_hooks_choose_the_hooked_model(self):
         config = make_system("IO")
-        reference = MemorySystem(config)
-        fast = FastMemorySystem(config)
-        for line, store, port, _ in zip(*_stream(seed=9, count=500)):
-            reference.access(0.0, line, store, port)
-            fast.access(0.0, line, store, port)
-        reference.reset_stats()
-        fast.reset_stats()
-        assert fast.level_stats(0.0) == reference.level_stats(0.0)
-
-    def test_refuses_instrumentation_hooks(self):
-        from repro.obs import MetricsRegistry
-        config = make_system("IO")
-        with pytest.raises(MemoryModelError):
-            FastMemorySystem(config, metrics=MetricsRegistry())
+        assert type(memory_system(config)) is FastMemorySystem
+        for hook, value in _hooks().items():
+            mem = memory_system(config, **{hook: value})
+            assert type(mem) is MemorySystem, hook
+            assert {"tracer": mem.tracer, "metrics": mem.metrics,
+                    "attribution": mem.attr}[hook] is value
+            assert mem.dram.attr is mem.attr
+            assert mem.llc_mshrs.attr is mem.attr
 
 
-# -- satellite 2: compiled and uncompiled results never collide ---------------
+# -- compiler descriptors in cache keys ---------------------------------------
 
 
 class TestCacheDistinctness:
@@ -420,40 +488,45 @@ class TestCacheDistinctness:
         assert CACHE_VERSION == 3
 
     def test_compiler_descriptor_shapes(self):
-        assert compiler_descriptor(False) is None
-        descriptor = compiler_descriptor(True)
+        descriptor = compiler_descriptor()
         assert descriptor["passes"] == ["dce", "hoist", "schedule"]
         assert descriptor["compiler_version"] >= 1
+        assert compiler_descriptor(CompilerConfig(passes=("hoist",))) == {
+            "compiler_version": descriptor["compiler_version"],
+            "passes": ["hoist"]}
 
     def test_fingerprints_differ_by_compiler_descriptor(self):
         bare = params_fingerprint("vvadd", TINY_PARAMS)
         compiled = params_fingerprint("vvadd", TINY_PARAMS,
-                                      compiler=compiler_descriptor(True))
+                                      compiler=compiler_descriptor())
         assert bare != compiled
         assert compiled == params_fingerprint(
-            "vvadd", TINY_PARAMS, compiler=compiler_descriptor(True))
+            "vvadd", TINY_PARAMS, compiler=compiler_descriptor())
 
-    def test_simulate_cell_keeps_compile_modes_cache_distinct(self, tmp_path):
+    def test_simulate_cell_keys_results_on_the_descriptor(self, tmp_path):
         root = str(tmp_path / "cache")
 
-        def spec(compile_traces):
-            return ("IO", "vvadd", TINY_PARAMS, root, False, False,
-                    20230225, compile_traces)
+        def spec(collect_metrics):
+            return ("IO", "vvadd", TINY_PARAMS, root, collect_metrics,
+                    False, 20230225)
 
-        compiled = simulate_cell(spec(True))
-        assert compiled["cache"]["result"] == "miss"
-        # The uncompiled run must MISS the compiled run's cache entry.
-        interpreted = simulate_cell(spec(False))
-        assert interpreted["cache"]["result"] == "miss"
-        # ... while sharing the compiler-independent trace pickle.
-        assert interpreted["cache"]["trace"] == "hit"
-        assert interpreted["result"].cycles == compiled["result"].cycles
-        # Each mode hits its own entry on re-run; the trace pickle is
-        # shared (traces are compiler-independent).
-        assert simulate_cell(spec(True))["cached"] is True
+        plain = simulate_cell(spec(False))
+        assert plain["cache"]["result"] == "miss"
+        # A metered cell replays the compiled trace too: its own result
+        # entry, the shared trace pickle, the same cycles.
+        metered = simulate_cell(spec(True))
+        assert metered["cache"]["result"] == "miss"
+        assert metered["cache"]["trace"] == "hit"
+        assert metered["result"].cycles == plain["result"].cycles
+        assert metered["metrics_flat"]
         assert simulate_cell(spec(False))["cached"] is True
+        assert simulate_cell(spec(True))["cached"] is True
         results = glob.glob(os.path.join(root, "results", "**", "*.pkl"),
                             recursive=True)
         traces = glob.glob(os.path.join(root, "traces", "*.pkl"))
-        assert len(results) == 2
+        fingerprint = params_fingerprint("vvadd", TINY_PARAMS,
+                                         seed=20230225,
+                                         compiler=compiler_descriptor())
+        assert sorted(os.path.basename(path) for path in results) == [
+            f"IO--vvadd-{fingerprint}-m.pkl", f"IO--vvadd-{fingerprint}.pkl"]
         assert len(traces) == 1

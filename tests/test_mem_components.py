@@ -72,25 +72,25 @@ class TestCacheArray:
         cache.fill(0x40)
         cache.lookup(0x0)          # refresh line 0
         evicted = cache.fill(0x80)  # must evict 0x40
-        assert evicted.line_addr == 0x40
+        assert evicted == (0x40, False)  # (victim line address, dirty)
 
     def test_dirty_tracked_on_store(self):
         cache = CacheArray(self.config(sets=1, ways=1))
         cache.fill(0x0)
         cache.lookup(0x0, is_store=True)
-        evicted = cache.fill(0x40)
-        assert evicted.dirty
+        _, dirty = cache.fill(0x40)
+        assert dirty
 
     def test_fill_dirty(self):
         cache = CacheArray(self.config(sets=1, ways=1))
         cache.fill(0x0, dirty=True)
-        assert cache.fill(0x40).dirty
+        assert cache.fill(0x40) == (0x0, True)
 
     def test_racing_fill_refreshes(self):
         cache = CacheArray(self.config(sets=1, ways=1))
         cache.fill(0x0)
         assert cache.fill(0x0, dirty=True) is None
-        assert cache.fill(0x40).dirty
+        assert cache.fill(0x40) == (0x0, True)
 
     def test_invalidate(self):
         cache = CacheArray(self.config())
@@ -115,7 +115,7 @@ class TestCacheArray:
         cache.fill(0 * 64)
         cache.fill(1 * 64)
         evicted = cache.fill(4 * 64)
-        assert evicted.line_addr == 0
+        assert evicted == (0, False)
         assert cache.lookup(1 * 64)
 
     def test_bank_of(self):

@@ -90,10 +90,11 @@ class TestVectorPort:
     def test_no_stalls_when_hitting(self, mem):
         for i in range(8):
             mem.access(float(i), i * 64, False, port="llc")
-        mem.reset_stats()
+        stalled = mem.vector_mshr_stall
         for i in range(8):
-            mem.access(1000.0 + i, i * 64, False, port="llc")
-        assert mem.vector_mshr_stall == 0.0
+            completion = mem.access(1000.0 + i, i * 64, False, port="llc")
+            assert (completion.level, completion.mshr_stall) == ("llc", 0.0)
+        assert mem.vector_mshr_stall == stalled
 
     def test_level_stats(self, mem):
         mem.access(0.0, 0, False)
