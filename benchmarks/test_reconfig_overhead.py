@@ -40,7 +40,7 @@ def test_spawn_cost_scaling(benchmark):
     show("Section V-E: spawn cost vs resident L2 state", format_table(
         ["occupancy", "dirty_ratio", "lines", "dirty", "cycles"], rows))
     # Linear in lines: cycles == lines + 4 * dirty (the model's constants).
-    for _, _, lines, _dirty, _cycles in rows:
+    for _, _, lines, dirty, cycles in rows:
         assert cycles == lines + 4 * dirty
     # Monotone in occupancy for a fixed dirty ratio.
     clean = [r for r in rows if r[1] == 0.0]
@@ -48,7 +48,7 @@ def test_spawn_cost_scaling(benchmark):
     assert walked == sorted(walked)
     # Spawn cost is bounded by a full walk of the carved-out ways.
     l2_lines = make_system("O3").l2.lines
-    for _, _, lines, dirty, cycles in rows:
+    for _, _, lines, _dirty, _cycles in rows:
         assert lines <= l2_lines // 2
 
 

@@ -54,10 +54,6 @@ class DefUse:
     #: Maximum number of simultaneously live register values.
     live_high_water: int
 
-    @property
-    def dead_defs(self) -> List[RegDef]:
-        return [d for d in self.defs if d.is_dead]
-
 
 def build_defuse(trace: Trace,
                  columns: Optional[TraceColumns] = None) -> DefUse:

@@ -1,9 +1,10 @@
 """Trace compiler: DCE + line hoisting + block scheduling.
 
-Without it, every simulation would re-derive each memory event's
-cache-line stream through numpy.  This package compiles a trace once,
-and every simulation of it, on any system at its vlmax, replays the
-compiled form:
+This package compiles a trace once, and every simulation of it, on any
+system at its vlmax, replays the compiled form; a machine handed only a
+trace compiles it on demand (:class:`~repro.cores.machine.Machine`).
+The machines time every memory event from its hoisted cache-line
+stream, derived through numpy once per trace instead of once per run.
 
 * :mod:`passes` — dead-op elimination (the architectural work view,
   gated against the static checkers) and memory-line hoisting (the
@@ -17,8 +18,7 @@ compiled form:
 
 The machines replay every original event in original order (blocks
 outer, events inner), dead ops included — elimination changes what
-the *checkers* see, never what the timing models charge — so a
-compiled run takes the cycles of a run of the bare trace.  Instrumented
+the *checkers* see, never what the timing models charge.  Instrumented
 runs (tracer, metrics, attribution) replay the compiled trace too.
 
 :data:`COMPILER_VERSION` and the pass list are folded into experiment
@@ -61,6 +61,10 @@ class CompilerConfig:
             raise CompilerError(
                 f"unknown compiler pass(es): {sorted(unknown)} "
                 f"(known: {sorted(_KNOWN_PASSES)})")
+        if "hoist" not in self.passes:
+            raise CompilerError(
+                "the 'hoist' pass cannot be dropped: the machines time "
+                "every memory event from its hoisted line list")
 
     def descriptor(self) -> Dict[str, object]:
         """Fingerprint ingredient: identifies the compiled semantics."""
@@ -71,10 +75,10 @@ class CompilerConfig:
 class CompiledTrace:
     """One trace, compiled: line tables, block schedule, DCE view.
 
-    The machines drive a compiled run through :meth:`iter_events`
+    The machines drive a run through :meth:`iter_events`
     (block-at-a-time event stream, order-identical to ``enumerate``)
-    and :meth:`lines_for` (the hoisted request list, or ``None`` for
-    non-memory events).
+    and :meth:`lines_for` (the hoisted request list, ``()`` for an event
+    with no requests).
     """
 
     def __init__(self, trace: Trace, config: CompilerConfig,
@@ -113,7 +117,7 @@ class CompiledTrace:
                 yield index, events[index]
 
     def lines_for(self, index: int):
-        return self.lines.get(index)
+        return self.lines.get(index, ())
 
     def descriptor(self) -> Dict[str, object]:
         return self.config.descriptor()

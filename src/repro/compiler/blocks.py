@@ -12,10 +12,9 @@ exposes) against the block assignment and raises
 
 Each block carries its dependence *level* — its longest-path depth in
 the block DAG induced by cross-block edges — so downstream consumers
-(the compiled machine drivers, reports) see how much of the trace's
-critical structure a pack spans.  The compiled machines iterate blocks
-outer, events inner, which preserves the interpreted per-event order
-exactly and therefore the cycle accounting byte-for-byte.
+(the machines' replay loops, reports) see how much of the trace's critical
+structure a pack spans.  The machines iterate blocks outer, events
+inner, which is program order exactly (``enumerate(trace.events)``).
 
 Edges are consumed in the bulk array form
 (:func:`~repro.analysis.depgraph.dependence_edge_groups`) rather than

@@ -1,9 +1,8 @@
 """Trace-compiler passes: dead-op elimination and memory-line hoisting.
 
 Both passes are *pre-computation*, not re-timing: the simulated machines
-replay every event of the original trace, so cycle accounting stays
-byte-identical to the interpreted path (the acceptance oracle for the
-whole compiler).  What the passes buy:
+replay every event of the original trace in program order.  What the
+passes buy:
 
 * :func:`eliminate_dead_ops` produces the compiled trace's *architectural
   work view* — the trace minus true dead writes, found via
@@ -15,12 +14,11 @@ whole compiler).  What the passes buy:
   findings minus those anchored at eliminated sites.
 
 * :func:`hoist_memory_lines` precomputes, once per trace, the cache-line
-  request list of every memory-touching event.  The interpreted machines
-  re-derive these per run from each :class:`MemAccess` pattern (numpy
-  address arithmetic + ``np.unique``, through the same
-  :meth:`MemAccess.request_lines`); hoisting leaves the per-event loops
-  plain-int iteration, which is where most of the compiled path's
-  speedup on memory-bound workloads comes from.
+  request list of every memory-touching event from its
+  :class:`MemAccess` pattern (numpy address arithmetic + ``np.unique``,
+  through :meth:`MemAccess.request_lines`).  The machines time every
+  memory event from these lists, so their per-event loops are plain-int
+  iteration.
 """
 
 from __future__ import annotations
@@ -161,8 +159,8 @@ def verify_dce_findings(original: Trace, dce: DceResult,
 def hoist_memory_lines(trace: Trace) -> LinesTable:
     """Precompute every event's cache-line request list.
 
-    Vector memory ops get the exact stream the machines would derive at
-    run time (:meth:`MemAccess.request_lines`): one request per element
+    Vector memory ops get their request stream
+    (:meth:`MemAccess.request_lines`): one request per element
     for strided and indexed categories, one per distinct line in
     first-touch order for unit-stride.  Scalar blocks get one line list
     per access pattern.  All entries are plain Python ints so the

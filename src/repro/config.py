@@ -158,10 +158,6 @@ class SystemConfig:
         if self.vector is not None and self.vector.kind == "eve" and self.eve_sram is None:
             raise ConfigError("EVE systems require an EveSramConfig")
 
-    @property
-    def has_vector(self) -> bool:
-        return self.vector is not None
-
 
 def _default_l1i() -> CacheConfig:
     return CacheConfig("L1I", 32 * 1024, ways=4, hit_latency=1, mshrs=16)

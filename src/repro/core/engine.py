@@ -33,11 +33,6 @@ from ..cores.vector_base import VectorMachineBase
 from .units import DtuPool, VmuModel, VruModel
 
 
-def _NO_LINES(index):
-    """Interpreted path: no hoisted line list for any event."""
-    return None
-
-
 @dataclass
 class _RegInfo:
     """Scoreboard entry: when a register is ready and who produced it."""
@@ -58,15 +53,15 @@ class EveMachine(VectorMachineBase):
     #: VSU cycles to decode + hand a macro-op to the VMU / VRU.
     VSU_DISPATCH = 2.0
 
+    METRIC_PREFIXES = ("sim", "breakdown", "eve")
+
     def __init__(self, config: SystemConfig,
                  tracer: Optional[SpanTracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  attribution=None) -> None:
         if config.vector is None or config.vector.kind != "eve":
             raise SimulationError("EveMachine needs an 'eve' config")
-        super().__init__(config, tracer=tracer, metrics=metrics,
-                         attribution=attribution)
-        self.metrics.reserve("eve", "EveMachine")
+        # Set before the base constructor: its reset() sizes the units.
         sram = config.eve_sram
         self.factor = config.vector.factor
         self.layout = RegisterLayout(
@@ -74,9 +69,21 @@ class EveMachine(VectorMachineBase):
             factor=self.factor, num_vregs=sram.num_vregs)
         self.rom = MacroOpRom(self.factor, strict=True)
         self.segments = 32 // self.factor
-        self.num_arrays = sram.num_arrays
         self.num_dtus = sram.num_dtus
         self.vru_ports = sram.port_bits // self.factor
+        super().__init__(config, tracer=tracer, metrics=metrics,
+                         attribution=attribution)
+
+    def reset(self) -> None:
+        """A cold machine with idle VMU, DTU pool and VRU."""
+        super().reset()
+        self.vmu = VmuModel(self.mem)
+        self.dtu = DtuPool(self.num_dtus, self.segments,
+                           bit_parallel=(self.factor == 32),
+                           tracer=self.tracer, attribution=self.attr)
+        self.vru = VruModel(self.segments, self.vru_ports,
+                            tracer=self.tracer, attribution=self.attr)
+        self._regs: Dict[int, _RegInfo] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -115,18 +122,9 @@ class EveMachine(VectorMachineBase):
     # -- main loop -----------------------------------------------------------------
 
     def run(self, trace: Trace, compiled=None) -> SimResult:
-        self.reset()
+        compiled = self._start(trace, compiled)
         tracer = self.tracer
         attr = self.attr
-        self.vmu = VmuModel(self.mem)
-        self.dtu = DtuPool(self.num_dtus, self.segments,
-                           bit_parallel=(self.factor == 32), tracer=tracer,
-                           attribution=attr)
-        self.vru = VruModel(self.segments, self.vru_ports, tracer=tracer,
-                            attribution=attr)
-        self._regs: Dict[int, _RegInfo] = {}
-        self._core_busy = 0.0
-        self._core_stall = 0.0
         self._drain_node = -1      # producer of the latest outstanding store
         breakdown = StallBreakdown()
         uprog_hist = self.metrics.histogram("eve.uprog.cycles")
@@ -148,24 +146,14 @@ class EveMachine(VectorMachineBase):
         core_time = 0.0                # control-processor timeline
         last_commit = 0.0
         store_drain = 0.0              # latest outstanding store completion
-        vmu_last_was_store = False
         busy = 0.0
         instructions = 0
         finish = t
         if attr.enabled:
             attr.meta["spawn_cycles"] = float(setup.cycles)
 
-        if compiled is None:
-            events = enumerate(trace)
-            lines_for = _NO_LINES
-        else:
-            # Block-at-a-time replay: the scheduler's packs drive the
-            # event stream (program order, so cycle accounting matches
-            # the interpreted loop byte for byte) and each memory event
-            # uses its hoisted line list instead of re-deriving it.
-            events = compiled.iter_events()
-            lines_for = compiled.lines_for
-        for idx, event in events:
+        lines_for = compiled.lines_for
+        for idx, event in compiled.iter_events():
             if attr.enabled:
                 attr.set_node(idx)
             if isinstance(event, ScalarBlock):
@@ -210,13 +198,11 @@ class EveMachine(VectorMachineBase):
                     self._regs[instr.vd] = _RegInfo(
                         ready=done, kind="ld",
                         dt_limited=self._last_dt_limited, node=idx)
-                    vmu_last_was_store = False
                 else:
                     done = self._store(vmu_ready, instr, lines_for(idx))
                     if done >= store_drain:
                         self._drain_node = idx
                     store_drain = max(store_drain, done)
-                    vmu_last_was_store = True
                 busy += self.VSU_DISPATCH
                 if attr.enabled:
                     attr.charge("vsu", "busy", self.VSU_DISPATCH, node=idx)
@@ -284,48 +270,26 @@ class EveMachine(VectorMachineBase):
             if attr.enabled:
                 attr.charge("vsu", bucket, residual, node=culprit)
 
-        if tracer.enabled:
-            tracer.span("Machine", f"execute:{trace.name}", 0.0, total,
-                        system=self.config.name, instructions=instructions)
-        result = SimResult(
-            system=self.config.name, workload=trace.name, cycles=total,
-            cycle_time_ns=self.config.cycle_time_ns, instructions=instructions,
-            breakdown=breakdown, mem_stats=self.mem.level_stats(total),
+        # Hand attribution the machine-reported totals it must conserve
+        # against.  The VSU breakdown is the strict target: it is
+        # accumulated independently of the charge ledger and forced to
+        # equal the achieved cycle count above.
+        units = {
+            "vsu": breakdown.as_dict(),
+            "vmu": {"busy": self.vmu.busy_cycles,
+                    "mshr_stall": self.vmu.stall_cycles},
+            "dtu": {"busy": self.dtu.busy_cycles},
+            "vru": {"busy": self.vru.busy_cycles},
+        }
+        return self._result(
+            trace, total, instructions, units, timeline_units=("vsu",),
+            breakdown=breakdown,
             vmu_llc_stall_frac=(self.mem.vector_mshr_stall / total
-                                if total > 0 else 0.0),
-        )
-        if self.metrics.enabled:
-            self._populate_metrics(result)
-            result.metrics = self.metrics.snapshot()
-        if attr.enabled:
-            # Hand the collector the machine-reported totals it must
-            # conserve against.  The VSU breakdown is the strict target:
-            # it is accumulated independently of the charge ledger and
-            # forced to equal the achieved cycle count above.
-            mem = self.mem
-            expected = {
-                "vsu": breakdown.as_dict(),
-                "vmu": {"busy": self.vmu.busy_cycles,
-                        "mshr_stall": self.vmu.stall_cycles},
-                "dtu": {"busy": self.dtu.busy_cycles},
-                "vru": {"busy": self.vru.busy_cycles},
-                "dram": {"busy": mem.dram.busy_cycles},
-                "mshr": {pool.name: pool.stall_cycles
-                         for pool in (mem.l1d_mshrs, mem.l2_mshrs,
-                                      mem.llc_mshrs)},
-                "core": {"busy": self._core_busy,
-                         "mem_stall": self._core_stall},
-            }
-            attr.finish(total, expected, timeline_units=("vsu",))
-            result.unit_cycles = {unit: dict(buckets)
-                                  for unit, buckets in expected.items()}
-        return result
+                                if total > 0 else 0.0))
 
-    def _populate_metrics(self, result: SimResult) -> None:
+    def _publish_metrics(self, result: SimResult) -> None:
         """Publish aggregate unit / breakdown stats into the registry."""
         metrics = self.metrics
-        metrics.gauge("sim.cycles").set(result.cycles)
-        metrics.counter("sim.instructions").inc(result.instructions)
         metrics.counter("eve.vsu.busy_cycles").inc(result.breakdown.busy)
         metrics.counter("eve.vmu.busy_cycles").inc(self.vmu.busy_cycles)
         metrics.counter("eve.vmu.stall_cycles").inc(self.vmu.stall_cycles)
@@ -336,30 +300,23 @@ class EveMachine(VectorMachineBase):
         metrics.counter("eve.vru.operations").inc(self.vru.operations)
         for bucket, value in result.breakdown.as_dict().items():
             metrics.counter(f"breakdown.{bucket}").inc(value)
-        self.mem.populate_metrics(result.cycles)
 
     # -- per-class timing ----------------------------------------------------------
 
-    def _load(self, start: float, instr: VectorInstr,
-              lines=None) -> float:
+    def _load(self, start: float, instr: VectorInstr, lines) -> float:
         """VMU fetch -> DTU transpose -> rows written."""
-        stream = self.vmu.stream(start, instr.mem, instr.per_element,
-                                 lines=lines)
+        stream = self.vmu.stream(start, instr.mem, lines)
         dt_done = self.dtu.process(stream.first_done, stream.n_lines)
         done = max(stream.last_done, dt_done)
         self._last_dt_limited = dt_done > stream.last_done
         return done
 
-    def _store(self, start: float, instr: VectorInstr,
-               lines=None) -> float:
+    def _store(self, start: float, instr: VectorInstr, lines) -> float:
         """Rows read -> DTU detranspose -> VMU write stream."""
-        if lines is None:
-            lines = instr.mem.request_lines(instr.per_element)
         dt_done = self.dtu.process(start, len(lines))
         # The VMU starts writing once the first line is detransposed.
         first_data = start + self.dtu.cycles_per_line
-        stream = self.vmu.stream(max(first_data, start), instr.mem,
-                                 instr.per_element, lines=lines)
+        stream = self.vmu.stream(max(first_data, start), instr.mem, lines)
         return max(stream.last_done, dt_done)
 
     def _vru_instr(self, start: float, instr: VectorInstr) -> Tuple[float, float]:

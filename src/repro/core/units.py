@@ -47,22 +47,11 @@ class VmuModel:
         self.stall_cycles = 0.0
         self.streams = 0
 
-    def reset(self) -> None:
-        self.free_at = 0.0
-        self.busy_cycles = 0.0
-        self.stall_cycles = 0.0
-        self.streams = 0
-
     def stream(self, start: float, pattern: MemAccess,
-               per_element: bool, lines=None) -> StreamResult:
-        """Issue all line requests of one memory macro-operation.
-
-        ``lines`` is the compiled path's hoisted request list; when
-        ``None`` it is derived from the pattern exactly as the compiler
-        would have (:meth:`MemAccess.request_lines`).
-        """
-        if lines is None:
-            lines = pattern.request_lines(per_element)
+               lines) -> StreamResult:
+        """Issue all line requests of one memory macro-operation:
+        ``lines`` is its hoisted request list
+        (:meth:`~repro.compiler.CompiledTrace.lines_for`)."""
         t, first_done, last_done, stall_total = self.mem.stream(
             start, lines, pattern.is_store, "llc", self.CYCLES_PER_REQUEST)
         self.free_at = t
@@ -97,11 +86,6 @@ class DtuPool:
         self.busy_cycles = 0.0
         self.lines_processed = 0
 
-    def reset(self) -> None:
-        self.free_at = 0.0
-        self.busy_cycles = 0.0
-        self.lines_processed = 0
-
     def process(self, data_ready: float, n_lines: int) -> float:
         """Run ``n_lines`` through the pool; returns completion time."""
         if self.cycles_per_line == 0.0 or n_lines == 0:
@@ -132,11 +116,6 @@ class VruModel:
         self.ports = ports  # E = port bits / n
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.attr = attribution if attribution is not None else NULL_ATTRIBUTION
-        self.free_at = 0.0
-        self.busy_cycles = 0.0
-        self.operations = 0
-
-    def reset(self) -> None:
         self.free_at = 0.0
         self.busy_cycles = 0.0
         self.operations = 0

@@ -1,5 +1,7 @@
 """Baseline machine models: scalar IO/O3 cores and the IV/DV vector units.
 
+* :mod:`repro.cores.machine` — the base every machine shares: hooks,
+  a cold hierarchy per run, compile on demand, the end-of-run epilogue.
 * :mod:`repro.cores.result` — simulation results and the Figure 7 stall
   breakdown.
 * :mod:`repro.cores.scalar` — trace-driven in-order and out-of-order

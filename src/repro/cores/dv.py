@@ -51,41 +51,31 @@ class DecoupledVectorMachine(VectorMachineBase):
     def reset(self) -> None:
         super().reset()
         self._pipe_free: Dict[str, float] = {name: 0.0 for name in PIPES}
+        #: Attribution totals of the "pipe" unit.
+        self._pipe_cycles: Dict[str, float] = {name: 0.0 for name in PIPES}
         #: register -> (chain-ready time, fully-done time)
         self._chain: Dict[int, Tuple[float, float]] = {}
 
     def run(self, trace: Trace, compiled=None) -> SimResult:
-        self.reset()
+        compiled = self._start(trace, compiled)
         tracer = self.tracer
         attr = self.attr
-        if compiled is None:
-            events = enumerate(trace)
-            lines_for = None
-        else:
-            events = compiled.iter_events()
-            lines_for = compiled.lines_for
-        self._core_busy = 0.0
-        self._core_stall = 0.0
+        lines_for = compiled.lines_for
         self._drain_node = -1
-        self._pipe_cycles = {name: 0.0 for name in PIPES}
         vsu = {"busy": 0.0, "drain": 0.0}
         now = 0.0
         finish = 0.0
         instructions = 0
-        for idx, event in events:
+        for idx, event in compiled.iter_events():
             if attr.enabled:
                 attr.set_node(idx)
             if isinstance(event, ScalarBlock):
-                now = self.run_scalar_block(
-                    now, event,
-                    lines_for(idx) if lines_for is not None else None)
+                now = self.run_scalar_block(now, event, lines_for(idx))
                 finish = max(finish, now)
                 continue
             instr: VectorInstr = event
             instructions += 1
-            issue_end, done = self._vector_instr(
-                instr, now,
-                lines_for(idx) if lines_for is not None else None)
+            issue_end, done = self._vector_instr(instr, now, lines_for(idx))
             if attr.enabled:
                 # In-order issue: each vector instruction holds the issue
                 # stage for one cycle; pipe occupancy is charged inside
@@ -107,35 +97,9 @@ class DecoupledVectorMachine(VectorMachineBase):
             if drain > 0:
                 attr.charge("vsu", "drain", drain, node=self._drain_node)
                 vsu["drain"] += drain
-        if tracer.enabled:
-            tracer.span("Machine", f"execute:{trace.name}", 0.0, total,
-                        system=self.config.name, instructions=instructions)
-        result = SimResult(
-            system=self.config.name, workload=trace.name,
-            cycles=total, cycle_time_ns=self.config.cycle_time_ns,
-            instructions=instructions, mem_stats=self.mem.level_stats(total),
-        )
-        if self.metrics.enabled:
-            self.metrics.gauge("sim.cycles").set(result.cycles)
-            self.metrics.counter("sim.instructions").inc(result.instructions)
-            self.mem.populate_metrics(result.cycles)
-            result.metrics = self.metrics.snapshot()
-        if attr.enabled:
-            mem = self.mem
-            expected = {
-                "vsu": vsu,
-                "pipe": dict(self._pipe_cycles),
-                "core": {"busy": self._core_busy,
-                         "mem_stall": self._core_stall},
-                "dram": {"busy": mem.dram.busy_cycles},
-                "mshr": {pool.name: pool.stall_cycles
-                         for pool in (mem.l1d_mshrs, mem.l2_mshrs,
-                                      mem.llc_mshrs)},
-            }
-            attr.finish(total, expected, timeline_units=("vsu", "core"))
-            result.unit_cycles = {unit: dict(buckets)
-                                  for unit, buckets in expected.items()}
-        return result
+        return self._result(trace, total, instructions,
+                            {"vsu": vsu, "pipe": dict(self._pipe_cycles)},
+                            timeline_units=("vsu", "core"))
 
     # -- dependency helpers (chaining) ------------------------------------------
 
@@ -154,7 +118,7 @@ class DecoupledVectorMachine(VectorMachineBase):
     # -- one vector instruction -----------------------------------------------------
 
     def _vector_instr(self, instr: VectorInstr, now: float,
-                      lines=None) -> Tuple[float, float]:
+                      lines) -> Tuple[float, float]:
         category = instr.category
         if category is Category.CTRL:
             return now + 1.0, now + 1.0
@@ -186,9 +150,7 @@ class DecoupledVectorMachine(VectorMachineBase):
         return "int_simple", PIPES["int_simple"], vl / LANES
 
     def _memory_instr(self, instr: VectorInstr, now: float,
-                      lines=None) -> Tuple[float, float]:
-        if lines is None:
-            lines = instr.mem.request_lines(instr.per_element)
+                      lines) -> Tuple[float, float]:
         # Address generation occupies the memory pipe as soon as the index
         # register (if any) is ready; store *data* may arrive later — the
         # store queue decouples it, so later loads are not serialised
@@ -199,8 +161,7 @@ class DecoupledVectorMachine(VectorMachineBase):
         # Write-allocate fetches launch at address time; the store only
         # *completes* once its data has arrived from the producer.
         first_done, last_done, _ = self.stream_lines(
-            addr_start, instr.mem, port="l2", per_element=instr.per_element,
-            issue_interval=1.0, lines=lines)
+            addr_start, instr.mem, lines, port="l2", issue_interval=1.0)
         if instr.info.is_store and instr.vd >= 0:
             last_done = max(last_done, self._chain.get(instr.vd, (0.0, 0.0))[1])
         n_requests = len(lines)

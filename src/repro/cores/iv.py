@@ -39,13 +39,14 @@ class IntegratedVectorMachine(VectorMachineBase):
     #: the in-flight load slots the O3 core can dedicate to the unit.
     VECTOR_MLP = 12
 
+    METRIC_PREFIXES = ("sim", "breakdown", "lsq")
+
     def __init__(self, config: SystemConfig, tracer=None, metrics=None,
                  attribution=None) -> None:
         if config.vector is None or config.vector.kind != "iv":
             raise SimulationError("IntegratedVectorMachine needs an 'iv' config")
         super().__init__(config, tracer=tracer, metrics=metrics,
                          attribution=attribution)
-        self.metrics.reserve("lsq", "IntegratedVectorMachine")
         self.vl = config.vector.hardware_vl
 
     def reset(self) -> None:
@@ -54,36 +55,25 @@ class IntegratedVectorMachine(VectorMachineBase):
                                     attribution=self.attr)
 
     def run(self, trace: Trace, compiled=None) -> SimResult:
-        self.reset()
+        compiled = self._start(trace, compiled)
         tracer = self.tracer
         attr = self.attr
-        if compiled is None:
-            events = enumerate(trace)
-            lines_for = None
-        else:
-            events = compiled.iter_events()
-            lines_for = compiled.lines_for
-        self._core_busy = 0.0
-        self._core_stall = 0.0
+        lines_for = compiled.lines_for
         self._drain_node = -1
         vsu = {"busy": 0.0, "dep_stall": 0.0, "drain": 0.0}
         now = 0.0           # issue timeline of the shared pipes
         finish = 0.0
         instructions = 0
-        for idx, event in events:
+        for idx, event in compiled.iter_events():
             if attr.enabled:
                 attr.set_node(idx)
             if isinstance(event, ScalarBlock):
-                now = self.run_scalar_block(
-                    now, event,
-                    lines_for(idx) if lines_for is not None else None)
+                now = self.run_scalar_block(now, event, lines_for(idx))
                 finish = max(finish, now)
                 continue
             instr: VectorInstr = event
             instructions += 1
-            done = self._vector_instr(
-                instr, now,
-                lines_for(idx) if lines_for is not None else None)
+            done = self._vector_instr(instr, now, lines_for(idx))
             if attr.enabled:
                 # Issue-timeline split: the wait for source operands, then
                 # the pipe occupancy of the instruction's uops.
@@ -110,42 +100,21 @@ class IntegratedVectorMachine(VectorMachineBase):
             if drain > 0:
                 attr.charge("vsu", "drain", drain, node=self._drain_node)
                 vsu["drain"] += drain
-        if tracer.enabled:
-            tracer.span("Machine", f"execute:{trace.name}", 0.0, total,
-                        system=self.config.name, instructions=instructions)
-        result = SimResult(
-            system=self.config.name, workload=trace.name,
-            cycles=total, cycle_time_ns=self.config.cycle_time_ns,
-            instructions=instructions, mem_stats=self.mem.level_stats(total),
-        )
-        if self.metrics.enabled:
-            self.metrics.gauge("sim.cycles").set(result.cycles)
-            self.metrics.counter("sim.instructions").inc(result.instructions)
-            lsq = self._lsq_window.stats()
-            self.metrics.gauge("lsq.occupancy").set(lsq["occupancy_hwm"])
-            self.metrics.counter("lsq.stall_cycles").inc(lsq["stall_cycles"])
-            self.mem.populate_metrics(result.cycles)
-            result.metrics = self.metrics.snapshot()
-        if attr.enabled:
-            mem = self.mem
-            expected = {
-                "vsu": vsu,
-                "core": {"busy": self._core_busy,
-                         "mem_stall": self._core_stall},
-                "dram": {"busy": mem.dram.busy_cycles},
-                "mshr": {pool.name: pool.stall_cycles
-                         for pool in (mem.l1d_mshrs, mem.l2_mshrs,
-                                      mem.llc_mshrs, self._lsq_window)},
-            }
-            attr.finish(total, expected, timeline_units=("vsu", "core"))
-            result.unit_cycles = {unit: dict(buckets)
-                                  for unit, buckets in expected.items()}
-        return result
+        return self._result(trace, total, instructions, {"vsu": vsu},
+                            timeline_units=("vsu", "core"))
+
+    def _mshr_pools(self) -> tuple:
+        return super()._mshr_pools() + (self._lsq_window,)
+
+    def _publish_metrics(self, result: SimResult) -> None:
+        lsq = self._lsq_window.stats()
+        self.metrics.gauge("lsq.occupancy").set(lsq["occupancy_hwm"])
+        self.metrics.counter("lsq.stall_cycles").inc(lsq["stall_cycles"])
 
     # -- one vector instruction ----------------------------------------------
 
     def _vector_instr(self, instr: VectorInstr, now: float,
-                      lines=None) -> float:
+                      lines) -> float:
         if instr.category.is_memory and instr.info.is_store:
             # The LSQ accepts stores before their data is ready; only the
             # index register gates address generation.
@@ -177,13 +146,11 @@ class IntegratedVectorMachine(VectorMachineBase):
         return _PIPE_TIMING["ialu"]
 
     def _memory_instr(self, instr: VectorInstr, start: float,
-                      lines=None) -> float:
+                      lines) -> float:
         # Unit-stride ops move a 4-element (16B) chunk per μop; the LSQ
         # coalesces them, so one line request per distinct line.  Strided
         # and indexed ops become one scalar request per element.  Each
         # in-flight request holds one of the shared LSQ window's slots.
-        if lines is None:
-            lines = instr.mem.request_lines(instr.per_element)
         # Indexed accesses also extract each address from a vector register
         # (an extra scalar μop per element).
         interval = 1.0 / self.LSQ_PORTS

@@ -9,40 +9,16 @@ timed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..config import SystemConfig
 from ..isa.instructions import MemAccess, ScalarBlock, VectorInstr
-from ..mem.hierarchy import memory_system
-from ..obs.attribution import NULL_ATTRIBUTION
-from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..obs.tracer import NULL_TRACER, SpanTracer
+from .machine import Machine
 
 
-class VectorMachineBase:
-    """Common state: memory system, register scoreboard, scalar blocks."""
+class VectorMachineBase(Machine):
+    """Common state: register scoreboard, scalar blocks, memory streams."""
 
-    def __init__(self, config: SystemConfig,
-                 tracer: Optional[SpanTracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 attribution=None) -> None:
-        self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.attr = (attribution if attribution is not None
-                     else NULL_ATTRIBUTION)
-        # Claim the machine-level metric namespaces up front so another
-        # unit sharing this registry cannot silently collide with them.
-        owner = type(self).__name__
-        self.metrics.reserve("sim", owner)
-        self.metrics.reserve("breakdown", owner)
-        #: vector register -> time its value is ready
-        self.reg_ready: Dict[int, float] = {}
-        #: Control-processor attribution totals ("core" unit); reset per
-        #: run by the subclasses, accumulated in run_scalar_block.
-        self._core_busy = 0.0
-        self._core_stall = 0.0
-        self.reset()
+    METRIC_PREFIXES = ("sim", "breakdown")
 
     # -- scoreboard ------------------------------------------------------
 
@@ -55,29 +31,25 @@ class VectorMachineBase:
             self.reg_ready[reg] = at
 
     def reset(self) -> None:
-        """Return to a cold machine: an empty scoreboard and a fresh
-        memory hierarchy.  Every ``run()`` starts here, so running one
-        machine twice gives the same result twice."""
-        self.reg_ready.clear()
-        self.mem = memory_system(self.config, self.tracer, self.metrics,
-                                 self.attr)
+        """A cold machine (see :meth:`Machine.reset`) with an empty
+        scoreboard."""
+        super().reset()
+        #: vector register -> time its value is ready
+        self.reg_ready: Dict[int, float] = {}
 
     # -- scalar control blocks -----------------------------------------------
 
     def run_scalar_block(self, now: float, block: ScalarBlock,
-                         lines=None) -> float:
+                         lines) -> float:
         """Out-of-order control processor running bookkeeping code.
 
-        ``lines`` is the compiled path's hoisted per-pattern line lists;
-        ``None`` derives them from the patterns as usual.
+        ``lines`` is the block's hoisted per-pattern line lists
+        (:meth:`~repro.compiler.CompiledTrace.lines_for`).
         """
         core = self.config.core
         issue_cycles = block.n_instr * core.base_cpi
         end = now + issue_cycles
         t = now
-        if lines is None:
-            lines = [pattern.request_lines(False)
-                     for pattern in block.accesses]
         for pattern, pattern_lines in zip(block.accesses, lines):
             is_store = pattern.is_store
             for line in pattern_lines:
@@ -102,19 +74,13 @@ class VectorMachineBase:
 
     # -- memory streams ---------------------------------------------------------
 
-    def stream_lines(self, start: float, pattern: MemAccess, port: str,
-                     per_element: bool, issue_interval: float = 1.0,
-                     lines=None) -> Tuple[float, float, float]:
-        """Issue a memory pattern as a pipelined request stream.
-
-        ``per_element`` issues one request per element (strided / indexed
-        decomposition); otherwise one request per distinct cache line.
-        ``lines`` is the compiled path's hoisted request list; ``None``
-        derives it from the pattern.  Returns
+    def stream_lines(self, start: float, pattern: MemAccess, lines,
+                     port: str, issue_interval: float = 1.0
+                     ) -> Tuple[float, float, float]:
+        """Issue a memory pattern's hoisted request list as a pipelined
+        stream on ``port``.  Returns
         ``(first_done, last_done, mshr_stall_total)``.
         """
-        if lines is None:
-            lines = pattern.request_lines(per_element)
         t, first_done, last_done, stall_total = self.mem.stream(
             start, lines, pattern.is_store, port, issue_interval)
         if self.tracer.enabled and lines:

@@ -13,7 +13,6 @@ from typing import Dict, Iterable, List, Optional
 from ..analytics import figure2_series
 from ..circuits_model import AreaModel, system_area_factor
 from ..config import EVE_FACTORS, all_system_names, make_system
-from ..cores.result import BREAKDOWN_BUCKETS
 from ..errors import ExperimentError
 from ..workloads import get_workload
 from .runner import ExperimentRunner
@@ -209,7 +208,3 @@ def area_efficiency(runner: ExperimentRunner,
         rows.append({"system": name, "speedup_vs_o3": perf,
                      "area_factor": area, "perf_per_area": perf / area})
     return rows
-
-
-def breakdown_headers() -> List[str]:
-    return ["workload", "system", "total"] + list(BREAKDOWN_BUCKETS)

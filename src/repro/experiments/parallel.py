@@ -47,7 +47,8 @@ from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.selfprof import SelfProfiler
 from ..workloads import DEFAULT_SEED, REGISTRY, canonical_workload, get_workload
-from .runner import ExperimentRunner, canonical_pairs, strict_check_enabled
+from .runner import (ExperimentRunner, build_trace, canonical_pairs,
+                     strict_check_enabled)
 from .systems import build_machine, canonical_system, trace_vlmax
 
 #: Default on-disk cache directory (sibling of ``.eve-runs/``).
@@ -182,10 +183,6 @@ class CellCache:
         except OSError:  # pragma: no cover - raced with another worker
             pass
         return target
-
-    def load(self, path: str):
-        """Back-compat load: any unreadable entry is simply a miss."""
-        return self.load_entry(path)[0]
 
     def store(self, path: str, obj) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -478,18 +475,11 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
         if status == "corrupt":
             cache_info["corrupt_paths"].append(trace_path)
     if trace is None:
-        wl = get_workload(workload)
-        params = (params_override or {}).get(workload)
         with profiler.phase("trace_build"):
-            if vlmax == 0:
-                trace = wl.scalar_trace(params)
-            else:
-                trace = wl.vector_trace(vlmax, params, verify=verify,
-                                        seed=seed)
-                if strict_check_enabled():
-                    from ..analysis import require_clean
-                    require_clean(trace,
-                                  context=f"strict check, vlmax={vlmax}")
+            trace = build_trace(workload, vlmax,
+                                (params_override or {}).get(workload),
+                                verify=verify, seed=seed,
+                                strict=strict_check_enabled())
         if trace_path is not None:
             cache.store(trace_path, trace)
     with profiler.phase("compile"):

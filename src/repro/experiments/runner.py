@@ -20,6 +20,8 @@ import os
 import time
 from typing import Dict, Optional, Tuple
 
+from ..analysis import require_clean
+from ..config import make_system
 from ..cores.result import SimResult
 from ..isa.trace import Trace
 from ..obs.events import NULL_TELEMETRY
@@ -38,6 +40,21 @@ def strict_check_enabled() -> bool:
     """Whether the environment requests strict-mode trace checking."""
     return os.environ.get(STRICT_CHECK_ENV, "").strip().lower() in (
         "1", "true", "yes", "on")
+
+
+def build_trace(workload_name: str, vlmax: int,
+                params: Optional[dict] = None, verify: bool = True,
+                seed: int = DEFAULT_SEED, strict: bool = False) -> Trace:
+    """The trace a machine granting ``vlmax`` simulates: the workload's
+    scalar trace at vlmax 0, otherwise its vector trace, which ``strict``
+    requires to pass the static hazard checkers."""
+    workload = get_workload(workload_name)
+    if vlmax == 0:
+        return workload.scalar_trace(params)
+    trace = workload.vector_trace(vlmax, params, verify=verify, seed=seed)
+    if strict:
+        require_clean(trace, context=f"strict check, vlmax={vlmax}")
+    return trace
 
 
 def canonical_pairs(pairs) -> list:
@@ -96,18 +113,12 @@ class ExperimentRunner:
     def _trace(self, workload_name: str, vlmax: int) -> Trace:
         key = (workload_name, vlmax)
         if key not in self._traces:
-            workload = get_workload(workload_name)
-            params = self.params_override.get(workload_name)
             with self.profiler.phase("trace_build"):
-                if vlmax == 0:
-                    self._traces[key] = workload.scalar_trace(params)
-                else:
-                    self._traces[key] = workload.vector_trace(
-                        vlmax, params, verify=self.verify, seed=self.seed)
-                    if self.strict_check:
-                        from ..analysis import require_clean
-                        require_clean(self._traces[key],
-                                      context=f"strict check, vlmax={vlmax}")
+                self._traces[key] = build_trace(
+                    workload_name, vlmax,
+                    self.params_override.get(workload_name),
+                    verify=self.verify, seed=self.seed,
+                    strict=self.strict_check)
         return self._traces[key]
 
     def _compiled_for(self, workload_name: str, vlmax: int):
@@ -128,8 +139,8 @@ class ExperimentRunner:
         workload's scalar trace)."""
         system_name = canonical_system(system_name)
         workload_name = canonical_workload(workload_name)
-        machine = build_machine(system_name)
-        return self._trace(workload_name, trace_vlmax(machine.config))
+        return self._trace(workload_name,
+                           trace_vlmax(make_system(system_name)))
 
     def run(self, system_name: str, workload_name: str,
             tracer: Optional[SpanTracer] = None,

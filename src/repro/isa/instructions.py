@@ -10,7 +10,7 @@ requests; this keeps traces small while driving a real cache simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -180,18 +180,3 @@ class ScalarBlock:
     @property
     def n_mem(self) -> int:
         return sum(a.num_accesses for a in self.accesses)
-
-
-TraceEvent = object  # VectorInstr | ScalarBlock (kept loose for typing on 3.9)
-
-
-def iter_vector(events: Sequence[TraceEvent]) -> Iterator[VectorInstr]:
-    for event in events:
-        if isinstance(event, VectorInstr):
-            yield event
-
-
-def iter_scalar(events: Sequence[TraceEvent]) -> Iterator[ScalarBlock]:
-    for event in events:
-        if isinstance(event, ScalarBlock):
-            yield event

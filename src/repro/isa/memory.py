@@ -89,6 +89,3 @@ class VirtualMemory:
     @property
     def buffers(self) -> Dict[str, Buffer]:
         return dict(self._buffers)
-
-    def footprint_bytes(self) -> int:
-        return sum(b.size_bytes for b in self._buffers.values())

@@ -268,21 +268,6 @@ class MetricsRegistry:
         return out
 
 
-def merge_flat(parts: Dict[str, Dict[str, float]]) -> Dict[str, float]:
-    """Deterministically merge per-source flat snapshots into one
-    namespaced scalar dict (``{"O3+EVE-4": reg.flat()}`` becomes
-    ``{"O3+EVE-4.eve.vmu.busy_cycles": ...}``).
-
-    Sources and their metrics are emitted in sorted order so the merged
-    view is byte-stable no matter which sweep worker finished first.
-    """
-    out: Dict[str, float] = {}
-    for source in sorted(parts):
-        for name in sorted(parts[source]):
-            out[f"{source}.{name}"] = parts[source][name]
-    return out
-
-
 class _NullInstrument:
     """Shared no-op counter/gauge/histogram for disabled-mode hooks."""
 

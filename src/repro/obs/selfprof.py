@@ -48,10 +48,6 @@ class SelfProfiler:
             if self._stack:
                 self._stack[-1][1] = float(self._stack[-1][1]) + elapsed
 
-    @property
-    def current_phase(self) -> str:
-        return str(self._stack[-1][0]) if self._stack else ""
-
     def total(self) -> float:
         """Seconds spent inside top-level phases.  Because every phase is
         exclusive, this is a plain sum with no double-counting."""

@@ -142,9 +142,6 @@ class MaskLogic:
             raise SramError("group-mask width mismatch")
         self.bits = np.repeat(group_bits, self.factor)
 
-    def set_all(self) -> None:
-        self.bits[:] = 1
-
     @property
     def group_bits(self) -> np.ndarray:
         """The (identical) mask bit of each group's LSB column."""

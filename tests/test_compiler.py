@@ -4,8 +4,10 @@ The compiler's contract has two halves, and this module tests both:
 
 * **Timing is untouched.**  A compiled run replays every original event
   in original order, so cycles, instruction counts, and memory-system
-  statistics must be byte-identical to a run of the bare trace, with or
-  without instrumentation — across every workload x system cell.  Both
+  statistics must match the frozen reference whether a machine is
+  handed only the trace (and compiles it on demand) or the runner's
+  compiled trace, with or without instrumentation — across every
+  workload x system cell.  Both
   memory models (:class:`FastMemorySystem`, and :class:`MemorySystem`
   with every hook on) must reproduce a frozen reference request for
   request and cell for cell.
@@ -181,6 +183,21 @@ class TestBlockScheduler:
         assert compiled.blocks
         assert list(compiled.iter_events()) == list(enumerate(trace.events))
 
+    def test_lines_for_is_empty_for_an_event_without_requests(
+            self, tiny_runner):
+        trace = tiny_runner.trace_for("O3+EVE-4", "vvadd")
+        compiled = compile_trace(trace)
+        quiet = [index for index, event in enumerate(trace.events)
+                 if getattr(event, "mem", None) is None
+                 and not getattr(event, "accesses", ())]
+        assert quiet
+        assert all(compiled.lines_for(index) == () for index in quiet)
+
+    def test_hoist_cannot_be_dropped(self):
+        # The machines time every memory event from its hoisted list.
+        with pytest.raises(CompilerError, match="hoist"):
+            CompilerConfig(passes=("dce", "schedule"))
+
 
 # -- the frozen memory-model reference ----------------------------------------
 
@@ -228,9 +245,10 @@ def _hooks():
 
 
 def _runs(system, workload, params):
-    """One cell three ways: the bare trace on the plain model, the
-    compiled trace on the plain model, and the compiled trace on the
-    hooked model with every hook on."""
+    """One cell three ways: the trace alone on the plain model (the
+    machine compiles it on demand), the runner's compiled trace on the
+    plain model, and the compiled trace on the hooked model with every
+    hook on."""
     runner = ExperimentRunner(params_override=params)
     trace = runner.trace_for(system, workload)
     return {"bare": build_machine(system).run(trace),

@@ -151,10 +151,9 @@ class TestVruPath:
         assert result.breakdown.vru_stall >= 0  # attributed, never negative
 
     def test_gather_costs_more_than_reduction_stream(self):
-        vru = VruModel(segments=4, ports=32)
-        t_red = vru.reduce(0.0, active_arrays=32)
-        vru.reset()
-        t_gather = vru.cross_element(0.0, active_arrays=32)
+        t_red = VruModel(segments=4, ports=32).reduce(0.0, active_arrays=32)
+        t_gather = VruModel(segments=4, ports=32).cross_element(
+            0.0, active_arrays=32)
         assert t_gather > t_red
 
 
@@ -162,7 +161,8 @@ class TestUnits:
     def test_vmu_stream_counts_lines(self):
         mem = MemorySystem(make_system("O3+EVE-8"))
         vmu = VmuModel(mem)
-        result = vmu.stream(0.0, MemAccess(base=0, stride=4, count=256), False)
+        pattern = MemAccess(base=0, stride=4, count=256)
+        result = vmu.stream(0.0, pattern, pattern.request_lines(False))
         assert result.n_lines == 16
         assert result.issue_end >= 16
 

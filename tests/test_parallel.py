@@ -235,7 +235,7 @@ class TestCellCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
-        assert cache.load(path) is None
+        assert cache.load_entry(path) == (None, "corrupt")
         spec = ("IO", "vvadd", TINY_PARAMS, str(tmp_path), False, True)
         out = simulate_cell(spec)
         assert out["cached"] is False
