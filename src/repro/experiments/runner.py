@@ -2,12 +2,19 @@
 
 Traces depend only on (workload, vlmax), so EVE-1/2/4 — all with a 2048
 hardware vector length — share one trace, and the IV/DV machines share the
-VL=64 trace.  Scalar systems run the workload's scalar trace.
+VL=64 trace.  Scalar systems run the workload's scalar trace.  A vector
+trace in which no ``vsetvl`` grant was clamped (its largest requested AVL,
+:meth:`~repro.isa.trace.Trace.max_avl`, is at most its vlmax) is also the
+trace of every vlmax at or above that AVL, since kernels see vlmax only
+through ``setvl``; the runner then builds and compiles it once and hands
+each such vlmax its own :class:`~repro.isa.trace.Trace` stamped with that
+vlmax.  The sweep workers' on-disk cell cache still keys traces by vlmax.
 
 The runner also carries the observability plumbing: a
 :class:`~repro.obs.SelfProfiler` attributes the simulator's own host
 wall-clock time to ``trace_build`` / ``compile`` / ``sim:<system>``
-phases, and :meth:`run` accepts a tracer, metrics registry and/or
+phases (plus ``check`` for a shared trace re-checked in strict mode),
+and :meth:`run` accepts a tracer, metrics registry and/or
 attribution collector to instrument a single simulation.  Every run,
 instrumented or not, replays the same cached
 :class:`~repro.compiler.CompiledTrace`; instrumented runs bypass the
@@ -53,8 +60,14 @@ def build_trace(workload_name: str, vlmax: int,
         return workload.scalar_trace(params)
     trace = workload.vector_trace(vlmax, params, verify=verify, seed=seed)
     if strict:
-        require_clean(trace, context=f"strict check, vlmax={vlmax}")
+        require_strict_clean(trace)
     return trace
+
+
+def require_strict_clean(trace: Trace) -> None:
+    """The strict-mode gate: ``trace`` must pass the static hazard
+    checkers at the vlmax it is stamped with."""
+    require_clean(trace, context=f"strict check, vlmax={trace.vlmax}")
 
 
 def canonical_pairs(pairs) -> list:
@@ -76,10 +89,15 @@ class ExperimentRunner:
     """Runs (system, workload) pairs, caching traces, compiled traces and
     results.
 
-    Each trace is compiled once and every system at its vlmax replays
-    that :class:`~repro.compiler.CompiledTrace`.  A run given a tracer,
-    metrics registry or attribution collector replays it too: the
-    machine then times on the hooked
+    Traces depend only on (workload, vlmax).  Each built trace is
+    compiled once and every system at its vlmax replays that
+    :class:`~repro.compiler.CompiledTrace`; a vector trace with no
+    clamped grant also serves every later request for its workload at a
+    vlmax of at least its :meth:`~repro.isa.trace.Trace.max_avl`, as the
+    same events, buffers and compiled form under a :class:`Trace`
+    stamped with the requested vlmax (re-checked there in strict mode).
+    A run given a tracer, metrics registry or attribution collector
+    replays it too: the machine then times on the hooked
     :class:`~repro.mem.hierarchy.MemorySystem`, which takes the same
     cycles as the plain model.
     """
@@ -107,31 +125,58 @@ class ExperimentRunner:
         self.strict_check = (strict_check_enabled() if strict_check is None
                              else strict_check)
         self._traces: Dict[Tuple[str, int], Trace] = {}
+        #: workload -> (max AVL, trace-cache key) of the vector trace it
+        #: built with no grant clamped.  There is at most one: every vlmax
+        #: at or above that AVL yields the same trace.
+        self._unclamped: Dict[str, Tuple[int, Tuple[str, int]]] = {}
+        #: Compiled traces, keyed by :meth:`_program_key`.
         self._compiled: Dict[Tuple[str, int], object] = {}
         self._results: Dict[Tuple[str, str], SimResult] = {}
 
+    def _program_key(self, workload_name: str, vlmax: int) -> Tuple[str, int]:
+        """The trace-cache key whose built trace serves ``vlmax``: the
+        workload's unclamped vector trace when ``vlmax`` is at least its
+        max AVL, otherwise the request's own key."""
+        max_avl, built = self._unclamped.get(workload_name, (0, None))
+        if built is not None and vlmax > 0 and vlmax >= max_avl:
+            return built
+        return (workload_name, vlmax)
+
     def _trace(self, workload_name: str, vlmax: int) -> Trace:
         key = (workload_name, vlmax)
-        if key not in self._traces:
+        if key in self._traces:
+            return self._traces[key]
+        program = self._program_key(workload_name, vlmax)
+        if program != key:
+            trace = self._traces[program].with_vlmax(vlmax)
+            if self.strict_check:
+                with self.profiler.phase("check"):
+                    require_strict_clean(trace)
+        else:
             with self.profiler.phase("trace_build"):
-                self._traces[key] = build_trace(
+                trace = build_trace(
                     workload_name, vlmax,
                     self.params_override.get(workload_name),
                     verify=self.verify, seed=self.seed,
                     strict=self.strict_check)
-        return self._traces[key]
+                max_avl = trace.max_avl()
+            if vlmax > 0 and max_avl <= vlmax:
+                self._unclamped[workload_name] = (max_avl, key)
+        self._traces[key] = trace
+        return trace
 
     def _compiled_for(self, workload_name: str, vlmax: int):
         """The :class:`~repro.compiler.CompiledTrace` for one trace-cache
-        cell, built once and shared by every system at that vlmax."""
-        key = (workload_name, vlmax)
-        if key not in self._compiled:
+        cell, built once and shared by every vlmax its trace serves."""
+        self._trace(workload_name, vlmax)
+        program = self._program_key(workload_name, vlmax)
+        if program not in self._compiled:
             from ..compiler import CompilerConfig, compile_trace
-            trace = self._trace(workload_name, vlmax)
             config = CompilerConfig(strict=self.strict_check)
             with self.profiler.phase("compile"):
-                self._compiled[key] = compile_trace(trace, config)
-        return self._compiled[key]
+                self._compiled[program] = compile_trace(
+                    self._traces[program], config)
+        return self._compiled[program]
 
     def trace_for(self, system_name: str, workload_name: str) -> Trace:
         """The trace ``system_name`` would simulate for ``workload_name``

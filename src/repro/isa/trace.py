@@ -91,6 +91,24 @@ class Trace:
             if isinstance(event, ScalarBlock):
                 yield event
 
+    def max_avl(self) -> int:
+        """The largest application vector length any ``vsetvl`` requested
+        (0 when none did).  At most :attr:`vlmax` means no grant was
+        clamped: a kernel that sees vlmax only through ``setvl`` then
+        emits these same events at every vlmax of at least this."""
+        return max((event.scalar for event in self.events
+                    if isinstance(event, VectorInstr)
+                    and event.op == "vsetvl"), default=0)
+
+    def with_vlmax(self, vlmax: int) -> "Trace":
+        """This trace's events and buffers, shared rather than copied,
+        stamped with another hardware ``vlmax``."""
+        twin = Trace(self.name)
+        twin.events = self.events
+        twin.buffers = self.buffers
+        twin.vlmax = vlmax
+        return twin
+
     def stats(self) -> TraceStats:
         """Compute the Table IV characterisation columns for this trace."""
         stats = TraceStats()
