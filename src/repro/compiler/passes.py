@@ -15,10 +15,11 @@ passes buy:
 
 * :func:`hoist_memory_lines` precomputes, once per trace, the cache-line
   request list of every memory-touching event from its
-  :class:`MemAccess` pattern (numpy address arithmetic + ``np.unique``,
-  through :meth:`MemAccess.request_lines`).  The machines time every
-  memory event from these lists, so their per-event loops are plain-int
-  iteration.
+  :class:`MemAccess` pattern, through :meth:`MemAccess.request_lines`
+  (a ``range`` of lines when the stride is under a line, numpy address
+  arithmetic for per-element lists, ``np.unique`` only for explicit
+  address vectors).  The machines time every memory event from these
+  lists, so their per-event loops are plain-int iteration.
 """
 
 from __future__ import annotations
@@ -164,7 +165,11 @@ def hoist_memory_lines(trace: Trace) -> LinesTable:
     for strided and indexed categories, one per distinct line in
     first-touch order for unit-stride.  Scalar blocks get one line list
     per access pattern.  All entries are plain Python ints so the
-    per-request simulation loops never touch numpy scalars.
+    per-request simulation loops never touch numpy scalars.  Only
+    explicit address vectors (gathers and scatters) are deduplicated
+    with ``np.unique``; an arithmetic pattern's distinct lines are
+    written down directly (547 of the 18,368 patterns hoisted for
+    perfbench's ``BENCH_PARAMS`` programs are explicit).
     """
     table: LinesTable = {}
     for index, event in enumerate(trace.events):

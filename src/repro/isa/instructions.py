@@ -61,7 +61,10 @@ class MemAccess:
         return self.base + self.stride * np.arange(self.count, dtype=np.int64)
 
     def line_addresses(self) -> np.ndarray:
-        """Unique cache-line addresses, in first-touch order."""
+        """Unique cache-line addresses, in first-touch order.
+
+        :meth:`request_lines` derives an arithmetic pattern's list
+        without it; the tests hold the two equal."""
         lines = self.element_addresses() // LINE_BYTES
         # np.unique sorts; preserve first-touch order for realistic streams.
         _, first = np.unique(lines, return_index=True)
@@ -74,15 +77,30 @@ class MemAccess:
         ``per_element`` (strided and indexed accesses) issues one request
         per element at the line its address falls in, duplicates kept:
         each element is a request.  Otherwise one request per distinct
-        line, in first-touch order.  The trace compiler's hoisted lists
-        and the interpreted machines both come from here, so the two
-        paths always stream the same requests.
+        line, in first-touch order (:meth:`line_addresses`).  The trace
+        compiler's hoisted lists come from here, so every machine
+        streams the same requests.
+
+        Only an explicit address vector needs ``np.unique`` to find its
+        distinct lines.  An arithmetic pattern's are written down
+        directly: with ``|stride| < LINE_BYTES`` consecutive elements
+        never skip a line, so they are the run of lines from the first
+        element's to the last element's (descending for a negative
+        stride); with ``|stride| >= LINE_BYTES`` every element has a
+        line of its own, so they are the per-element list.
         """
-        if per_element:
-            lines = self.element_addresses() // LINE_BYTES * LINE_BYTES
-        else:
-            lines = self.line_addresses()
-        return lines.tolist()
+        if self.addresses is not None and not per_element:
+            return self.line_addresses().tolist()
+        if per_element or abs(self.stride) >= LINE_BYTES:
+            return (self.element_addresses() // LINE_BYTES
+                    * LINE_BYTES).tolist()
+        if self.count == 0:
+            return []
+        first = self.base // LINE_BYTES * LINE_BYTES
+        last = (self.base + self.stride * (self.count - 1)) \
+            // LINE_BYTES * LINE_BYTES
+        step = -LINE_BYTES if self.stride < 0 else LINE_BYTES
+        return list(range(first, last + step, step))
 
     def total_bytes(self) -> int:
         return self.num_accesses * self.elem_bytes

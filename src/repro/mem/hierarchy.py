@@ -19,6 +19,10 @@ instrumentation branches on its hot path; :class:`MemorySystem`
 subclasses it and adds only the tracer, metrics and attribution hooks.
 :func:`memory_system` picks between them from the hooks a machine was
 given, so an instrumented run times exactly what a plain run times.
+Two stream loops serve the hooked model: a traced or metered run sends
+every request through the hooked ``access()`` (each needs its span and
+latency sample), while an attribution-only run takes the fused kernel,
+since only misses make charges and they still reach ``access()``.
 """
 
 from __future__ import annotations
@@ -188,7 +192,8 @@ class FastMemorySystem:
         invalidation, the vector-port counters) is written once.
 
         Results are byte-identical to issuing every request through
-        :meth:`access` (what :meth:`MemorySystem.stream` does): an
+        :meth:`access` (what :meth:`MemorySystem.stream` does for a
+        traced or metered run): an
         inline hit evaluates the chain's float operations in the chain's
         order, and the issue rule ``max(at, grant) + interval`` is the
         same.  The probe reads the set without touching it, so a miss
@@ -281,7 +286,12 @@ class MemorySystem(FastMemorySystem):
     """:class:`FastMemorySystem` plus the observability hooks: one span
     and one latency-histogram sample per access, MSHR occupancy counter
     tracks, MSHR-stall and DRAM-busy attribution charges, and the
-    end-of-run metrics publication."""
+    end-of-run metrics publication.
+
+    The charges are made on the miss path (the MSHR pools and the DRAM
+    channel), so an attribution-only run streams through the fused
+    kernel; :meth:`stream` keeps the per-request loop for traced and
+    metered runs."""
 
     def __init__(self, config: SystemConfig,
                  tracer: Optional[SpanTracer] = None,
@@ -329,9 +339,18 @@ class MemorySystem(FastMemorySystem):
                port: str, interval: float,
                window: Optional[MshrPool] = None
                ) -> Tuple[float, float, float, float]:
-        """:meth:`FastMemorySystem.stream`'s contract, one :meth:`access`
-        per request, so every request keeps its span, histogram sample
-        and charges."""
+        """:meth:`FastMemorySystem.stream`'s contract.
+
+        With the tracer or metrics on, one :meth:`access` per request, so
+        every request keeps its span and latency sample, in request
+        order.  An attribution-only run takes the fused kernel: a
+        first-level hit makes no charge, and every miss still goes
+        through the hooked :meth:`access`, so the MSHR-stall and
+        DRAM-transfer charges are made, in the same order, either way.
+        """
+        if not (self.tracer.enabled or self.metrics.enabled):
+            return super().stream(start, lines, is_store, port, interval,
+                                  window)
         t = first_done = last_done = start
         stall = 0.0
         for i, line in enumerate(lines):

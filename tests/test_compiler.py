@@ -7,10 +7,10 @@ The compiler's contract has two halves, and this module tests both:
   statistics must match the frozen reference whether a machine is
   handed only the trace (and compiles it on demand) or the runner's
   compiled trace, with or without instrumentation — across every
-  workload x system cell.  Both
-  memory models (:class:`FastMemorySystem`, and :class:`MemorySystem`
-  with every hook on) must reproduce a frozen reference request for
-  request and cell for cell.
+  workload x system cell.  Both memory models (:class:`FastMemorySystem`,
+  and :class:`MemorySystem` with every hook on and with attribution
+  alone, the two routes its ``stream()`` takes) must reproduce a frozen
+  reference request for request and cell for cell.
 
 * **Analysis is conservative.**  Dead-op elimination produces the
   checker-facing view; its findings must be exactly the original
@@ -285,11 +285,21 @@ class TestCompiledMachineEquivalence:
         runner = ExperimentRunner(params_override=TINY_PARAMS)
         for system in all_system_names():
             for workload in sorted(REGISTRY):
+                cell = (system, workload)
                 plain = runner.run(system, workload)
-                hooked = runner.run(system, workload, **_hooks())
-                assert hooked.cycles == plain.cycles, (system, workload)
-                assert hooked.mem_stats == plain.mem_stats
-                assert _breakdown(hooked) == _breakdown(plain)
+                hooks = _hooks()
+                hooked = runner.run(system, workload, **hooks)
+                # Attribution alone takes the fused stream kernel; with
+                # every hook on, each request goes through access().
+                alone = AttributionCollector()
+                attributed = runner.run(system, workload,
+                                        attribution=alone)
+                for result in (hooked, attributed):
+                    assert result.cycles == plain.cycles, cell
+                    assert result.mem_stats == plain.mem_stats, cell
+                    assert _breakdown(result) == _breakdown(plain), cell
+                assert attributed.unit_cycles == hooked.unit_cycles, cell
+                _assert_same_charges(alone, hooks["attribution"], cell)
         # An attributed run replays the very CompiledTrace a plain run of
         # the same trace was handed: the runner compiles once.
         seen = []
@@ -376,10 +386,23 @@ def _stream_plan(seed, rounds=20):
 
 
 def _models(config):
-    """Both memory models: the plain one and the hooked one with every
-    hook on."""
+    """Both memory models: the plain one, the hooked one with every hook
+    on (its per-request stream), and the hooked one with attribution
+    alone (its fused stream)."""
     return {"FastMemorySystem": FastMemorySystem(config),
-            "MemorySystem": MemorySystem(config, **_hooks())}
+            "MemorySystem": MemorySystem(config, **_hooks()),
+            "MemorySystem(attribution)": MemorySystem(
+                config, attribution=AttributionCollector())}
+
+
+def _assert_same_charges(got, want, context=None):
+    """Two collectors hold the same ledger, node for node and span for
+    span, and it is not empty."""
+    assert got.unit_totals() == want.unit_totals() != {}, context
+    assert got.nodes() == want.nodes(), context
+    for node in want.nodes():
+        assert got.node_charges(node) == want.node_charges(node), context
+        assert got.node_span(node) == want.node_span(node), context
 
 
 def _completion(c):
@@ -393,7 +416,8 @@ def _vector_counters(mem):
 
 
 class TestFastMemorySystem:
-    """Each seeded plan, request by request, on both models."""
+    """Each seeded plan, request by request, on both models and both
+    :class:`MemorySystem` stream routes."""
 
     @pytest.mark.parametrize("windowed", [False, True])
     @pytest.mark.parametrize("system,seed", [("O3+DV", 11),
@@ -401,7 +425,8 @@ class TestFastMemorySystem:
     def test_stream_matches_the_reference_loop(self, system, seed,
                                                windowed, reference):
         want = reference["stream"][f"{system}-{seed}-{windowed}"]
-        for name, mem in _models(make_system(system)).items():
+        models = _models(make_system(system))
+        for name, mem in models.items():
             # Wider than every MSHR pool, so both the window and the
             # MSHRs behind it fill up.
             window = MshrPool(48, "lsq") if windowed else None
@@ -437,6 +462,8 @@ class TestFastMemorySystem:
                 assert window.stall_cycles > 0
                 assert dict(window.stats(),
                             outstanding=window.outstanding) == want["window"]
+        _assert_same_charges(models["MemorySystem(attribution)"].attr,
+                             models["MemorySystem"].attr)
 
     def test_stream_rejects_an_unknown_port(self):
         for mem in _models(make_system("IO")).values():
@@ -447,7 +474,8 @@ class TestFastMemorySystem:
     def test_matches_the_reference_model_access_for_access(self, system,
                                                            seed, reference):
         want = reference["access"][f"{system}-{seed}"]
-        for name, mem in _models(make_system(system)).items():
+        models = _models(make_system(system))
+        for name, mem in models.items():
             lines, stores, ports, gaps = _stream(seed)
             now = 0.0
             for i, (line, store, port, gap) in enumerate(
@@ -459,6 +487,8 @@ class TestFastMemorySystem:
                 want["level_stats"], name
             assert _vector_counters(mem) == {
                 key: want[key] for key in _vector_counters(mem)}, name
+        _assert_same_charges(models["MemorySystem(attribution)"].attr,
+                             models["MemorySystem"].attr)
 
     def test_matches_reconfiguration_views_and_flush(self, reference):
         want = reference["reconfig"]
@@ -485,6 +515,35 @@ class TestFastMemorySystem:
                 assert _completion(got) == want["after"][i], (name, i)
                 now = max(now + gap, got.done - 40.0)
             assert _plain(mem.level_stats(now)) == want["level_stats"]
+
+    @pytest.mark.parametrize("port", PORTS)
+    def test_attribution_alone_reaches_access_once_per_miss(self, port,
+                                                            monkeypatch):
+        """An attribution-only stream resolves first-level hits inline;
+        with the tracer or metrics on too, every request goes through
+        access()."""
+        calls = []
+        hooked_access = MemorySystem.access
+
+        def spy(mem, *args):
+            calls.append(args)
+            return hooked_access(mem, *args)
+
+        monkeypatch.setattr(MemorySystem, "access", spy)
+        lines = list(range(0, 40 * 64, 64))
+        for hooks, per_stream in (({}, (40, 0)),
+                                  ({"tracer": SpanTracer()}, (40, 80)),
+                                  ({"metrics": MetricsRegistry()}, (40, 80))):
+            mem = MemorySystem(make_system("O3+EVE-4"),
+                               attribution=AttributionCollector(), **hooks)
+            first = getattr(mem, FIRST_LEVEL[port])
+            for start, stream, want in zip((0.0, 500.0),
+                                           (lines, lines + lines),
+                                           per_stream):
+                del calls[:]
+                mem.stream(start, stream, False, port, 1.0)
+                assert len(calls) == want, (hooks, len(stream))
+            assert first.misses == 40
 
     def test_hooks_choose_the_hooked_model(self):
         config = make_system("IO")

@@ -34,6 +34,29 @@ class TestMemAccess:
         addrs = np.array([0x2000, 0x1000, 0x2004], dtype=np.int64)
         acc = MemAccess(addresses=addrs, count=3)
         assert list(acc.line_addresses()) == [0x2000, 0x1000]
+        assert acc.request_lines(False) == [0x2000, 0x1000]
+        assert acc.request_lines(True) == [0x2000, 0x1000, 0x2000]
+
+    @pytest.mark.parametrize("base,stride,count,distinct", [
+        (0x1000, 4, 0, []),
+        (0x1008, 0, 1, [0x1000]),
+        (0x203C, -4, 40, [0x2000, 0x1FC0, 0x1F80]),
+        (0x1000, 63, 3, [0x1000, 0x1040]),  # two elements share a line
+        (0x1000, 64, 3, [0x1000, 0x1040, 0x1080]),
+        (0x1004, 65, 3, [0x1000, 0x1040, 0x1080]),
+        (0x1000 + 60, 4, 16, [0x1000, 0x1040]),
+    ], ids=["count0", "count1-stride0", "stride-4", "stride63",
+            "stride64", "stride65", "unaligned"])
+    def test_request_lines_match_the_numpy_derivation(self, base, stride,
+                                                      count, distinct):
+        acc = MemAccess(base=base, stride=stride, count=count)
+        assert acc.request_lines(False) == distinct
+        assert acc.request_lines(False) == acc.line_addresses().tolist()
+        assert acc.request_lines(True) == \
+            (acc.element_addresses() // 64 * 64).tolist()
+        assert all(type(line) is int
+                   for line in acc.request_lines(False)
+                   + acc.request_lines(True))
 
     def test_explicit_addresses(self):
         acc = MemAccess(addresses=np.array([0x40, 0x80]), count=2)

@@ -6,7 +6,7 @@ and structural invariants of traces and layouts.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.isa import VectorContext
@@ -168,11 +168,22 @@ class TestTraceProperties:
                 i += vl
         assert covered == total
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 2048), st.integers(0, 1 << 20))
-    def test_line_addresses_cover_all_elements(self, count, base):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2048), st.integers(0, 1 << 20),
+           st.one_of(st.integers(-130, 130), st.integers(-5000, 5000)))
+    def test_line_addresses_cover_all_elements(self, count, base, stride):
+        """Both request-list forms equal their numpy derivation, as plain
+        ints, and the distinct lines cover every element."""
         from repro.isa import MemAccess
-        acc = MemAccess(base=base, stride=4, count=count)
-        lines = set(acc.line_addresses().tolist())
+        assume(count == 1 or stride != 0)
+        if stride < 0:
+            base += -stride * (count - 1)  # every address stays >= 0
+        acc = MemAccess(base=base, stride=stride, count=count)
+        distinct = acc.request_lines(False)
+        per_element = acc.request_lines(True)
+        assert distinct == acc.line_addresses().tolist()
+        assert per_element == (acc.element_addresses() // 64 * 64).tolist()
+        assert all(type(line) is int for line in distinct + per_element)
+        lines = set(distinct)
         for addr in acc.element_addresses():
             assert (addr // 64) * 64 in lines
