@@ -95,9 +95,10 @@ test-sized problem inputs.  ``run`` / ``compare`` / ``stats`` accept
 ``--record`` (archive the run into the run store) and ``--baseline REF``
 (diff the fresh run against a stored record or golden-baseline file).
 ``compare`` / ``sweep`` / ``scorecard`` accept ``--jobs N`` to fan the
-(system, workload) cells out over N worker processes backed by the
-on-disk cell cache (``--cache-dir`` / ``--no-cache``); results are
-bit-identical to a serial run.  ``run`` / ``compare`` / ``sweep`` accept
+(system, workload) cells out over N worker processes, one task per
+(workload, vlmax) group that builds and compiles its trace once, backed
+by the on-disk result cache (``--cache-dir`` / ``--no-cache``); results
+are bit-identical to a serial run.  ``run`` / ``compare`` / ``sweep`` accept
 ``--seed N`` to vary the generated workload inputs; the seed is folded
 into cache keys and record fingerprints so seeded runs never collide
 with the default-seed results.  ``sweep`` / ``compare`` / ``fuzz`` /
@@ -1167,7 +1168,7 @@ def _add_jobs_arguments(sub) -> None:
                      help="simulate (system, workload) cells on N worker "
                           "processes (0 = all CPUs; default: 1, serial)")
     sub.add_argument("--no-cache", action="store_true",
-                     help="disable the on-disk trace/result cell cache")
+                     help="disable the on-disk result cell cache")
     sub.add_argument("--cache-dir", default=DEFAULT_CACHE_ROOT, metavar="DIR",
                      help=f"cell-cache directory used by the parallel "
                           f"executor (default: {DEFAULT_CACHE_ROOT})")

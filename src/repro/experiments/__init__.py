@@ -4,7 +4,7 @@ regenerates every table and figure of the paper's evaluation.
 * :mod:`repro.experiments.systems` — machine construction by name.
 * :mod:`repro.experiments.runner` — trace caching + simulation driver.
 * :mod:`repro.experiments.parallel` — process-pool sweep executor with
-  an on-disk trace/result cache.
+  an on-disk result cache.
 * :mod:`repro.experiments.figures` — per-figure/table data generators
   (Figure 2, Figure 6, Figure 7, Figure 8, Table IV, area efficiency).
 * :mod:`repro.experiments.report` — plain-text table rendering.

@@ -1,32 +1,30 @@
 """Process-pool sweep executor with a crash-safe on-disk cell cache.
 
 The paper's headline results are a full cross-product of ~11 systems x
-7 workloads that :class:`~repro.experiments.runner.ExperimentRunner`
-simulates strictly serially.  This module fans the (system, workload)
-cells out over ``multiprocessing`` workers and merges the outcomes back
-into the ordinary runner caches, so every downstream consumer (the
-figure harnesses, the scorecard, ``repro compare``) sees exactly the
-results a serial run would have produced — the simulator is
-deterministic, and the merge is performed in input order regardless of
-which worker finished first.
+7 workloads.  This module fans the (system, workload) cells out over
+``multiprocessing`` workers and merges the outcomes back into the
+ordinary runner caches, so every downstream consumer (the figure
+harnesses, the scorecard, ``repro compare``) sees exactly the results a
+serial run would have produced — the simulator is deterministic, and
+the merge is performed in input order regardless of which worker
+finished first.
 
-Two layers make repeat invocations cheap and workers independent:
+The unit of work is a *group*: the cells of one workload whose systems
+grant the same vlmax, and so replay the same trace (EVE-1/2/4 share the
+VL=2048 trace, O3+IV and O3+DV the VL=64 one, IO and O3 the scalar
+one).  A worker runs a group's cells in turn through
+:meth:`~repro.experiments.runner.ExperimentRunner.run` on one fresh
+runner, which builds and compiles the group's trace once; that runner
+is the only code that decides what a cell replays.
 
-* a **trace cache** keyed by ``(workload, vlmax, params-fingerprint)``
-  — EVE-1/2/4 all decode the same VL=2048 trace, so the first worker to
-  build it publishes it (atomic ``os.replace``) and the rest load the
-  pickle instead of re-running the workload kernel;
-* a **result cache** keyed by ``(system, workload, params-fingerprint,
-  config-fingerprint)`` — the config fingerprint digests every Table
-  III system config plus the toolkit version, so a code or parameter
-  change invalidates the cache while a repeat invocation skips
-  already-simulated cells entirely.
-
-Both caches are advisory: deleting ``.eve-cache/`` (or passing
-``cache_root=None``) simply re-simulates.  Writes go to a unique temp
-file followed by ``os.replace``, so a crashed worker can never publish
-a torn pickle; concurrent builders of the same key both publish
-identical content and the last rename wins.
+A **result cache** keyed by ``(system, workload, params-fingerprint,
+config-fingerprint)`` makes repeat invocations cheap — the config
+fingerprint digests every Table III system config plus the toolkit
+version, so a code or parameter change invalidates the cache while a
+repeat invocation skips already-simulated cells entirely.  The cache is
+advisory: deleting ``.eve-cache/`` (or passing ``cache_root=None``)
+simply re-simulates.  Writes go to a unique temp file followed by
+``os.replace``, so a crashed worker can never publish a torn pickle.
 """
 
 from __future__ import annotations
@@ -42,14 +40,13 @@ import queue
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..config import all_system_names
+from ..config import all_system_names, make_system
 from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.selfprof import SelfProfiler
 from ..workloads import DEFAULT_SEED, REGISTRY, canonical_workload, get_workload
-from .runner import (ExperimentRunner, build_trace, canonical_pairs,
-                     strict_check_enabled)
-from .systems import build_machine, canonical_system, trace_vlmax
+from .runner import ExperimentRunner, canonical_pairs
+from .systems import canonical_system, trace_vlmax
 
 #: Default on-disk cache directory (sibling of ``.eve-runs/``).
 DEFAULT_CACHE_ROOT = ".eve-cache"
@@ -59,7 +56,8 @@ DEFAULT_CACHE_ROOT = ".eve-cache"
 #: and free-list register allocation.
 #: v3: result-cell keys fold the trace-compiler configuration (pass list
 #: + compiler version), so results of different compilers can never
-#: collide on one cache entry.
+#: collide on one cache entry.  (Versions up to 3 also cached traces
+#: under ``traces/``; the census still counts and prunes them.)
 CACHE_VERSION = 3
 
 #: ``fork`` keeps worker start-up cheap where the OS offers it; spawn is
@@ -80,9 +78,8 @@ def params_fingerprint(workload_name: str,
     cache cells.
 
     ``compiler`` is the :func:`repro.compiler.compiler_descriptor` of the
-    run (``None`` for the compiler-independent trace cells): folding it
-    into result cells keeps results of different compiler versions or
-    pass lists on distinct cells.
+    run: folding it into result cells keeps results of different
+    compiler versions or pass lists on distinct cells.
     """
     workload = get_workload(canonical_workload(workload_name))
     resolved = workload.resolve(
@@ -117,11 +114,10 @@ def _slug(name: str) -> str:
 # -- the on-disk cache ---------------------------------------------------------
 
 class CellCache:
-    """Pickle cache of built traces and simulated cells under ``root``.
+    """Pickle cache of simulated cells under ``root``.
 
     Layout::
 
-        <root>/traces/<workload>-vl<N>-<params_fp>.pkl
         <root>/results/<config_fp>/<system>--<workload>-<params_fp>[-m].pkl
 
     Loads tolerate missing files (a miss, never an error); *corrupt*
@@ -138,10 +134,6 @@ class CellCache:
 
     def __init__(self, root: str = DEFAULT_CACHE_ROOT) -> None:
         self.root = root
-
-    def trace_path(self, workload: str, vlmax: int, params_fp: str) -> str:
-        return os.path.join(self.root, "traces",
-                            f"{_slug(workload)}-vl{vlmax}-{params_fp}.pkl")
 
     def result_path(self, system: str, workload: str, params_fp: str,
                     config_fp: str, instrumented: bool = False) -> str:
@@ -200,7 +192,8 @@ class CellCache:
 
 def _cache_entries(root: str) -> List[Tuple[float, int, str, str]]:
     """Every live cache entry under ``root`` as ``(mtime, bytes, kind,
-    path)`` — kind is ``trace`` / ``result`` by subdirectory.  Quarantined
+    path)`` — kind is ``trace`` / ``result`` by subdirectory; ``traces/``
+    holds only what versions that cached traces left behind.  Quarantined
     ``*.corrupt`` files and stray temp files are not live entries."""
     entries: List[Tuple[float, int, str, str]] = []
     for kind, subdir in (("trace", "traces"), ("result", "results")):
@@ -417,92 +410,56 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
 # -- the worker ----------------------------------------------------------------
 
 def simulate_cell(spec: tuple) -> Dict[str, object]:
-    """Simulate one (system, workload) cell; runs inside a pool worker.
+    """Simulate one group of sweep cells; runs inside a pool worker.
 
-    ``spec`` is a picklable tuple ``(system, workload, params_override,
-    cache_root, collect_metrics, verify[, seed])`` — the trailing seed
-    defaults to :data:`~repro.workloads.DEFAULT_SEED`.  Every cell, with
-    or without metrics, compiles its trace and replays it; a metered
-    cell times on the hooked memory model, which takes the same cycles.
-    Returns the :class:`~repro.cores.result.SimResult` plus the worker's
-    self-profiler phases and (optionally) its metrics-registry snapshot,
-    all picklable for the parent-side merge.
+    ``spec`` is the picklable tuple ``(workload, systems, params_override,
+    cache_root, collect_metrics, verify, seed)``, where every system in
+    ``systems`` grants the same vlmax.  Each cell the result cache lacks
+    runs through :meth:`ExperimentRunner.run` on one fresh runner, so
+    the group builds and compiles its trace once; a metered cell times
+    on the hooked memory model, which takes the same cycles.  Returns
+    ``{"cells", "profile"}``: one payload per system, in order — its
+    :class:`~repro.cores.result.SimResult`, optional metrics-registry
+    views, result-cache status (``hit`` / ``miss`` / ``corrupt``, or
+    ``None`` without a cache) and entry path, and the worker's raw
+    ``t0``/``t1`` monotonic readings around the cell — plus the runner's
+    self-profiler phases, all picklable for the parent-side merge.
     """
-    system, workload, params_override, cache_root, collect_metrics, \
-        verify = spec[:6]
-    seed = spec[6] if len(spec) > 6 else DEFAULT_SEED
-    system = canonical_system(system)
+    workload, systems, params_override, cache_root, collect_metrics, \
+        verify, seed = spec
     workload = canonical_workload(workload)
-    profiler = SelfProfiler()
+    runner = ExperimentRunner(params_override=params_override,
+                              verify=verify, seed=seed)
     cache = CellCache(cache_root) if cache_root else None
-    from ..compiler import CompilerConfig, compile_trace, compiler_descriptor
-    trace_fp = params_fingerprint(workload, params_override, seed=seed)
+    from ..compiler import compiler_descriptor
     params_fp = params_fingerprint(workload, params_override, seed=seed,
                                    compiler=compiler_descriptor())
     config_fp = sweep_config_fingerprint()
-
-    # Cache telemetry for this cell: entry statuses plus the quarantined
-    # paths of any corrupt pickles (merged parent-side into per-sweep
-    # hit/miss/corrupt counters and ``cache_corrupt`` events).
-    cache_info: Dict[str, object] = {"result": None, "trace": None,
-                                     "corrupt_paths": []}
-    cached = None
-    if cache is not None:
-        result_path = cache.result_path(system, workload, params_fp,
-                                        config_fp,
-                                        instrumented=collect_metrics)
-        cached, status = cache.load_entry(result_path)
-        cache_info["result"] = status
-        if status == "corrupt":
-            cache_info["corrupt_paths"].append(result_path)
-    if cached is not None:
-        cached.update({"system": system, "workload": workload,
-                       "cached": True, "profile": profiler.as_dict(),
-                       "cache": cache_info})
-        return cached
-
-    metrics = MetricsRegistry() if collect_metrics else None
-    machine = build_machine(system, metrics=metrics)
-    vlmax = trace_vlmax(machine.config)
-    trace = None
-    trace_path = None
-    if cache is not None:
-        # Traces are compiler-independent, so the trace cache keys on the
-        # bare params fingerprint.
-        trace_path = cache.trace_path(workload, vlmax, trace_fp)
-        trace, status = cache.load_entry(trace_path)
-        cache_info["trace"] = status
-        if status == "corrupt":
-            cache_info["corrupt_paths"].append(trace_path)
-    if trace is None:
-        with profiler.phase("trace_build"):
-            trace = build_trace(workload, vlmax,
-                                (params_override or {}).get(workload),
-                                verify=verify, seed=seed,
-                                strict=strict_check_enabled())
-        if trace_path is not None:
-            cache.store(trace_path, trace)
-    with profiler.phase("compile"):
-        compiled = compile_trace(
-            trace, CompilerConfig(strict=strict_check_enabled()))
-    with profiler.phase(f"sim:{system}"):
-        result = machine.run(trace, compiled=compiled)
-
-    payload: Dict[str, object] = {
-        "result": result,
-        "metrics_flat": metrics.flat() if metrics is not None else None,
-        "metrics_snapshot": (metrics.snapshot()
-                             if metrics is not None else None),
-    }
-    if cache is not None:
-        cache.store(cache.result_path(system, workload, params_fp,
-                                      config_fp,
-                                      instrumented=collect_metrics),
-                    dict(payload))
-    payload.update({"system": system, "workload": workload,
-                    "cached": False, "profile": profiler.as_dict(),
-                    "cache": cache_info})
-    return payload
+    cells = []
+    for system in map(canonical_system, systems):
+        t0 = time.monotonic()
+        payload = path = status = None
+        if cache is not None:
+            path = cache.result_path(system, workload, params_fp, config_fp,
+                                     instrumented=collect_metrics)
+            payload, status = cache.load_entry(path)
+        cached = payload is not None
+        if not cached:
+            metrics = MetricsRegistry() if collect_metrics else None
+            payload = {
+                "result": runner.run(system, workload, metrics=metrics),
+                "metrics_flat": (metrics.flat()
+                                 if metrics is not None else None),
+                "metrics_snapshot": (metrics.snapshot()
+                                     if metrics is not None else None),
+            }
+            if cache is not None:
+                cache.store(path, dict(payload))
+        payload.update({"system": system, "workload": workload,
+                        "cached": cached, "cache": status, "cache_path": path,
+                        "t0": t0, "t1": time.monotonic()})
+        cells.append(payload)
+    return {"cells": cells, "profile": runner.profiler.as_dict()}
 
 
 # -- the executor --------------------------------------------------------------
@@ -521,38 +478,33 @@ def sweep_pairs(systems: Optional[Iterable[str]] = None,
     return [(s, w) for w in workloads for s in systems]
 
 
-def cell_unit(system: str, workload: str) -> str:
-    """The telemetry unit id for one sweep cell."""
-    return f"{system}/{workload}"
-
-
-def describe_cell(payload: Dict[str, object]):
-    """Telemetry view of one :func:`simulate_cell` payload:
-    ``(cached, extra_events, detail)`` for
-    :meth:`repro.obs.events.CampaignTelemetry.unit_finished`."""
-    cache_info = payload.get("cache") or {}
-    extra = tuple(("cache_corrupt", {"path": path})
-                  for path in cache_info.get("corrupt_paths", ()))
-    result = payload.get("result")
-    detail = {"system": payload.get("system"),
-              "workload": payload.get("workload")}
-    cycles = getattr(result, "cycles", None)
-    if isinstance(cycles, (int, float)):
-        detail["cycles"] = cycles
-    return bool(payload.get("cached")), extra, detail
+def describe_group(value: Dict[str, object]) -> List[tuple]:
+    """Telemetry view of one :func:`simulate_cell` return value: one
+    ``(cached, extra_events, detail, t0, t1)`` per cell, in order, for
+    :class:`~repro.obs.events.TelemetryMonitor`."""
+    outcomes = []
+    for cell in value["cells"]:
+        extra = ((("cache_corrupt", {"path": cell["cache_path"]}),)
+                 if cell["cache"] == "corrupt" else ())
+        detail = {"system": cell["system"], "workload": cell["workload"],
+                  "cycles": cell["result"].cycles}
+        outcomes.append((cell["cached"], extra, detail, cell["t0"],
+                         cell["t1"]))
+    return outcomes
 
 
 class ParallelRunner(ExperimentRunner):
     """An :class:`ExperimentRunner` whose cells can be prefetched by a
     process pool.
 
-    :meth:`prefetch` fans the requested cells out over ``jobs`` workers
-    and merges the returned results into the ordinary ``_results``
-    cache, so subsequent :meth:`run` calls (the figure harnesses, the
-    scorecard, speedup columns) hit warm entries and produce output
-    byte-identical to a serial run.  With ``jobs=1`` the cells execute
-    in-process through the same worker function, so the disk cache
-    still applies but no pool is spawned.
+    :meth:`prefetch` groups the requested cells by (workload, vlmax),
+    fans the groups out over ``jobs`` workers and merges the returned
+    results into the ordinary ``_results`` cache, so subsequent
+    :meth:`run` calls (the figure harnesses, the scorecard, speedup
+    columns) hit warm entries and produce output byte-identical to a
+    serial run.  With ``jobs=1`` the groups execute in-process through
+    the same worker function, so the disk cache still applies but no
+    pool is spawned.
     """
 
     def __init__(self, params_override: Optional[Dict[str, dict]] = None,
@@ -580,44 +532,54 @@ class ParallelRunner(ExperimentRunner):
                  ) -> Dict[str, object]:
         """Simulate every requested cell, fanned out over the pool.
 
-        Returns ``{"cells", "simulated", "cached", "jobs", "seconds"}``.
-        Results are merged parent-side in input order (never completion
+        The missing cells are grouped by (workload, vlmax of the system's
+        config), known before any trace is built, and the pool maps over
+        the groups in first-seen order.  Returns ``{"cells", "simulated",
+        "cached", "jobs", "seconds"}`` plus the disk-cache counters.
+        Results are merged parent-side in group order (never completion
         order) and worker self-profiler phases are absorbed under a
         ``worker:`` namespace, so repeated prefetches are deterministic.
         """
         ordered: List[Tuple[str, str]] = canonical_pairs(pairs)
         todo = [key for key in ordered if key not in self._results]
-        specs = [(system, workload, self.params_override, self.cache_root,
-                  self.collect_metrics, self.verify, self.seed)
-                 for system, workload in todo]
         start = time.perf_counter()
-        if not specs:
+        if not todo:
             return {"cells": len(ordered), "simulated": 0, "cached": 0,
                     "jobs": self.jobs, "seconds": 0.0,
                     "cache_hits": 0, "cache_misses": 0, "cache_corrupt": 0}
+        groups: Dict[Tuple[str, int], List[str]] = {}
+        for system, workload in todo:
+            vlmax = trace_vlmax(make_system(system))
+            groups.setdefault((workload, vlmax), []).append(system)
+        specs = [(workload, tuple(systems), self.params_override,
+                  self.cache_root, self.collect_metrics, self.verify,
+                  self.seed)
+                 for (workload, _vlmax), systems in groups.items()]
         monitor = None
         if self.telemetry.enabled:
-            units = [cell_unit(system, workload) for system, workload in todo]
-            self.telemetry.begin(units)
+            self.telemetry.begin([f"{s}/{w}" for s, w in todo])
+            units = [tuple(f"{s}/{workload}" for s in systems)
+                     for workload, systems, *_ in specs]
             monitor = TelemetryMonitor(self.telemetry, units,
-                                       describe=describe_cell,
+                                       describe=describe_group,
                                        jobs=self.jobs)
         outs = fan_out(simulate_cell, specs, self.jobs,
                        profiler=self.profiler, phase="sweep",
                        monitor=monitor)
         cached = corrupt = 0
-        for out in outs:  # input order: the merge is deterministic
-            key = (out["system"], out["workload"])
-            self._results[key] = out["result"]
-            if out["metrics_flat"] is not None:
-                self._prefetched_metrics[key] = (out["metrics_flat"],
-                                                 out["metrics_snapshot"])
-            cached += bool(out["cached"])
-            corrupt += len((out.get("cache") or {}).get("corrupt_paths", ()))
+        for out in outs:  # spec order: the merge is deterministic
             self.profiler.absorb(out["profile"], prefix="worker:")
-        return {"cells": len(ordered), "simulated": len(specs) - cached,
+            for cell in out["cells"]:
+                key = (cell["system"], cell["workload"])
+                self._results[key] = cell["result"]
+                if cell["metrics_flat"] is not None:
+                    self._prefetched_metrics[key] = (
+                        cell["metrics_flat"], cell["metrics_snapshot"])
+                cached += cell["cached"]
+                corrupt += cell["cache"] == "corrupt"
+        return {"cells": len(ordered), "simulated": len(todo) - cached,
                 "cached": cached, "jobs": self.jobs,
                 "seconds": time.perf_counter() - start,
                 "cache_hits": cached,
-                "cache_misses": len(specs) - cached,
+                "cache_misses": len(todo) - cached,
                 "cache_corrupt": corrupt}

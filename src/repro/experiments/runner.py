@@ -8,7 +8,12 @@ trace in which no ``vsetvl`` grant was clamped (its largest requested AVL,
 trace of every vlmax at or above that AVL, since kernels see vlmax only
 through ``setvl``; the runner then builds and compiles it once and hands
 each such vlmax its own :class:`~repro.isa.trace.Trace` stamped with that
-vlmax.  The sweep workers' on-disk cell cache still keys traces by vlmax.
+vlmax.  This runner is the only code that picks the trace and
+:class:`~repro.compiler.CompiledTrace` a cell replays: each sweep worker
+(:func:`~repro.experiments.parallel.simulate_cell`) runs its group of
+same-vlmax cells through :meth:`ExperimentRunner.run` on a fresh
+runner, so a ``--jobs`` sweep builds and compiles once per (workload,
+vlmax) and shares nothing across vlmaxes.
 
 The runner also carries the observability plumbing: a
 :class:`~repro.obs.SelfProfiler` attributes the simulator's own host

@@ -39,6 +39,10 @@ class MemAccess:
     def __post_init__(self) -> None:
         if self.addresses is None and self.count > 0 and self.stride == 0 and self.count > 1:
             raise IsaError("strided pattern with zero stride and count > 1")
+        if (self.addresses is None and self.count > 0
+                and min(self.base,
+                        self.base + self.stride * (self.count - 1)) < 0):
+            raise IsaError("strided pattern reaches below address 0")
         if self.addresses is not None:
             addrs = np.asarray(self.addresses)
             if not np.issubdtype(addrs.dtype, np.integer):

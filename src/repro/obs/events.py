@@ -24,7 +24,9 @@ of *units of work* whose lifecycle this module records as events:
     earlier builds still read and conserve.
 ``stalled``
     The watchdog flagged the unit as exceeding ``k x`` the historical
-    p95 per-unit wall-clock (the unit may still finish later).
+    p95 per-unit wall-clock (the unit may still finish later).  A spec
+    that runs ``n`` units in turn is judged as a whole against ``n k x``
+    and flagged on its last unit.
 
 Invariants the log is designed around:
 
@@ -325,9 +327,11 @@ class Watchdog:
             return None
         return max(self.min_seconds, self.factor * p95)
 
-    def is_stalled(self, elapsed: float) -> bool:
+    def is_stalled(self, elapsed: float, units: int = 1) -> bool:
+        """Whether ``elapsed`` seconds spent on ``units`` units run in
+        turn exceed ``units x`` the threshold."""
         threshold = self.threshold()
-        return threshold is not None and elapsed > threshold
+        return threshold is not None and elapsed > threshold * units
 
 
 # -- the telemetry hub ---------------------------------------------------------
@@ -352,7 +356,7 @@ class NullTelemetry:
     def unit_finished(self, unit, **kwargs) -> None:
         pass
 
-    def heartbeat(self, in_flight) -> None:
+    def heartbeat(self, in_flight, group_sizes=None) -> None:
         pass
 
     def finalize(self, detail=None):
@@ -479,14 +483,17 @@ class CampaignTelemetry:
                                  failed=self._failed,
                                  stalled=len(self._stalled))
 
-    def heartbeat(self, in_flight: Dict[str, float]) -> None:
+    def heartbeat(self, in_flight: Dict[str, float],
+                  group_sizes: Optional[Dict[str, int]] = None) -> None:
         """Periodic liveness check from the parent's polling loop.
 
         ``in_flight`` maps unit -> campaign-relative start seconds for
         the units believed to be executing right now.  Emits at most
         one ``heartbeat`` per unit per ``heartbeat_every`` window and a
         single ``stalled`` event the first time a unit crosses the
-        watchdog threshold.
+        watchdog threshold.  ``group_sizes`` maps a unit that stands
+        for a group of units run in turn to the group's size; the
+        group's elapsed time is judged against the threshold times it.
         """
         now = self.now()
         beat = now - self._last_heartbeat >= self.heartbeat_every
@@ -494,15 +501,17 @@ class CampaignTelemetry:
             self._last_heartbeat = now
         for unit, started in in_flight.items():
             elapsed = now - started
+            size = (group_sizes or {}).get(unit, 1)
             if beat:
                 self.emit("heartbeat", unit,
                           detail={"elapsed_seconds": round(elapsed, 3)})
-            if unit not in self._stalled and self.watchdog.is_stalled(elapsed):
+            if (unit not in self._stalled
+                    and self.watchdog.is_stalled(elapsed, size)):
                 self._stalled.add(unit)
-                threshold = self.watchdog.threshold()
+                threshold = self.watchdog.threshold() * size
                 self.emit("stalled", unit, detail={
                     "elapsed_seconds": round(elapsed, 3),
-                    "threshold_seconds": round(threshold or 0.0, 3),
+                    "threshold_seconds": round(threshold, 3),
                     "factor": self.watchdog.factor})
         if self.progress is not None:
             self.progress.update(self._done, cached=self._cached,
@@ -572,16 +581,24 @@ class TelemetryMonitor:
     The pool executor calls :meth:`on_dispatch` as specs are submitted,
     :meth:`on_complete` as observed results arrive (completion order —
     only *live* state depends on it), and :meth:`poll` between checks.
-    ``describe`` extracts ``(cached, extra_events, detail)`` from a
-    successful unit's return value; ``jobs`` bounds how many dispatched
-    units are assumed to be actually executing (chunksize-1 pools start
-    work in dispatch order).
+    ``units[i]`` names the unit spec ``i`` runs, or is a tuple naming
+    the units of a spec that runs several in turn.  ``describe`` maps a
+    successful spec's return value to one ``(cached, extra_events,
+    detail, t0, t1)`` per unit, in order, where ``t0``/``t1`` are the
+    worker's raw monotonic readings around that unit, or ``None`` to
+    take the spec's own.  A failed spec fails each of its units once.
+    ``jobs`` bounds how many dispatched specs are assumed to be actually
+    executing (chunksize-1 pools start work in dispatch order).  The
+    parent cannot see which units of an executing spec have finished,
+    so the spec is in flight as its last unit, the one certain not to
+    have, and its stall threshold scales by its unit count.
     """
 
-    def __init__(self, telemetry: CampaignTelemetry, units: Sequence[str],
+    def __init__(self, telemetry: CampaignTelemetry, units: Sequence,
                  describe: Optional[Callable] = None, jobs: int = 1) -> None:
         self.telemetry = telemetry
-        self.units = list(units)
+        self.units = [(unit,) if isinstance(unit, str) else tuple(unit)
+                      for unit in units]
         self.describe = describe
         self.jobs = max(1, jobs)
         self._dispatched: Dict[int, float] = {}
@@ -593,26 +610,31 @@ class TelemetryMonitor:
 
     def in_flight(self) -> Dict[str, float]:
         """unit -> start seconds for the (at most ``jobs``) oldest
-        dispatched-but-unfinished units."""
-        return {self.units[i]: self._dispatched[i]
+        dispatched-but-unfinished specs, each named by its last unit."""
+        return {self.units[i][-1]: self._dispatched[i]
                 for i in self._open[:self.jobs]}
 
     def on_complete(self, index: int, observed: Dict[str, object]) -> None:
-        unit = self.units[index]
         if index in self._open:
             self._open.remove(index)
+        units = self.units[index]
         error = observed.get("error")
-        value = observed.get("value")
-        cached, extra_events, detail = False, (), None
-        if error is not None:
-            detail = {"error": f"{type(error).__name__}: {error}"}
-        elif self.describe is not None:
-            cached, extra_events, detail = self.describe(value)
-        self.telemetry.unit_finished(
-            unit, ok=error is None, cached=cached,
-            t_start=observed.get("t0"), t_end=observed.get("t1"),
-            worker=str(observed.get("pid", "parent")),
-            detail=detail, events=extra_events)
+        if error is None and self.describe is not None:
+            outcomes = self.describe(observed["value"])
+        else:
+            detail = (None if error is None
+                      else {"error": f"{type(error).__name__}: {error}"})
+            outcomes = [(False, (), detail, None, None)] * len(units)
+        for unit, (cached, extra_events, detail, t0, t1) in zip(
+                units, outcomes):
+            self.telemetry.unit_finished(
+                unit, ok=error is None, cached=cached,
+                t_start=observed.get("t0") if t0 is None else t0,
+                t_end=observed.get("t1") if t1 is None else t1,
+                worker=str(observed.get("pid", "parent")),
+                detail=detail, events=extra_events)
 
     def poll(self) -> None:
-        self.telemetry.heartbeat(self.in_flight())
+        self.telemetry.heartbeat(self.in_flight(), group_sizes={
+            self.units[i][-1]: len(self.units[i])
+            for i in self._open[:self.jobs]})

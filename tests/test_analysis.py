@@ -177,6 +177,14 @@ class TestMemAccessGatherGuard:
         with pytest.raises(IsaError):
             MemAccess(addresses=np.array([0, -4], dtype=np.int64), count=2)
 
+    def test_pattern_running_below_zero_rejected(self):
+        with pytest.raises(IsaError):
+            MemAccess(base=0, stride=-4, count=2)
+
+    def test_pattern_starting_below_zero_rejected(self):
+        with pytest.raises(IsaError):
+            MemAccess(base=-64, stride=4, count=2)
+
     def test_integer_addresses_accepted(self):
         access = MemAccess(addresses=np.array([0, 4], dtype=np.int64),
                            count=2)

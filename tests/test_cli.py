@@ -424,7 +424,9 @@ class TestCacheCommand:
         from repro.experiments.parallel import CellCache
         root = str(tmp_path / "cache")
         cache = CellCache(root)
-        cache.store(cache.trace_path("vvadd", 2048, "fp"), ["trace"])
+        # A trace pickle as versions that cached traces left it.
+        cache.store(os.path.join(root, "traces", "vvadd-vl2048-fp.pkl"),
+                    ["trace"])
         for system in ("IO", "O3+EVE-4"):
             cache.store(cache.result_path(system, "vvadd", "fp", "cfg"),
                         {"cell": system})

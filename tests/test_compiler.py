@@ -583,27 +583,27 @@ class TestCacheDistinctness:
     def test_simulate_cell_keys_results_on_the_descriptor(self, tmp_path):
         root = str(tmp_path / "cache")
 
-        def spec(collect_metrics):
-            return ("IO", "vvadd", TINY_PARAMS, root, collect_metrics,
+        def cell(collect_metrics):
+            spec = ("vvadd", ("IO",), TINY_PARAMS, root, collect_metrics,
                     False, 20230225)
+            (out,) = simulate_cell(spec)["cells"]
+            return out
 
-        plain = simulate_cell(spec(False))
-        assert plain["cache"]["result"] == "miss"
+        plain = cell(False)
+        assert plain["cache"] == "miss"
         # A metered cell replays the compiled trace too: its own result
-        # entry, the shared trace pickle, the same cycles.
-        metered = simulate_cell(spec(True))
-        assert metered["cache"]["result"] == "miss"
-        assert metered["cache"]["trace"] == "hit"
+        # entry, the same cycles.
+        metered = cell(True)
+        assert metered["cache"] == "miss"
         assert metered["result"].cycles == plain["result"].cycles
         assert metered["metrics_flat"]
-        assert simulate_cell(spec(False))["cached"] is True
-        assert simulate_cell(spec(True))["cached"] is True
+        assert cell(False)["cached"] is True
+        assert cell(True)["cached"] is True
         results = glob.glob(os.path.join(root, "results", "**", "*.pkl"),
                             recursive=True)
-        traces = glob.glob(os.path.join(root, "traces", "*.pkl"))
         fingerprint = params_fingerprint("vvadd", TINY_PARAMS,
                                          seed=20230225,
                                          compiler=compiler_descriptor())
         assert sorted(os.path.basename(path) for path in results) == [
             f"IO--vvadd-{fingerprint}-m.pkl", f"IO--vvadd-{fingerprint}.pkl"]
-        assert len(traces) == 1
+        assert os.listdir(root) == ["results"]  # no trace tier

@@ -11,8 +11,11 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.compiler import compiler_descriptor
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentRunner, ParallelRunner, sweep_pairs
+from repro.experiments import parallel
+from repro.experiments import runner as runner_module
 from repro.experiments.figures import geomean
 from repro.experiments.parallel import (CellCache, cache_stats, fan_out,
                                         params_fingerprint, prune_cache,
@@ -20,12 +23,12 @@ from repro.experiments.parallel import (CellCache, cache_stats, fan_out,
                                         sweep_config_fingerprint)
 from repro.experiments.systems import canonical_system
 from repro.obs.diff import diff_records
-from repro.obs.events import (CampaignTelemetry, EventLog, TelemetryMonitor,
-                              check_conservation)
+from repro.obs.events import (TERMINAL_EVENTS, CampaignTelemetry, EventLog,
+                              TelemetryMonitor, Watchdog, check_conservation)
 from repro.obs.runstore import RunStore, make_record
 from repro.obs.scorecard import build_scorecard, scorecard_pairs
 from repro.obs.selfprof import SelfProfiler
-from repro.workloads import REGISTRY, canonical_workload
+from repro.workloads import DEFAULT_SEED, REGISTRY, canonical_workload
 
 TINY_PARAMS = {name: dict(wl.tiny_params) for name, wl in REGISTRY.items()}
 
@@ -37,6 +40,12 @@ PAIRS = [(s, w) for w in WORKLOADS for s in SYSTEMS]
 def _serial_cycles():
     runner = ExperimentRunner(params_override=TINY_PARAMS)
     return {(s, w): runner.run(s, w).cycles for s, w in PAIRS}
+
+
+def _group_spec(systems, root, collect_metrics=False, seed=DEFAULT_SEED):
+    """A :func:`simulate_cell` spec for vvadd on ``systems``."""
+    return ("vvadd", tuple(systems), TINY_PARAMS, root, collect_metrics,
+            True, seed)
 
 
 def _record_from(results):
@@ -124,6 +133,51 @@ class TestFanOut:
         assert main(["events", "--log", log, "--check"]) == 0
         capsys.readouterr()
 
+    def test_several_unit_spec_is_in_flight_and_fails_as_a_whole(self):
+        hub = CampaignTelemetry("test", campaign_id="c")
+        hub.begin(["a", "b", "c"])
+        monitor = TelemetryMonitor(hub, [("a", "b"), "c"], jobs=1)
+        monitor.on_dispatch(0)
+        monitor.on_dispatch(1)
+        assert set(monitor.in_flight()) == {"b"}
+        monitor.on_complete(0, {"value": None, "error": ValueError("boom"),
+                                "t0": None, "t1": None, "pid": 1})
+        assert set(monitor.in_flight()) == {"c"}
+        terminal = [(e.unit, e.event) for e in hub.ordered_events()
+                    if e.event in TERMINAL_EVENTS]
+        assert terminal == [("a", "failed"), ("b", "failed")]
+
+    def test_slow_group_is_judged_as_a_whole(self):
+        clock = [0.0]
+        hub = CampaignTelemetry("test", campaign_id="c",
+                                clock=lambda: clock[0], heartbeat_every=0.0,
+                                watchdog=Watchdog(factor=2.0, hint_seconds=1.0,
+                                                  min_seconds=0.0))
+        hub.begin(["a", "b", "c"])
+        monitor = TelemetryMonitor(
+            hub, [("a", "b", "c")], jobs=1,
+            describe=lambda value: [(False, (), None, 0.0, 0.5),
+                                    (False, (), None, 0.5, 1.0),
+                                    (False, (), None, 1.0, 7.5)])
+        monitor.on_dispatch(0)
+        clock[0] = 5.0  # past one unit's 2 s threshold, inside the group's 6 s
+        monitor.poll()
+        assert hub.stalled_units == []
+        clock[0] = 7.0
+        monitor.poll()
+        assert hub.stalled_units == ["c"]
+        monitor.on_complete(0, {"value": None, "error": None,
+                                "t0": 0.0, "t1": 7.5, "pid": 1})
+        events = hub.ordered_events()
+        assert check_conservation(events) == []
+        live = [(e.unit, e.event) for e in events
+                if e.event in ("heartbeat", "stalled")]
+        # The finished first units get neither heartbeats nor stalls.
+        assert live == [("c", "heartbeat"), ("c", "heartbeat"),
+                        ("c", "stalled")]
+        stall = next(e for e in events if e.event == "stalled")
+        assert stall.detail["threshold_seconds"] == pytest.approx(6.0)
+
     @pytest.mark.parametrize("monitored", [False, True])
     def test_unpicklable_result_reraises_and_reaps_the_pool(self,
                                                             monitored):
@@ -173,6 +227,49 @@ class TestParallelDeterminism:
         dump = lambda card: json.dumps(card.to_json_dict(), sort_keys=True)  # noqa: E731
         assert dump(serial_card) == dump(parallel_card)
 
+    def test_full_grid_builds_and_compiles_once_per_trace(self,
+                                                          monkeypatch):
+        specs = []
+        real_fan_out = parallel.fan_out
+
+        def spy(func, group_specs, *args, **kwargs):
+            specs.extend(group_specs)
+            return real_fan_out(func, group_specs, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "fan_out", spy)
+        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
+                                cache_root=None)
+        assert runner.prefetch(sweep_pairs())["simulated"] == 70
+        # One task per (workload, vlmax): 7 kernels x 6 vlmaxes.
+        assert runner.profiler.calls["worker:trace_build"] == 42
+        assert runner.profiler.calls["worker:compile"] == 42
+        assert len(specs) == 42
+        assert {spec[1] for spec in specs} == {
+            ("IO", "O3"), ("O3+IV", "O3+DV"),
+            ("O3+EVE-1", "O3+EVE-2", "O3+EVE-4"), ("O3+EVE-8",),
+            ("O3+EVE-16",), ("O3+EVE-32",)}
+
+    def test_failing_cell_fails_every_cell_of_its_group(self, monkeypatch):
+        build_machine = runner_module.build_machine
+
+        def build(system, **kwargs):
+            if system == "O3+EVE-4":
+                raise ValueError("injected failure")
+            return build_machine(system, **kwargs)
+
+        monkeypatch.setattr(runner_module, "build_machine", build)
+        hub = CampaignTelemetry("sweep", campaign_id="c")
+        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=1,
+                                cache_root=None, telemetry=hub)
+        with pytest.raises(ValueError, match="injected failure"):
+            runner.prefetch([(s, "vvadd") for s in SYSTEMS])
+        events = hub.ordered_events()
+        assert check_conservation(events) == []
+        assert [(e.unit, e.event) for e in events
+                if e.event in TERMINAL_EVENTS] == [
+            ("IO/vvadd", "finished"), ("O3+EVE-1/vvadd", "failed"),
+            ("O3+EVE-4/vvadd", "failed")]
+
     def test_jobs1_in_process_path_matches(self, tmp_path):
         runner = ParallelRunner(params_override=TINY_PARAMS, jobs=1,
                                 cache_root=str(tmp_path / "cache"))
@@ -197,15 +294,16 @@ class TestCellCache:
                 for s, w in PAIRS} == _serial_cycles()
 
     def test_shared_trace_built_once(self, tmp_path):
-        # EVE-1 and EVE-4 share one VL=2048 trace; the cache should hold
-        # a single trace file for it (plus IO's scalar trace).
+        # EVE-1 and EVE-4 share one VL=2048 trace: one task builds it
+        # (plus IO's scalar trace), and the cache holds results only.
         root = str(tmp_path / "cache")
         runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
                                 cache_root=root)
         runner.prefetch([(s, "vvadd") for s in SYSTEMS])
-        traces = os.listdir(os.path.join(root, "traces"))
-        assert len([t for t in traces if "vl2048" in t]) == 1
-        assert len([t for t in traces if "vl0" in t]) == 1
+        assert runner.profiler.calls["worker:trace_build"] == 2
+        assert runner.profiler.calls["worker:compile"] == 2
+        assert os.listdir(root) == ["results"]
+        assert cache_stats(root)["result"]["count"] == len(SYSTEMS)
 
     def test_params_fingerprint_separates_scales(self):
         tiny = params_fingerprint("vvadd", TINY_PARAMS)
@@ -221,12 +319,13 @@ class TestCellCache:
 
     def test_simulate_cell_accepts_seeded_specs(self, tmp_path):
         root = str(tmp_path / "cache")
-        base = ("IO", "vvadd", TINY_PARAMS, root, False, True)
-        first = simulate_cell(base + (7,))
-        # Same seed hits the cache; the legacy 6-tuple (default seed)
-        # occupies a different cell entirely.
-        assert simulate_cell(base + (7,))["cached"] is True
-        assert simulate_cell(base)["cached"] is False
+        (first,) = simulate_cell(_group_spec(["IO"], root, seed=7))["cells"]
+        # Same seed hits the cache; the default seed occupies a different
+        # cell entirely.
+        (again,) = simulate_cell(_group_spec(["IO"], root, seed=7))["cells"]
+        (default,) = simulate_cell(_group_spec(["IO"], root))["cells"]
+        assert again["cached"] is True
+        assert default["cached"] is False
         assert first["result"].cycles > 0
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
@@ -236,17 +335,28 @@ class TestCellCache:
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
         assert cache.load_entry(path) == (None, "corrupt")
-        spec = ("IO", "vvadd", TINY_PARAMS, str(tmp_path), False, True)
-        out = simulate_cell(spec)
+        # The cell's own entry, smashed: quarantined and re-simulated.
+        path = cache.result_path(
+            "IO", "vvadd",
+            params_fingerprint("vvadd", TINY_PARAMS,
+                               compiler=compiler_descriptor()),
+            sweep_config_fingerprint())
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(b"not a pickle")
+        (out,) = simulate_cell(_group_spec(["IO"], str(tmp_path)))["cells"]
         assert out["cached"] is False
+        assert (out["cache"], out["cache_path"]) == ("corrupt", path)
         assert out["result"].cycles > 0
+        assert os.path.exists(f"{path}.corrupt")
+        assert cache.load_entry(path)[1] == "hit"
 
     def test_collect_metrics_round_trip(self, tmp_path):
         root = str(tmp_path / "cache")
-        spec = ("O3+EVE-1", "vvadd", TINY_PARAMS, root, True, True)
-        first = simulate_cell(spec)
+        spec = _group_spec(["O3+EVE-1"], root, collect_metrics=True)
+        (first,) = simulate_cell(spec)["cells"]
         assert first["metrics_flat"]
-        second = simulate_cell(spec)
+        (second,) = simulate_cell(spec)["cells"]
         assert second["cached"] is True
         assert second["metrics_flat"] == first["metrics_flat"]
         assert second["result"].cycles == first["result"].cycles
