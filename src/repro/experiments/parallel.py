@@ -535,17 +535,31 @@ class ParallelRunner(ExperimentRunner):
         The missing cells are grouped by (workload, vlmax of the system's
         config), known before any trace is built, and the pool maps over
         the groups in first-seen order.  Returns ``{"cells", "simulated",
-        "cached", "jobs", "seconds"}`` plus the disk-cache counters.
+        "cached", "jobs", "seconds"}`` plus the disk-cache counters;
+        ``cached`` counts cells already in memory (each logged as a
+        ``cache_hit``, as the serial prefetch does) and disk-cache hits.
         Results are merged parent-side in group order (never completion
         order) and worker self-profiler phases are absorbed under a
         ``worker:`` namespace, so repeated prefetches are deterministic.
         """
         ordered: List[Tuple[str, str]] = canonical_pairs(pairs)
+        warm = [key for key in ordered if key in self._results]
         todo = [key for key in ordered if key not in self._results]
         start = time.perf_counter()
+        if self.telemetry.enabled:
+            # Cells already in memory are cache hits, as in the serial
+            # prefetch; the fan-out below reports the rest.
+            self.telemetry.begin([f"{s}/{w}" for s, w in ordered])
+            for system, workload in warm:
+                now = time.monotonic()
+                self.telemetry.unit_finished(
+                    f"{system}/{workload}", ok=True, cached=True,
+                    t_start=now, t_end=now,
+                    detail={"system": system, "workload": workload,
+                            "cycles": self._results[system, workload].cycles})
         if not todo:
-            return {"cells": len(ordered), "simulated": 0, "cached": 0,
-                    "jobs": self.jobs, "seconds": 0.0,
+            return {"cells": len(ordered), "simulated": 0,
+                    "cached": len(warm), "jobs": self.jobs, "seconds": 0.0,
                     "cache_hits": 0, "cache_misses": 0, "cache_corrupt": 0}
         groups: Dict[Tuple[str, int], List[str]] = {}
         for system, workload in todo:
@@ -557,7 +571,6 @@ class ParallelRunner(ExperimentRunner):
                  for (workload, _vlmax), systems in groups.items()]
         monitor = None
         if self.telemetry.enabled:
-            self.telemetry.begin([f"{s}/{w}" for s, w in todo])
             units = [tuple(f"{s}/{workload}" for s in systems)
                      for workload, systems, *_ in specs]
             monitor = TelemetryMonitor(self.telemetry, units,
@@ -566,7 +579,7 @@ class ParallelRunner(ExperimentRunner):
         outs = fan_out(simulate_cell, specs, self.jobs,
                        profiler=self.profiler, phase="sweep",
                        monitor=monitor)
-        cached = corrupt = 0
+        cached = corrupt = 0  # disk-cache hits among the fanned-out cells
         for out in outs:  # spec order: the merge is deterministic
             self.profiler.absorb(out["profile"], prefix="worker:")
             for cell in out["cells"]:
@@ -578,7 +591,7 @@ class ParallelRunner(ExperimentRunner):
                 cached += cell["cached"]
                 corrupt += cell["cache"] == "corrupt"
         return {"cells": len(ordered), "simulated": len(todo) - cached,
-                "cached": cached, "jobs": self.jobs,
+                "cached": len(warm) + cached, "jobs": self.jobs,
                 "seconds": time.perf_counter() - start,
                 "cache_hits": cached,
                 "cache_misses": len(todo) - cached,

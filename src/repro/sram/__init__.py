@@ -11,6 +11,9 @@
   in-situ ALU counting, which yields the Table III hardware vector lengths.
 * :mod:`repro.sram.dtu` — the data-transpose unit's bit reshuffle between
   memory layout and the S-CIM bit planes.
+* :mod:`repro.sram.words` — the word-packed row representation every
+  layer runs on (one Python int per row), its lane masks, and the
+  numpy conversions at the host boundary.
 """
 
 from .array import BitLineResult, SramArray

@@ -1,9 +1,13 @@
 """EVE peripheral circuit stacks (Section III, Figure 3c-e).
 
 Each class models one layer of the stack bit-exactly.  All layers operate on
-every column group of the array simultaneously (SIMD across in-situ ALUs);
-state arrays are shaped ``(groups, n)`` with bit ``j`` of a segment in
-column ``j`` of its group (LSB at ``j = 0``).
+every column group of the array simultaneously (SIMD across in-situ ALUs):
+a layer's state and operands are words (:mod:`repro.sram.words`), bit ``c``
+holding column ``c``, with bit ``j`` of a segment in column ``j`` of its
+group (LSB at ``j = 0``) and a per-group flag at its group's LSB column.
+The ``*_word`` methods are the datapath; the numpy methods and attributes
+(state shaped ``(groups, n)``, flags shaped ``(groups,)``) convert at the
+host boundary around them.
 
 Layer inventory per design (Figure 3):
 
@@ -17,10 +21,13 @@ Layer inventory per design (Figure 3):
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from ..errors import SramError
 from .array import BitLineResult
+from .words import lane_masks, pack, pack_row, unpack
 
 
 def group_view(bits: np.ndarray, factor: int) -> np.ndarray:
@@ -37,9 +44,16 @@ class XorLayer:
     """
 
     @staticmethod
+    def word(nand: int, or_: int, full: int) -> Tuple[int, int]:
+        xor = nand & or_
+        return xor, full ^ xor
+
+    @staticmethod
     def compute(blr: BitLineResult) -> tuple[np.ndarray, np.ndarray]:
-        xor = blr.nand & blr.or_
-        return xor, 1 - xor
+        cols = blr.width
+        xor, xnor = XorLayer.word(pack(blr.nand), pack(blr.or_),
+                                  (1 << cols) - 1)
+        return unpack(xor, cols), unpack(xnor, cols)
 
 
 class AddLogic:
@@ -49,26 +63,41 @@ class AddLogic:
     The carry-in of each group comes from the carry store (XRegister in
     bit-serial mode, a spare-shifter flip-flop otherwise); the carry-out is
     latched back there when an ``add`` write-back commits.
+
+    The word kernel adds every group at once.  Over a group's low ``n-1``
+    columns ``a + b + c = p + 2g + c`` is at most ``2^n - 1``, so one
+    integer add of ``p&low``, ``(g&low) << 1`` and the carry-in flags
+    never crosses a group boundary; its result holds the low sum bits and,
+    at each MSB column, the carry into the MSB.
     """
 
     def __init__(self, groups: int, factor: int) -> None:
         self.groups = groups
         self.factor = factor
+        self.lanes = lane_masks(groups * factor, factor)
+
+    def word(self, generate: int, propagate: int,
+             carry_in: int) -> Tuple[int, int]:
+        """Return (sum word, carry-out flags) for carry-in flags."""
+        low, msb = self.lanes.low, self.lanes.msb
+        t = (propagate & low) + ((generate & low) << 1) + carry_in
+        sums = (t & low) | ((propagate ^ t) & msb)
+        carry = ((generate | t & propagate) & msb) >> (self.factor - 1)
+        return sums, carry
 
     def compute(self, generate: np.ndarray, propagate: np.ndarray,
                 carry_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (sum bits shaped (groups, factor), carry-out per group)."""
-        g = group_view(generate, self.factor)
-        p = group_view(propagate, self.factor)
         carry = np.asarray(carry_in, dtype=np.uint8)
         if carry.shape != (self.groups,):
             raise SramError("carry-in shape mismatch")
-        sums = np.empty_like(g)
-        c = carry.copy()
-        for j in range(self.factor):  # ripple through the chain, LSB first
-            sums[:, j] = p[:, j] ^ c
-            c = g[:, j] | (p[:, j] & c)
-        return sums, c
+        lanes = self.lanes
+        sums, carry_out = self.word(
+            pack_row(generate, lanes.cols, "generate"),
+            pack_row(propagate, lanes.cols, "propagate"),
+            lanes.pack_flags(carry))
+        return (group_view(unpack(sums, lanes.cols), self.factor),
+                lanes.unpack_flags(carry_out))
 
 
 class XRegister:
@@ -83,17 +112,32 @@ class XRegister:
     def __init__(self, groups: int, factor: int) -> None:
         self.groups = groups
         self.factor = factor
-        self.bits = np.zeros((groups, factor), dtype=np.uint8)
+        self.lanes = lane_masks(groups * factor, factor)
+        self.word = 0
+
+    @property
+    def bits(self) -> np.ndarray:
+        return group_view(unpack(self.word, self.lanes.cols), self.factor)
 
     def load(self, bits: np.ndarray) -> None:
-        self.bits = group_view(np.asarray(bits, dtype=np.uint8).copy(), self.factor)
+        self.word = pack_row(bits, self.lanes.cols, "xreg")
+
+    def shift_right_word(self) -> int:
+        """Shift right by one; returns the LSB flags shifted out."""
+        out = self.word & self.lanes.lsb
+        self.word = (self.word >> 1) & self.lanes.low
+        return out
+
+    def shift_left_word(self) -> int:
+        """Shift left by one; returns the MSB bits shifted out, as flags."""
+        lanes = self.lanes
+        out = (self.word & lanes.msb) >> (self.factor - 1)
+        self.word = (self.word & lanes.low) << 1
+        return out
 
     def shift_right(self) -> np.ndarray:
         """Shift right by one; returns the bits shifted out of the LSB."""
-        out = self.bits[:, 0].copy()
-        self.bits[:, :-1] = self.bits[:, 1:]
-        self.bits[:, -1] = 0
-        return out
+        return self.lanes.unpack_flags(self.shift_right_word())
 
     def shift_left(self) -> np.ndarray:
         """Shift left by one; returns the bits shifted out of the MSB.
@@ -102,18 +146,16 @@ class XRegister:
         direction enables MSB-first walks (in-place multiplication) without
         scratch rows.
         """
-        out = self.bits[:, -1].copy()
-        self.bits[:, 1:] = self.bits[:, :-1]
-        self.bits[:, 0] = 0
-        return out
+        return self.lanes.unpack_flags(self.shift_left_word())
 
     @property
     def lsb(self) -> np.ndarray:
-        return self.bits[:, 0]
+        return self.lanes.unpack_flags(self.word & self.lanes.lsb)
 
     @property
     def msb(self) -> np.ndarray:
-        return self.bits[:, -1]
+        return self.lanes.unpack_flags(
+            (self.word & self.lanes.msb) >> (self.factor - 1))
 
 
 class MaskLogic:
@@ -127,25 +169,36 @@ class MaskLogic:
     def __init__(self, cols: int, factor: int) -> None:
         self.cols = cols
         self.factor = factor
-        self.bits = np.ones(cols, dtype=np.uint8)  # reset = all columns active
+        self.lanes = lane_masks(cols, factor)
+        self.word = self.lanes.full  # reset = all columns active
+
+    @property
+    def bits(self) -> np.ndarray:
+        return unpack(self.word, self.cols)
 
     def load_columns(self, bits: np.ndarray) -> None:
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (self.cols,):
-            raise SramError("mask width mismatch")
-        self.bits = bits.copy()
+        self.word = pack_row(bits, self.cols, "mask")
+
+    def load_group_flags(self, flags: int) -> None:
+        """Replicate each group's LSB flag across its columns."""
+        self.word = self.lanes.spread(flags)
 
     def load_groups(self, group_bits: np.ndarray) -> None:
         """Replicate one bit per group across its columns."""
         group_bits = np.asarray(group_bits, dtype=np.uint8)
         if group_bits.size * self.factor != self.cols:
             raise SramError("group-mask width mismatch")
-        self.bits = np.repeat(group_bits, self.factor)
+        self.load_group_flags(self.lanes.pack_flags(group_bits))
+
+    @property
+    def group_flags(self) -> int:
+        """Each group's LSB-column mask bit, as flags."""
+        return self.word & self.lanes.lsb
 
     @property
     def group_bits(self) -> np.ndarray:
         """The (identical) mask bit of each group's LSB column."""
-        return group_view(self.bits, self.factor)[:, 0]
+        return self.lanes.unpack_flags(self.group_flags)
 
 
 class ConstantShifter:
@@ -154,50 +207,72 @@ class ConstantShifter:
     Loaded from a row read; shifted conditionally on the mask latch; its
     contents can be written back through the bus logic (``shift`` source).
     Variable shifts are built by binary decomposition of the shift amount
-    (Section III-B).
+    (Section III-B).  Conditions, inserted bits and returned bits are
+    per-group flags.
     """
 
     def __init__(self, groups: int, factor: int) -> None:
         self.groups = groups
         self.factor = factor
-        self.bits = np.zeros((groups, factor), dtype=np.uint8)
+        self.lanes = lane_masks(groups * factor, factor)
+        self.word = 0
+
+    @property
+    def bits(self) -> np.ndarray:
+        return group_view(self.flat(), self.factor)
 
     def load(self, bits: np.ndarray) -> None:
-        self.bits = group_view(np.asarray(bits, dtype=np.uint8).copy(), self.factor)
+        self.word = pack_row(bits, self.lanes.cols, "shifter")
 
     def flat(self) -> np.ndarray:
-        return self.bits.reshape(-1)
+        return unpack(self.word, self.lanes.cols)
 
-    def shift_left(self, condition: np.ndarray, bit_in: np.ndarray) -> np.ndarray:
+    def _commit(self, shifted: int, condition: int) -> None:
+        """Latch ``shifted`` in the groups whose condition flag is set."""
+        self.word ^= (self.word ^ shifted) & self.lanes.spread(condition)
+
+    def shift_left_word(self, condition: int, bit_in: int) -> int:
         """Conditionally shift left; returns the old MSB of every group.
 
-        Groups where ``condition`` is 0 are untouched (and report their
+        Groups whose condition is 0 are untouched (and report their
         current MSB unchanged into the return value, which callers must
         gate on the same condition).
         """
-        out = self.bits[:, -1].copy()
-        shifted = np.empty_like(self.bits)
-        shifted[:, 1:] = self.bits[:, :-1]
-        shifted[:, 0] = np.asarray(bit_in, dtype=np.uint8)
-        cond = np.asarray(condition, dtype=bool)
-        self.bits[cond] = shifted[cond]
+        lanes = self.lanes
+        out = (self.word & lanes.msb) >> (self.factor - 1)
+        self._commit(((self.word & lanes.low) << 1) | bit_in, condition)
         return out
+
+    def shift_right_word(self, condition: int, bit_in: int) -> int:
+        """Conditionally shift right; returns the old LSB of every group."""
+        lanes = self.lanes
+        out = self.word & lanes.lsb
+        self._commit(((self.word >> 1) & lanes.low)
+                     | (bit_in << (self.factor - 1)), condition)
+        return out
+
+    def rotate_left_word(self, condition: int) -> None:
+        self.shift_left_word(
+            condition, (self.word & self.lanes.msb) >> (self.factor - 1))
+
+    def rotate_right_word(self, condition: int) -> None:
+        self.shift_right_word(condition, self.word & self.lanes.lsb)
+
+    def shift_left(self, condition: np.ndarray, bit_in: np.ndarray) -> np.ndarray:
+        lanes = self.lanes
+        return lanes.unpack_flags(self.shift_left_word(
+            lanes.pack_flags(condition), lanes.pack_flags(bit_in)))
 
     def shift_right(self, condition: np.ndarray, bit_in: np.ndarray) -> np.ndarray:
-        """Conditionally shift right; returns the old LSB of every group."""
-        out = self.bits[:, 0].copy()
-        shifted = np.empty_like(self.bits)
-        shifted[:, :-1] = self.bits[:, 1:]
-        shifted[:, -1] = np.asarray(bit_in, dtype=np.uint8)
-        cond = np.asarray(condition, dtype=bool)
-        self.bits[cond] = shifted[cond]
-        return out
+        lanes = self.lanes
+        return lanes.unpack_flags(self.shift_right_word(
+            lanes.pack_flags(condition), lanes.pack_flags(bit_in)))
 
     def rotate_left(self, condition: np.ndarray) -> None:
-        self.shift_left(condition, self.bits[:, -1].copy())
+        self.rotate_left_word(self.lanes.pack_flags(condition))
 
     def rotate_right(self, condition: np.ndarray) -> None:
-        self.shift_right(condition, self.bits[:, 0].copy())
+        self.rotate_right_word(self.lanes.pack_flags(condition))
 
 
 class SpareShifter:
@@ -205,33 +280,46 @@ class SpareShifter:
     constant shifter, carrying bits across segment boundaries.
 
     One of its flip-flops doubles as the inter-segment carry store for the
-    add logic (Section III-C).
+    add logic (Section III-C).  Both flip-flops are held as flags.
     """
 
     def __init__(self, groups: int, factor: int) -> None:
         self.groups = groups
         self.factor = factor
+        self.lanes = lane_masks(groups * factor, factor)
         #: Bit ferried between segments during multi-segment shifts.
-        self.link = np.zeros(groups, dtype=np.uint8)
+        self.link_flags = 0
         #: The "unused flip-flop" holding the inter-segment add carry.
-        self.carry = np.zeros(groups, dtype=np.uint8)
+        self.carry_flags = 0
 
-    def exchange(self, outgoing: np.ndarray, condition: np.ndarray) -> np.ndarray:
+    @property
+    def link(self) -> np.ndarray:
+        return self.lanes.unpack_flags(self.link_flags)
+
+    @property
+    def carry(self) -> np.ndarray:
+        return self.lanes.unpack_flags(self.carry_flags)
+
+    def exchange_word(self, outgoing: int, condition: int) -> int:
         """Swap the ferried bit with a segment's outgoing bit.
 
         Returns the previously stored bit (to be inserted into the constant
         shifter) and stores ``outgoing`` in groups where ``condition`` holds.
         """
-        incoming = self.link.copy()
-        cond = np.asarray(condition, dtype=bool)
-        self.link = np.where(cond, np.asarray(outgoing, dtype=np.uint8), self.link)
+        incoming = self.link_flags
+        self.link_flags = incoming ^ ((incoming ^ outgoing) & condition)
         return incoming
 
+    def exchange(self, outgoing: np.ndarray, condition: np.ndarray) -> np.ndarray:
+        lanes = self.lanes
+        return lanes.unpack_flags(self.exchange_word(
+            lanes.pack_flags(outgoing), lanes.pack_flags(condition)))
+
     def clear_link(self) -> None:
-        self.link[:] = 0
+        self.link_flags = 0
 
     def set_carry(self, bits: np.ndarray) -> None:
-        self.carry = np.asarray(bits, dtype=np.uint8).copy()
+        self.carry_flags = self.lanes.pack_flags(bits)
 
     def clear_carry(self) -> None:
-        self.carry[:] = 0
+        self.carry_flags = 0

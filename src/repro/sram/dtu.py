@@ -21,6 +21,7 @@ import numpy as np
 from ..errors import SramError
 from .eve_sram import EveSram
 from .layout import RegisterLayout
+from .words import segment_values, segment_words
 
 #: 32-bit elements per 64-byte cache line.
 ELEMENTS_PER_LINE = 16
@@ -48,23 +49,14 @@ class DataTransposeUnit:
             raise SramError("a line holds at most 16 32-bit elements")
         if first_element + count > layout.elements_per_array:
             raise SramError("line extends past the array's elements")
-        unsigned = values & ((1 << layout.element_bits) - 1)
-        n = layout.factor
-        enable = np.zeros(sram.cols, dtype=bool)
-        start_col = first_element * n
-        enable[start_col:start_col + count * n] = True
-        writes = 0
-        for seg in range(layout.segments):
-            row = layout.row_of(vreg, seg)
-            bits = sram.array.read(row)
-            segment_vals = (unsigned >> (seg * n)) & ((1 << n) - 1)
-            for j in range(n):
-                bits[start_col + j::n][:count] = \
-                    ((segment_vals >> j) & 1).astype(np.uint8)
-            # Partial-row write: only this line's columns are enabled.
-            sram.array.write(row, bits, col_enable=enable)
-            writes += 1
-        return writes
+        start_col = first_element * layout.factor
+        # Partial-row write: only this line's columns are enabled.
+        enable = ((1 << (count * layout.factor)) - 1) << start_col
+        words = segment_words(values, layout.factor, layout.element_bits)
+        for seg, word in enumerate(words):
+            sram.array.write_word(layout.row_of(vreg, seg), word << start_col,
+                                  enable)
+        return len(words)
 
     # -- store path: bit planes -> memory line -------------------------------
 
@@ -74,16 +66,11 @@ class DataTransposeUnit:
         layout = self.layout
         if first_element + count > layout.elements_per_array:
             raise SramError("line extends past the array's elements")
-        n = layout.factor
-        start_col = first_element * n
-        result = np.zeros(count, dtype=np.int64)
-        for seg in range(layout.segments):
-            row_bits = sram.array.read(layout.row_of(vreg, seg))
-            for j in range(n):
-                bit = row_bits[start_col + j::n][:count].astype(np.int64)
-                result |= bit << (seg * n + j)
-        sign = 1 << (layout.element_bits - 1)
-        return (result ^ sign) - sign
+        start_col = first_element * layout.factor
+        words = [sram.array.read_word(layout.row_of(vreg, seg)) >> start_col
+                 for seg in range(layout.segments)]
+        return segment_values(words, count, layout.factor,
+                              layout.element_bits)
 
     # -- cost model hook ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ Modes by parallelization factor:
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -30,9 +30,10 @@ from .circuits import (
     SpareShifter,
     XorLayer,
     XRegister,
-    group_view,
 )
 from .layout import RegisterLayout
+from .words import (lane_masks, pack, pack_row, segment_values, segment_words,
+                    unpack)
 
 #: Write-back destinations besides a wordline.
 DEST_MASK = "mask"
@@ -46,7 +47,12 @@ WB_SOURCES = ("and", "nand", "or", "nor", "xor", "xnor", "add", "shift",
 
 
 class EveSram:
-    """One EVE SRAM array with its full circuit stack."""
+    """One EVE SRAM array with its full circuit stack.
+
+    Rows, latches and the data-in port are words (:mod:`repro.sram.words`);
+    every μop is a few word operations across all column groups.  The
+    fault hook sees numpy values, converted only while it is enabled.
+    """
 
     def __init__(self, rows: int, cols: int, factor: int) -> None:
         if factor <= 0 or cols % factor != 0:
@@ -55,15 +61,16 @@ class EveSram:
         self.cols = cols
         self.factor = factor
         self.groups = cols // factor
+        self.lanes = lane_masks(cols, factor)
         self.array = SramArray(rows, cols)
         self.add_logic = AddLogic(self.groups, factor)
         self.xreg = XRegister(self.groups, factor)
         self.mask = MaskLogic(cols, factor)
         self.cshift = ConstantShifter(self.groups, factor)
         self.spare = SpareShifter(self.groups, factor)
-        self.data_in = np.zeros(cols, dtype=np.uint8)
-        self._values: dict[str, np.ndarray] = {}
-        self._pending_carry: np.ndarray | None = None
+        self.data_in_word = 0
+        self._values: Dict[str, int] = {}
+        self._pending_carry: Optional[int] = None
         #: Fault-injection hook (zero-cost null default, like the obs
         #: hooks); armed by :mod:`repro.faults.inject`.
         self.faults = NULL_FAULTS
@@ -74,67 +81,68 @@ class EveSram:
     def bit_serial(self) -> bool:
         return self.factor == 1
 
-    def _carry_in(self) -> np.ndarray:
+    def _carry_in(self) -> int:
+        """The carry-in flags (at factor 1 every column is a group LSB,
+        so the whole XRegister is the carry store)."""
         if self.bit_serial:
-            return self.xreg.bits[:, 0]
-        return self.spare.carry
+            return self.xreg.word
+        return self.spare.carry_flags
 
-    def _commit_carry(self, carry: np.ndarray) -> None:
+    def _commit_carry(self, carry: int) -> None:
         if self.faults.enabled:
-            carry = self.faults.filter_carry(carry)
+            lanes = self.lanes
+            carry = lanes.pack_flags(
+                self.faults.filter_carry(lanes.unpack_flags(carry)))
         if self.bit_serial:
-            self.xreg.bits[:, 0] = carry
+            self.xreg.word = carry
         else:
-            self.spare.set_carry(carry)
+            self.spare.carry_flags = carry
 
     def clear_carry(self) -> None:
         if self.bit_serial:
-            self.xreg.bits[:, 0] = 0
+            self.xreg.word = 0
         else:
             self.spare.clear_carry()
 
     # -- data-in port ------------------------------------------------------
 
     def set_data_in(self, bits: np.ndarray) -> None:
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (self.cols,):
-            raise SramError("data_in width mismatch")
-        self.data_in = bits.copy()
+        self.data_in_word = pack_row(bits, self.cols, "data_in")
 
     # -- arithmetic micro-operations ------------------------------------------
 
     def u_rd(self, row: int) -> np.ndarray:
         """``rd``: read a wordline; the value lands on the read port and is
         latched into the constant shifter (the shifter's load path)."""
-        bits = self.array.read(row)
-        self.cshift.load(bits)
-        self._values["shift"] = bits
-        return bits
+        word = self.array.read_word(row)
+        self.cshift.word = word
+        return unpack(word, self.cols)
 
     def u_wr(self, row: int, masked: bool = False) -> None:
         """``wr``: write the data-in port into a wordline."""
-        enable = self.mask.bits.astype(bool) if masked else None
-        self.array.write(row, self.data_in, col_enable=enable)
+        self.array.write_word(row, self.data_in_word,
+                              self.mask.word if masked else None)
 
     def u_blc(self, row_a: int, row_b: int) -> None:
         """``blc``: dual-wordline compute; feeds the whole stack."""
-        blr = self.array.bitline_compute(row_a, row_b)
-        xor, xnor = XorLayer.compute(blr)
-        sums, carry_out = self.add_logic.compute(
-            generate=blr.and_, propagate=xor, carry_in=self._carry_in())
+        full = self.lanes.full
+        and_, nor = self.array.bitline_words(row_a, row_b)
+        nand, or_ = full ^ and_, full ^ nor
+        xor, xnor = XorLayer.word(nand, or_, full)
+        sums, carry_out = self.add_logic.word(and_, xor, self._carry_in())
         self._values.update({
-            "and": blr.and_, "nand": blr.nand, "or": blr.or_, "nor": blr.nor,
-            "xor": xor, "xnor": xnor, "add": sums.reshape(-1),
+            "and": and_, "nand": nand, "or": or_, "nor": nor,
+            "xor": xor, "xnor": xnor, "add": sums,
         })
         self._pending_carry = carry_out
 
-    def _source(self, src: str) -> np.ndarray:
+    def _source(self, src: str) -> int:
         if src == "data_in":
-            return self.data_in
+            return self.data_in_word
         if src == "shift":
-            return self.cshift.flat()
+            return self.cshift.word
         if src == "mask":
-            return self.mask.bits
+            return self.mask.word
         try:
             return self._values[src]
         except KeyError:
@@ -160,55 +168,56 @@ class EveSram:
             # The carry flip-flop update above belongs to the adder and
             # has already happened; a dropped/latched write-back only
             # perturbs the destination write itself.
-            value = self.faults.filter_wb(self, dest, src, value)
-            if value is None:
+            filtered = self.faults.filter_wb(self, dest, src,
+                                             unpack(value, self.cols))
+            if filtered is None:
                 return
+            value = pack(filtered)
+        lanes = self.lanes
         if isinstance(dest, (int, np.integer)):
-            enable = self.mask.bits.astype(bool) if masked else None
-            self.array.write(int(dest), value, col_enable=enable)
+            self.array.write_word(int(dest), value,
+                                  self.mask.word if masked else None)
         elif dest == DEST_MASK:
-            self.mask.load_columns(value)
+            self.mask.word = value
         elif dest == DEST_MASK_GROUPS:
             # Replicate each group's LSB-column bit across the group.
-            self.mask.load_groups(group_view(value, self.factor)[:, 0])
+            self.mask.load_group_flags(value & lanes.lsb)
         elif dest == DEST_XREG:
-            self.xreg.load(value)
+            self.xreg.word = value
         elif dest == DEST_CARRY:
-            self._commit_carry(group_view(value, self.factor)[:, 0])
+            self._commit_carry(value & lanes.lsb)
         elif dest == DEST_LINK:
             # Load the ferry bit from each group's MSB column (used to seed
             # the sign bit for arithmetic right shifts).
-            self.spare.link = group_view(value, self.factor)[:, -1].copy()
+            self.spare.link_flags = (value & lanes.msb) >> (self.factor - 1)
         else:
             raise SramError(f"unknown write-back destination {dest!r}")
 
     # -- shifter micro-operations -------------------------------------------
 
-    def _condition(self, conditional: bool) -> np.ndarray:
+    def _condition(self, conditional: bool) -> int:
         if conditional:
-            return self.mask.group_bits.astype(bool)
-        return np.ones(self.groups, dtype=bool)
+            return self.mask.group_flags
+        return self.lanes.lsb
 
     def u_lshift(self, conditional: bool = True) -> None:
         """``lshift``: constant shifter left by one; the spare shifter
         ferries the outgoing MSB to the next segment (bit-hybrid)."""
         cond = self._condition(conditional)
-        bit_in = self.spare.link.copy()
-        out = self.cshift.shift_left(cond, bit_in)
-        self.spare.exchange(out, cond)
+        out = self.cshift.shift_left_word(cond, self.spare.link_flags)
+        self.spare.exchange_word(out, cond)
 
     def u_rshift(self, conditional: bool = True) -> None:
         """``rshift``: constant shifter right by one, spare ferrying LSBs."""
         cond = self._condition(conditional)
-        bit_in = self.spare.link.copy()
-        out = self.cshift.shift_right(cond, bit_in)
-        self.spare.exchange(out, cond)
+        out = self.cshift.shift_right_word(cond, self.spare.link_flags)
+        self.spare.exchange_word(out, cond)
 
     def u_lrotate(self, conditional: bool = True) -> None:
-        self.cshift.rotate_left(self._condition(conditional))
+        self.cshift.rotate_left_word(self._condition(conditional))
 
     def u_rrotate(self, conditional: bool = True) -> None:
-        self.cshift.rotate_right(self._condition(conditional))
+        self.cshift.rotate_right_word(self._condition(conditional))
 
     def u_spare_clear(self) -> None:
         """``sclr``: reset the spare shifter's ferry bit before a new
@@ -218,16 +227,14 @@ class EveSram:
     def u_mask_shft(self) -> None:
         """``mask_shft``: load the mask latches from the XRegister LSB
         column, then shift the XRegister right by one (Section IV-A)."""
-        self.mask.load_groups(self.xreg.lsb.copy())
-        self.xreg.shift_right()
+        self.mask.load_group_flags(self.xreg.shift_right_word())
 
     def u_mask_shftl(self) -> None:
         """``mask_shftl``: load the mask latches from the XRegister MSB
         column, then shift the XRegister left by one.  The MSB-first walk
         lets multiplication accumulate in place (no scratch rows), which is
         what keeps 32 registers resident at factor 4 (Table III)."""
-        self.mask.load_groups(self.xreg.msb.copy())
-        self.xreg.shift_left()
+        self.mask.load_group_flags(self.xreg.shift_left_word())
 
     def u_mask_from_carry(self, invert: bool = False,
                           lsb_only: bool = False) -> None:
@@ -238,14 +245,13 @@ class EveSram:
         only (an AND with the column-position signal), letting a masked
         write set a single quotient bit without disturbing its neighbours.
         """
-        carry = self._carry_in()
-        flag = (1 - carry) if invert else carry.copy()
+        flag = self._carry_in()
+        if invert:
+            flag ^= self.lanes.lsb
         if lsb_only:
-            bits = np.zeros(self.cols, dtype=np.uint8)
-            bits[0::self.factor] = flag
-            self.mask.load_columns(bits)
+            self.mask.word = flag
         else:
-            self.mask.load_groups(flag)
+            self.mask.load_group_flags(flag)
 
     # -- host helpers (not micro-operations) -----------------------------------
 
@@ -258,28 +264,17 @@ class EveSram:
         n_elem = layout.elements_per_array
         if values.shape != (n_elem,):
             raise SramError(f"expected {n_elem} elements, got {values.shape}")
-        unsigned = values.astype(np.int64) & ((1 << layout.element_bits) - 1)
-        for seg in range(layout.segments):
-            row = layout.row_of(vreg, seg)
-            row_bits = self.array.read(row)
-            segment_vals = (unsigned >> (seg * layout.factor)) & ((1 << layout.factor) - 1)
-            for j in range(layout.factor):
-                bit = ((segment_vals >> j) & 1).astype(np.uint8)
-                row_bits[j::layout.factor][:n_elem] = bit
-            self.array.write(row, row_bits)
+        words = segment_words(values, layout.factor, layout.element_bits)
+        for seg, word in enumerate(words):
+            self.array.write_word(layout.row_of(vreg, seg), word)
 
     def read_vreg(self, layout: RegisterLayout, vreg: int) -> np.ndarray:
         """Host-side read of a whole vector register as signed integers."""
         self._check_layout(layout)
-        n_elem = layout.elements_per_array
-        result = np.zeros(n_elem, dtype=np.int64)
-        for seg in range(layout.segments):
-            row_bits = self.array.read(layout.row_of(vreg, seg))
-            for j in range(layout.factor):
-                bit = row_bits[j::layout.factor][:n_elem].astype(np.int64)
-                result |= bit << (seg * layout.factor + j)
-        sign = 1 << (layout.element_bits - 1)
-        return (result ^ sign) - sign
+        words = [self.array.read_word(layout.row_of(vreg, seg))
+                 for seg in range(layout.segments)]
+        return segment_values(words, layout.elements_per_array,
+                              layout.factor, layout.element_bits)
 
     def _check_layout(self, layout: RegisterLayout) -> None:
         if layout.rows > self.rows or layout.cols != self.cols or layout.factor != self.factor:

@@ -11,9 +11,8 @@ so the cycle count is exact either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
-
-import numpy as np
+from functools import lru_cache
+from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import MicroExecutionError
 from ..faults.inject import NULL_FAULTS
@@ -21,12 +20,20 @@ from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracer import NULL_TRACER, SpanTracer
 from ..sram.eve_sram import EveSram
 from ..sram.layout import RegisterLayout
+from ..sram.words import Lanes, lane_masks
 from .counters import CounterFile
 from .program import MicroProgram
 from .uop import ArithUop, ControlUop, CounterSeg, CounterUop, DataIn, RowRef, SegSpec
 
 #: Default watchdog limit: no macro-op on a 32-bit element comes near this.
 MAX_CYCLES = 1_000_000
+
+
+@lru_cache(maxsize=None)
+def _base_rows(layout: RegisterLayout) -> Tuple[int, ...]:
+    """Base-row table: segment ``s`` of ``vreg`` sits at row
+    ``table[vreg] + s``."""
+    return tuple(layout.row_of(vreg, 0) for vreg in range(layout.num_vregs))
 
 
 @dataclass
@@ -77,31 +84,44 @@ class MicroEngine:
             return seg.base + seg.step * counter.index
         return int(seg)
 
-    def _row(self, ref: RowRef, binding: Binding) -> int:
-        return binding.layout.row_of(binding.vreg(ref.reg), self._seg_index(ref.seg))
+    def _resolver(self, binding: Binding) -> Callable[[RowRef], int]:
+        """Row resolution for one bit-exact run: each bound slot's base
+        row comes from the layout's base-row table once, and a reference
+        adds its segment.  An unbound slot or an out-of-range register or
+        segment falls back to the layout's own arithmetic, which raises
+        the error it always has."""
+        layout = binding.layout
+        bases = _base_rows(layout)
+        segments = layout.segments
+        slot_rows = {slot: bases[vreg] for slot, vreg in binding.regs.items()
+                     if 0 <= vreg < len(bases)}
+        seg_index = self._seg_index
 
-    def _data_in(self, spec: DataIn, binding: Binding, cols: int) -> np.ndarray:
-        factor = binding.layout.factor
-        pattern = np.zeros(cols, dtype=np.uint8)
-        if spec.kind == "zeros":
-            return pattern
-        if spec.kind == "ones":
-            pattern[:] = 1
-            return pattern
-        if spec.kind == "lsb_ones":
-            pattern[0::factor] = 1
-            return pattern
-        if spec.kind == "msb_ones":
-            pattern[factor - 1::factor] = 1
-            return pattern
+        def row(ref: RowRef) -> int:
+            base = slot_rows.get(ref.reg)
+            if base is not None:
+                seg = seg_index(ref.seg)
+                if 0 <= seg < segments:
+                    return base + seg
+            return layout.row_of(binding.vreg(ref.reg), seg_index(ref.seg))
+        return row
+
+    def _data_in(self, spec: DataIn, binding: Binding, lanes: Lanes) -> int:
+        """The data-in pattern as a word (flags replicate per group)."""
+        kind = spec.kind
+        if kind == "zeros":
+            return 0
+        if kind == "ones":
+            return lanes.full
+        if kind == "lsb_ones":
+            return lanes.lsb
+        if kind == "msb_ones":
+            return lanes.msb
         # scalar_seg: broadcast one segment of the scalar operand.
+        factor = lanes.factor
         seg = self._seg_index(spec.seg)
         unsigned = binding.scalar & ((1 << binding.layout.element_bits) - 1)
-        segment = (unsigned >> (seg * factor)) & ((1 << factor) - 1)
-        for j in range(factor):
-            if (segment >> j) & 1:
-                pattern[j::factor] = 1
-        return pattern
+        return lanes.lsb * ((unsigned >> (seg * factor)) & ((1 << factor) - 1))
 
     # -- μop dispatch -----------------------------------------------------
 
@@ -116,22 +136,23 @@ class MicroEngine:
         else:
             counter.incr()
 
-    def _apply_arith(self, uop: ArithUop, sram: EveSram, binding: Binding) -> None:
+    def _apply_arith(self, uop: ArithUop, sram: EveSram, binding: Binding,
+                     row: Callable[[RowRef], int], lanes: Lanes) -> None:
         if uop.data_in is not None:
-            sram.set_data_in(self._data_in(uop.data_in, binding, sram.cols))
+            sram.data_in_word = self._data_in(uop.data_in, binding, lanes)
         kind = uop.kind
         if kind == "nop":
             return
         if kind == "rd":
-            sram.u_rd(self._row(uop.a, binding))
+            sram.u_rd(row(uop.a))
         elif kind == "wr":
-            sram.u_wr(self._row(uop.a, binding), masked=uop.masked)
+            sram.u_wr(row(uop.a), masked=uop.masked)
         elif kind == "blc":
-            sram.u_blc(self._row(uop.a, binding), self._row(uop.b, binding))
+            sram.u_blc(row(uop.a), row(uop.b))
         elif kind == "wb":
             dest = uop.dest
             if isinstance(dest, RowRef):
-                dest = self._row(dest, binding)
+                dest = row(dest)
             sram.u_wb(dest, uop.src, masked=uop.masked)
         elif kind == "lshift":
             sram.u_lshift(conditional=uop.conditional)
@@ -191,6 +212,9 @@ class MicroEngine:
             raise MicroExecutionError("bit-exact execution requires a binding")
         if self.faults.enabled:
             self.faults.on_program(program.name)
+        if sram is not None:
+            row = self._resolver(binding)
+            lanes = lane_masks(sram.cols, binding.layout.factor)
         limit = self.max_cycles if max_cycles is None else max_cycles
         upc = 0
         cycles = 0
@@ -208,7 +232,7 @@ class MicroEngine:
                 if histogram is not None:
                     histogram[tup.arith.kind] = histogram.get(tup.arith.kind, 0) + 1
                 if sram is not None:
-                    self._apply_arith(tup.arith, sram, binding)
+                    self._apply_arith(tup.arith, sram, binding, row, lanes)
             next_upc = upc + 1
             if tup.control is not None:
                 next_upc, returned = self._apply_control(tup.control, program, next_upc)

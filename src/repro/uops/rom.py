@@ -13,7 +13,7 @@ VMU / VRU / VSU and are timed by the engine models instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import IsaError
 from ..isa.instructions import VectorInstr
@@ -196,7 +196,9 @@ class MacroOpRom:
     With ``strict=True`` every program is statically verified on build
     (:func:`repro.uops.lint.check_program`): a malformed listing raises
     :class:`~repro.errors.LintError` at ROM-construction time instead of
-    surfacing as a wrong cycle count or a hang mid-simulation.
+    surfacing as a wrong cycle count or a hang mid-simulation.  Each
+    program is linted once per process (``_linted``); :meth:`verify`
+    lints every spec regardless.
     """
 
     #: Process-wide cycle table shared by every ROM of the same design.
@@ -207,6 +209,13 @@ class MacroOpRom:
     #: per-instance: building one is cheap, and the generator table can
     #: legitimately differ between ROMs (tests patch it).
     _shared_cycles: Dict[tuple, Dict[tuple, int]] = {}
+
+    #: Process-wide strict-mode verdicts: the (generator, factor,
+    #: element_bits, params) keys whose program already linted clean.
+    #: Generators are deterministic, so a second strict ROM of the same
+    #: design skips the re-lint; a patched generator is a new key.  Only
+    #: verdicts are shared, never programs (see ``_shared_cycles``).
+    _linted: Set[tuple] = set()
 
     def __init__(self, factor: int, element_bits: int = 32,
                  strict: bool = False) -> None:
@@ -230,9 +239,11 @@ class MacroOpRom:
             except KeyError:
                 raise IsaError(f"unknown macro-operation {macro!r}") from None
             program = generator(self.factor, self.element_bits, **params)
-            if self.strict:
+            verdict = (generator, self.factor, self.element_bits, key)
+            if self.strict and verdict not in self._linted:
                 from .lint import check_program
                 check_program(program, self.factor, self.element_bits)
+                self._linted.add(verdict)
             self._programs[key] = program
         return self._programs[key]
 

@@ -278,6 +278,29 @@ class TestParallelDeterminism:
                 for s, w in PAIRS} == _serial_cycles()
 
 
+class TestRepeatPrefetch:
+    def test_warm_cells_count_as_cached_on_both_runners(self):
+        pairs = [("IO", "vvadd"), ("O3+EVE-4", "vvadd")]
+        seen = []
+        for runner in (ExperimentRunner(params_override=TINY_PARAMS),
+                       ParallelRunner(params_override=TINY_PARAMS, jobs=2,
+                                      cache_root=None)):
+            runner.prefetch(pairs)
+            hub = CampaignTelemetry("sweep", campaign_id="c")
+            runner.telemetry = hub
+            stats = runner.prefetch(pairs)
+            events = hub.ordered_events()
+            assert check_conservation(events) == []
+            seen.append(({key: stats[key]
+                          for key in ("cells", "simulated", "cached")},
+                         {(e.unit, e.event) for e in events
+                          if e.event in TERMINAL_EVENTS}))
+        assert seen[0] == seen[1]
+        assert seen[0] == ({"cells": 2, "simulated": 0, "cached": 2},
+                           {("IO/vvadd", "cache_hit"),
+                            ("O3+EVE-4/vvadd", "cache_hit")})
+
+
 class TestCellCache:
     def test_repeat_prefetch_hits_disk_cache(self, tmp_path):
         root = str(tmp_path / "cache")

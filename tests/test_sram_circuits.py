@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SramError
+from repro.sram import SramArray
 from repro.sram.array import BitLineResult
 from repro.sram.circuits import (
     AddLogic,
@@ -16,6 +17,7 @@ from repro.sram.circuits import (
     XRegister,
     group_view,
 )
+from repro.sram.words import lane_masks, pack, unpack
 
 
 def bits(values):
@@ -180,3 +182,158 @@ class TestSpareShifter:
         spare.set_carry(bits([1]))
         spare.clear_link()
         assert spare.carry[0] == 1
+
+
+# -- word kernels against their per-group definitions -------------------------
+
+WORD_FACTORS = st.sampled_from([1, 2, 4, 8, 16, 32])
+
+
+@st.composite
+def lane_words(draw, count):
+    """(factor, groups, [word, ...]) for a random row geometry."""
+    factor = draw(WORD_FACTORS)
+    groups = draw(st.integers(1, 6))
+    top = (1 << (factor * groups)) - 1
+    return factor, groups, [draw(st.integers(0, top)) for _ in range(count)]
+
+
+def split(word, factor, groups):
+    """Per-group values of a word, group 0 first."""
+    mask = (1 << factor) - 1
+    return [(word >> (g * factor)) & mask for g in range(groups)]
+
+
+def flags_of(pattern, factor, groups):
+    """Flags (one per group, at its LSB column) from a group bit pattern."""
+    return sum(((pattern >> g) & 1) << (g * factor) for g in range(groups))
+
+
+def flag_bits(flags, factor, groups):
+    return [v & 1 for v in split(flags, factor, groups)]
+
+
+class TestWordAdd:
+    @settings(max_examples=200, deadline=None)
+    @given(lane_words(2), st.integers(0, 63))
+    def test_groupwise_add_with_carry(self, geometry, pattern):
+        factor, groups, (a, b) = geometry
+        carry_in = flags_of(pattern, factor, groups)
+        sums, carry_out = AddLogic(groups, factor).word(a & b, a ^ b,
+                                                        carry_in)
+        cins = flag_bits(carry_in, factor, groups)
+        for g, (x, y) in enumerate(zip(split(a, factor, groups),
+                                       split(b, factor, groups))):
+            total = x + y + cins[g]
+            assert split(sums, factor, groups)[g] == total % (1 << factor)
+            assert flag_bits(carry_out, factor, groups)[g] == total >> factor
+        assert carry_out & ~lane_masks(factor * groups, factor).lsb == 0
+
+
+class TestWordShifters:
+    @settings(max_examples=200, deadline=None)
+    @given(lane_words(1), st.integers(0, 63), st.integers(0, 63),
+           st.sampled_from(["shift_left", "shift_right", "rotate_left",
+                            "rotate_right"]))
+    def test_constant_shifter(self, geometry, cond_pattern, in_pattern, op):
+        factor, groups, (word,) = geometry
+        top = (1 << factor) - 1
+        cond = flags_of(cond_pattern, factor, groups)
+        bit_in = flags_of(in_pattern, factor, groups)
+        shifter = ConstantShifter(groups, factor)
+        shifter.word = word
+        if op.startswith("shift"):
+            out = getattr(shifter, op + "_word")(cond, bit_in)
+        else:
+            out = None
+            getattr(shifter, op + "_word")(cond)
+        olds = split(word, factor, groups)
+        news = split(shifter.word, factor, groups)
+        for g, old in enumerate(olds):
+            ins = (in_pattern >> g) & 1
+            expected = {
+                "shift_left": ((old << 1) & top) | ins,
+                "shift_right": (old >> 1) | (ins << (factor - 1)),
+                "rotate_left": ((old << 1) & top) | (old >> (factor - 1)),
+                "rotate_right": (old >> 1) | ((old & 1) << (factor - 1)),
+            }[op]
+            assert news[g] == (expected if (cond_pattern >> g) & 1 else old)
+        if op == "shift_left":
+            assert flag_bits(out, factor, groups) == [
+                old >> (factor - 1) for old in olds]
+        elif op == "shift_right":
+            assert flag_bits(out, factor, groups) == [old & 1 for old in olds]
+
+    @settings(max_examples=100, deadline=None)
+    @given(lane_words(1))
+    def test_xregister_walks(self, geometry):
+        factor, groups, (word,) = geometry
+        top = (1 << factor) - 1
+        olds = split(word, factor, groups)
+        x = XRegister(groups, factor)
+        x.word = word
+        assert flag_bits(x.shift_right_word(), factor, groups) == [
+            v & 1 for v in olds]
+        assert split(x.word, factor, groups) == [v >> 1 for v in olds]
+        x.word = word
+        assert flag_bits(x.shift_left_word(), factor, groups) == [
+            v >> (factor - 1) for v in olds]
+        assert split(x.word, factor, groups) == [(v << 1) & top
+                                                 for v in olds]
+
+    @settings(max_examples=100, deadline=None)
+    @given(WORD_FACTORS, st.integers(1, 6), st.integers(0, 63),
+           st.integers(0, 63), st.integers(0, 63))
+    def test_spare_exchange(self, factor, groups, link, out, cond):
+        spare = SpareShifter(groups, factor)
+        spare.link_flags = flags_of(link, factor, groups)
+        incoming = spare.exchange_word(flags_of(out, factor, groups),
+                                       flags_of(cond, factor, groups))
+        assert incoming == flags_of(link, factor, groups)
+        for g in range(groups):
+            chosen = out if (cond >> g) & 1 else link
+            assert flag_bits(spare.link_flags, factor, groups)[g] == \
+                (chosen >> g) & 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(WORD_FACTORS, st.integers(1, 6), st.integers(0, 63))
+    def test_spread_fills_each_flagged_group(self, factor, groups, pattern):
+        lanes = lane_masks(factor * groups, factor)
+        spread = lanes.spread(flags_of(pattern, factor, groups))
+        assert split(spread, factor, groups) == [
+            (1 << factor) - 1 if (pattern >> g) & 1 else 0
+            for g in range(groups)]
+
+
+class TestPacking:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 100).flatmap(
+        lambda cols: st.lists(st.integers(0, 1), min_size=cols,
+                              max_size=cols)))
+    def test_pack_unpack_round_trip(self, column_bits):
+        cols = len(column_bits)
+        word = pack(bits(column_bits))
+        assert word == sum(b << c for c, b in enumerate(column_bits))
+        assert unpack(word, cols).tolist() == column_bits
+        assert unpack(word, cols).dtype == np.uint8
+
+    def test_odd_column_count(self):
+        pattern = bits([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1])  # 11 columns
+        assert unpack(pack(pattern), 11).tolist() == pattern.tolist()
+        array = SramArray(3, 11)
+        array.write(1, pattern)
+        assert array.snapshot()[1].tolist() == pattern.tolist()
+        assert array.read(1).tolist() == pattern.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 70), st.integers(0, 2 ** 32), st.data())
+    def test_flip_toggles_exactly_one_cell(self, cols, seed, data):
+        rows = 4
+        array = SramArray(rows, cols)
+        array.load(np.random.default_rng(seed).integers(0, 2, (rows, cols)))
+        row = data.draw(st.integers(0, rows - 1))
+        col = data.draw(st.integers(0, cols - 1))
+        before = array.snapshot()
+        array.flip(row, col)
+        changed = np.argwhere(array.snapshot() != before)
+        assert changed.tolist() == [[row, col]]

@@ -451,6 +451,25 @@ class TestStrictRom:
         # Non-strict ROM still builds it (the seed behaviour).
         assert len(MacroOpRom(8).program("add")) == 2
 
+    def test_second_strict_rom_skips_the_lint(self, monkeypatch):
+        from repro.uops import lint
+
+        linted = []
+        real = lint.check_program
+
+        def counting(program, *args, **kwargs):
+            linted.append(program.name)
+            return real(program, *args, **kwargs)
+
+        monkeypatch.setattr(lint, "check_program", counting)
+        MacroOpRom(2, strict=True).program("mul")
+        first = len(linted)
+        MacroOpRom(2, strict=True).program("mul")
+        assert len(linted) == first
+        # verify() still lints every spec it serves.
+        assert MacroOpRom(2).verify() == len(rom_specs())
+        assert len(linted) == first + len(rom_specs())
+
 
 # -- satellite: the executor watchdog ----------------------------------------
 
