@@ -128,10 +128,6 @@ class CellCache:
     Stores are atomic (unique temp + ``os.replace``).
     """
 
-    #: A present-but-unreadable pickle raises one of these.
-    _CORRUPT_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
-                       ImportError, IndexError, ValueError)
-
     def __init__(self, root: str = DEFAULT_CACHE_ROOT) -> None:
         self.root = root
 
@@ -162,7 +158,9 @@ class CellCache:
             # Unreadable for environmental reasons (permissions, I/O):
             # a miss, not corruption — do not quarantine.
             return None, "miss"
-        except self._CORRUPT_ERRORS:
+        except Exception:
+            # Anything else the unpickler raises means the bytes are
+            # bad (a truncated stream, a mangled opcode or length).
             self.quarantine(path)
             return None, "corrupt"
 

@@ -38,8 +38,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import FaultInjectionError
 
 #: The supported fault models (CLI ``--model`` values).
@@ -141,7 +139,7 @@ class FaultInjector:
         self._current_program = ""
         self._wb_seen = 0
         self._carry_seen = 0
-        self._stale_wb: Optional[np.ndarray] = None
+        self._stale_wb = 0
         self._stuck_active = False
         rng = random.Random(spec.seed)
         if self.model == "stuck_carry":
@@ -152,6 +150,7 @@ class FaultInjector:
             self.target = rng.randrange(carry_events)
             self.group = rng.randrange(groups)
             self.stuck_value = rng.randrange(2)
+            self._stuck_bit = 1 << (self.group * (cols // groups))
             self.flip_sites: List[Tuple[int, int]] = []
         else:
             if wb_events <= 0:
@@ -181,31 +180,31 @@ class FaultInjector:
 
     # -- the two fault surfaces --------------------------------------------
 
-    def filter_wb(self, sram, dest, src, value):
-        """Intercept one write-back; returns the (possibly replaced)
-        value, or ``None`` to drop the write entirely."""
+    def filter_wb(self, sram, dest, src, value: int) -> Optional[int]:
+        """Intercept one write-back of the word ``value``; returns the
+        (possibly replaced) word, or ``None`` to drop the write entirely."""
         event = self._wb_seen
         self._wb_seen += 1
         if self.model == "stuck_carry" or event != self.target:
             if self.model == "latch_wb":
-                self._stale_wb = np.array(value, dtype=np.uint8, copy=True)
+                self._stale_wb = value
             return value
         self._mark_fired()
         if self.model == "drop_wb":
             return None
         if self.model == "latch_wb":
             # The peripheral latch failed to capture this cycle's value:
-            # the previous write-back's bits (or reset state) go out.
-            return (self._stale_wb if self._stale_wb is not None
-                    else np.zeros_like(np.asarray(value, dtype=np.uint8)))
+            # the previous write-back's word (or reset state, 0) goes out.
+            return self._stale_wb
         # bitflip / multi_bitflip: flip stored cells at the event boundary.
         for row, col in self.flip_sites:
             sram.array.flip(row % sram.rows, col % sram.cols)
         return value
 
-    def filter_carry(self, carry):
-        """Intercept one carry commit; a stuck segment boundary holds its
-        flip-flop at the stuck value from the target event onward."""
+    def filter_carry(self, carry: int) -> int:
+        """Intercept one commit of the carry flags ``carry`` (one per
+        group, at its LSB column); a stuck segment boundary holds its
+        group's flip-flop at the stuck value from the target event on."""
         event = self._carry_seen
         self._carry_seen += 1
         if self.model != "stuck_carry":
@@ -214,8 +213,9 @@ class FaultInjector:
             self._stuck_active = True
             self._mark_fired()
         if self._stuck_active:
-            carry = np.array(carry, dtype=np.uint8, copy=True)
-            carry[self.group % len(carry)] = self.stuck_value
+            carry &= ~self._stuck_bit
+            if self.stuck_value:
+                carry |= self._stuck_bit
         return carry
 
     # -- reporting ----------------------------------------------------------

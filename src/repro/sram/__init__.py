@@ -13,13 +13,12 @@
   memory layout and the S-CIM bit planes.
 * :mod:`repro.sram.words` — the word-packed row representation every
   layer runs on (one Python int per row), its lane masks, and the
-  numpy conversions at the host boundary.
+  element transposes through which values enter and leave the model.
 """
 
-from .array import BitLineResult, SramArray
+from .array import SramArray
 from .layout import RegisterLayout
 from .eve_sram import EveSram
 from .dtu import DataTransposeUnit
 
-__all__ = ["BitLineResult", "SramArray", "RegisterLayout", "EveSram",
-           "DataTransposeUnit"]
+__all__ = ["SramArray", "RegisterLayout", "EveSram", "DataTransposeUnit"]

@@ -10,38 +10,19 @@ the sense amplifiers reconfigured to single-ended mode yields, per column,
 Inverting these gives ``nand`` and ``or``, so one access produces all four
 bit-wise logical operations, exactly as in Jeloka et al. and VRAM.
 
-Each wordline is held as one word (:mod:`repro.sram.words`): the
-``*_word`` / ``*_words`` methods are the datapath, and the numpy methods
-convert at the host boundary around them.
+Each wordline is held as one word (:mod:`repro.sram.words`), bit ``c``
+holding column ``c``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..errors import SramError
-from .words import pack, unpack
-
-
-@dataclass(frozen=True)
-class BitLineResult:
-    """Per-column outcome of one bit-line compute operation."""
-
-    and_: np.ndarray
-    nand: np.ndarray
-    or_: np.ndarray
-    nor: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return len(self.and_)
 
 
 class SramArray:
-    """A rows x cols array of bit cells storing 0/1 values."""
+    """A rows x cols array of bit cells, one word per wordline."""
 
     def __init__(self, rows: int, cols: int) -> None:
         if rows <= 0 or cols <= 0:
@@ -52,16 +33,15 @@ class SramArray:
         #: One word per wordline, bit ``c`` = column ``c``.
         self.words = [0] * rows
 
-    # -- bounds helpers ---------------------------------------------------
-
     def _check_row(self, row: int) -> int:
         if not 0 <= row < self.rows:
             raise SramError(f"row {row} out of range 0..{self.rows - 1}")
         return row
 
-    # -- word datapath ------------------------------------------------------
+    # -- vanilla operations -------------------------------------------------
 
     def read_word(self, row: int) -> int:
+        """Differential read of one wordline."""
         return self.words[self._check_row(row)]
 
     def write_word(self, row: int, word: int,
@@ -75,36 +55,6 @@ class SramArray:
             old = self.words[row]
             self.words[row] = old ^ ((old ^ word) & enable)
 
-    def bitline_words(self, row_a: int, row_b: int) -> Tuple[int, int]:
-        """Dual-wordline read: the ``(BL, BLB)`` words ``a AND b`` and
-        ``a NOR b``."""
-        a = self.words[self._check_row(row_a)]
-        b = self.words[self._check_row(row_b)]
-        return a & b, self.full ^ (a | b)
-
-    # -- vanilla operations (host boundary) ----------------------------------
-
-    def read(self, row: int) -> np.ndarray:
-        """Differential read of one wordline; returns a copy of the row."""
-        return unpack(self.read_word(row), self.cols)
-
-    def write(self, row: int, bits: np.ndarray, col_enable: np.ndarray | None = None) -> None:
-        """Write ``bits`` into ``row``; ``col_enable`` masks columns."""
-        self._check_row(row)
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (self.cols,):
-            raise SramError(
-                f"write width {bits.shape} does not match {self.cols} columns")
-        if np.any(bits > 1):
-            raise SramError("write data must be 0/1")
-        enable = None
-        if col_enable is not None:
-            enable_bits = np.asarray(col_enable, dtype=bool)
-            if enable_bits.shape != (self.cols,):
-                raise SramError("column-enable width mismatch")
-            enable = pack(enable_bits)
-        self.write_word(row, pack(bits), enable)
-
     def flip(self, row: int, col: int) -> None:
         """Invert one stored bit in place (the fault-injection surface:
         a transient upset of a single cell, bypassing the write drivers)."""
@@ -115,37 +65,17 @@ class SramArray:
 
     # -- bit-line compute -----------------------------------------------------
 
-    def bitline_compute(self, row_a: int, row_b: int) -> BitLineResult:
-        """Dual-wordline single-ended read computing AND/NAND/OR/NOR.
+    def bitline_words(self, row_a: int, row_b: int) -> Tuple[int, int]:
+        """Dual-wordline single-ended read: the ``(BL, BLB)`` words
+        ``a AND b`` and ``a NOR b``; their inverses are ``nand`` / ``or``.
 
         ``row_a`` and ``row_b`` may be equal (a self-compute simply senses
         the row itself, a trick micro-programs use to copy a row into the
         peripheral circuits).
         """
-        and_, nor = self.bitline_words(row_a, row_b)
-        full, cols = self.full, self.cols
-        return BitLineResult(and_=unpack(and_, cols),
-                             nand=unpack(full ^ and_, cols),
-                             or_=unpack(full ^ nor, cols),
-                             nor=unpack(nor, cols))
-
-    # -- whole-array helpers used by the engine / tests -------------------------
-
-    def snapshot(self) -> np.ndarray:
-        nbytes = (self.cols + 7) // 8
-        raw = np.frombuffer(b"".join(word.to_bytes(nbytes, "little")
-                                     for word in self.words), dtype=np.uint8)
-        return np.unpackbits(raw.reshape(self.rows, nbytes), axis=1,
-                             count=self.cols, bitorder="little")
-
-    def load(self, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape != (self.rows, self.cols):
-            raise SramError("load shape mismatch")
-        if np.any(data > 1):
-            raise SramError("load data must be 0/1")
-        packed = np.packbits(data, axis=1, bitorder="little")
-        self.words = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        a = self.words[self._check_row(row_a)]
+        b = self.words[self._check_row(row_b)]
+        return a & b, self.full ^ (a | b)
 
     def clear(self) -> None:
         self.words = [0] * self.rows

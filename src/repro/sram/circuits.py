@@ -5,9 +5,6 @@ every column group of the array simultaneously (SIMD across in-situ ALUs):
 a layer's state and operands are words (:mod:`repro.sram.words`), bit ``c``
 holding column ``c``, with bit ``j`` of a segment in column ``j`` of its
 group (LSB at ``j = 0``) and a per-group flag at its group's LSB column.
-The ``*_word`` methods are the datapath; the numpy methods and attributes
-(state shaped ``(groups, n)``, flags shaped ``(groups,)``) convert at the
-host boundary around them.
 
 Layer inventory per design (Figure 3):
 
@@ -23,18 +20,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
-from ..errors import SramError
-from .array import BitLineResult
-from .words import lane_masks, pack, pack_row, unpack
-
-
-def group_view(bits: np.ndarray, factor: int) -> np.ndarray:
-    """Reshape a (cols,) bit vector into (groups, factor)."""
-    if bits.size % factor:
-        raise SramError(f"{bits.size} columns not divisible by factor {factor}")
-    return bits.reshape(-1, factor)
+from .words import lane_masks
 
 
 class XorLayer:
@@ -47,13 +33,6 @@ class XorLayer:
     def word(nand: int, or_: int, full: int) -> Tuple[int, int]:
         xor = nand & or_
         return xor, full ^ xor
-
-    @staticmethod
-    def compute(blr: BitLineResult) -> tuple[np.ndarray, np.ndarray]:
-        cols = blr.width
-        xor, xnor = XorLayer.word(pack(blr.nand), pack(blr.or_),
-                                  (1 << cols) - 1)
-        return unpack(xor, cols), unpack(xnor, cols)
 
 
 class AddLogic:
@@ -85,20 +64,6 @@ class AddLogic:
         carry = ((generate | t & propagate) & msb) >> (self.factor - 1)
         return sums, carry
 
-    def compute(self, generate: np.ndarray, propagate: np.ndarray,
-                carry_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (sum bits shaped (groups, factor), carry-out per group)."""
-        carry = np.asarray(carry_in, dtype=np.uint8)
-        if carry.shape != (self.groups,):
-            raise SramError("carry-in shape mismatch")
-        lanes = self.lanes
-        sums, carry_out = self.word(
-            pack_row(generate, lanes.cols, "generate"),
-            pack_row(propagate, lanes.cols, "propagate"),
-            lanes.pack_flags(carry))
-        return (group_view(unpack(sums, lanes.cols), self.factor),
-                lanes.unpack_flags(carry_out))
-
 
 class XRegister:
     """Per-column flip-flops; a shift-right register within each group.
@@ -115,13 +80,6 @@ class XRegister:
         self.lanes = lane_masks(groups * factor, factor)
         self.word = 0
 
-    @property
-    def bits(self) -> np.ndarray:
-        return group_view(unpack(self.word, self.lanes.cols), self.factor)
-
-    def load(self, bits: np.ndarray) -> None:
-        self.word = pack_row(bits, self.lanes.cols, "xreg")
-
     def shift_right_word(self) -> int:
         """Shift right by one; returns the LSB flags shifted out."""
         out = self.word & self.lanes.lsb
@@ -129,33 +87,16 @@ class XRegister:
         return out
 
     def shift_left_word(self) -> int:
-        """Shift left by one; returns the MSB bits shifted out, as flags."""
-        lanes = self.lanes
-        out = (self.word & lanes.msb) >> (self.factor - 1)
-        self.word = (self.word & lanes.low) << 1
-        return out
-
-    def shift_right(self) -> np.ndarray:
-        """Shift right by one; returns the bits shifted out of the LSB."""
-        return self.lanes.unpack_flags(self.shift_right_word())
-
-    def shift_left(self) -> np.ndarray:
-        """Shift left by one; returns the bits shifted out of the MSB.
+        """Shift left by one; returns the MSB bits shifted out, as flags.
 
         The direction is a mux on the same flip-flop chain; the left
         direction enables MSB-first walks (in-place multiplication) without
         scratch rows.
         """
-        return self.lanes.unpack_flags(self.shift_left_word())
-
-    @property
-    def lsb(self) -> np.ndarray:
-        return self.lanes.unpack_flags(self.word & self.lanes.lsb)
-
-    @property
-    def msb(self) -> np.ndarray:
-        return self.lanes.unpack_flags(
-            (self.word & self.lanes.msb) >> (self.factor - 1))
+        lanes = self.lanes
+        out = (self.word & lanes.msb) >> (self.factor - 1)
+        self.word = (self.word & lanes.low) << 1
+        return out
 
 
 class MaskLogic:
@@ -172,33 +113,14 @@ class MaskLogic:
         self.lanes = lane_masks(cols, factor)
         self.word = self.lanes.full  # reset = all columns active
 
-    @property
-    def bits(self) -> np.ndarray:
-        return unpack(self.word, self.cols)
-
-    def load_columns(self, bits: np.ndarray) -> None:
-        self.word = pack_row(bits, self.cols, "mask")
-
     def load_group_flags(self, flags: int) -> None:
         """Replicate each group's LSB flag across its columns."""
         self.word = self.lanes.spread(flags)
-
-    def load_groups(self, group_bits: np.ndarray) -> None:
-        """Replicate one bit per group across its columns."""
-        group_bits = np.asarray(group_bits, dtype=np.uint8)
-        if group_bits.size * self.factor != self.cols:
-            raise SramError("group-mask width mismatch")
-        self.load_group_flags(self.lanes.pack_flags(group_bits))
 
     @property
     def group_flags(self) -> int:
         """Each group's LSB-column mask bit, as flags."""
         return self.word & self.lanes.lsb
-
-    @property
-    def group_bits(self) -> np.ndarray:
-        """The (identical) mask bit of each group's LSB column."""
-        return self.lanes.unpack_flags(self.group_flags)
 
 
 class ConstantShifter:
@@ -216,16 +138,6 @@ class ConstantShifter:
         self.factor = factor
         self.lanes = lane_masks(groups * factor, factor)
         self.word = 0
-
-    @property
-    def bits(self) -> np.ndarray:
-        return group_view(self.flat(), self.factor)
-
-    def load(self, bits: np.ndarray) -> None:
-        self.word = pack_row(bits, self.lanes.cols, "shifter")
-
-    def flat(self) -> np.ndarray:
-        return unpack(self.word, self.lanes.cols)
 
     def _commit(self, shifted: int, condition: int) -> None:
         """Latch ``shifted`` in the groups whose condition flag is set."""
@@ -258,22 +170,6 @@ class ConstantShifter:
     def rotate_right_word(self, condition: int) -> None:
         self.shift_right_word(condition, self.word & self.lanes.lsb)
 
-    def shift_left(self, condition: np.ndarray, bit_in: np.ndarray) -> np.ndarray:
-        lanes = self.lanes
-        return lanes.unpack_flags(self.shift_left_word(
-            lanes.pack_flags(condition), lanes.pack_flags(bit_in)))
-
-    def shift_right(self, condition: np.ndarray, bit_in: np.ndarray) -> np.ndarray:
-        lanes = self.lanes
-        return lanes.unpack_flags(self.shift_right_word(
-            lanes.pack_flags(condition), lanes.pack_flags(bit_in)))
-
-    def rotate_left(self, condition: np.ndarray) -> None:
-        self.rotate_left_word(self.lanes.pack_flags(condition))
-
-    def rotate_right(self, condition: np.ndarray) -> None:
-        self.rotate_right_word(self.lanes.pack_flags(condition))
-
 
 class SpareShifter:
     """Bit-hybrid-only layer: per-group flip-flops shifting opposite to the
@@ -286,19 +182,10 @@ class SpareShifter:
     def __init__(self, groups: int, factor: int) -> None:
         self.groups = groups
         self.factor = factor
-        self.lanes = lane_masks(groups * factor, factor)
         #: Bit ferried between segments during multi-segment shifts.
         self.link_flags = 0
         #: The "unused flip-flop" holding the inter-segment add carry.
         self.carry_flags = 0
-
-    @property
-    def link(self) -> np.ndarray:
-        return self.lanes.unpack_flags(self.link_flags)
-
-    @property
-    def carry(self) -> np.ndarray:
-        return self.lanes.unpack_flags(self.carry_flags)
 
     def exchange_word(self, outgoing: int, condition: int) -> int:
         """Swap the ferried bit with a segment's outgoing bit.
@@ -310,16 +197,8 @@ class SpareShifter:
         self.link_flags = incoming ^ ((incoming ^ outgoing) & condition)
         return incoming
 
-    def exchange(self, outgoing: np.ndarray, condition: np.ndarray) -> np.ndarray:
-        lanes = self.lanes
-        return lanes.unpack_flags(self.exchange_word(
-            lanes.pack_flags(outgoing), lanes.pack_flags(condition)))
-
     def clear_link(self) -> None:
         self.link_flags = 0
-
-    def set_carry(self, bits: np.ndarray) -> None:
-        self.carry_flags = self.lanes.pack_flags(bits)
 
     def clear_carry(self) -> None:
         self.carry_flags = 0

@@ -32,8 +32,7 @@ from .circuits import (
     XRegister,
 )
 from .layout import RegisterLayout
-from .words import (lane_masks, pack, pack_row, segment_values, segment_words,
-                    unpack)
+from .words import lane_masks, segment_values, segment_words
 
 #: Write-back destinations besides a wordline.
 DEST_MASK = "mask"
@@ -50,8 +49,8 @@ class EveSram:
     """One EVE SRAM array with its full circuit stack.
 
     Rows, latches and the data-in port are words (:mod:`repro.sram.words`);
-    every μop is a few word operations across all column groups.  The
-    fault hook sees numpy values, converted only while it is enabled.
+    every μop is a few word operations across all column groups, and the
+    fault hook sees the same words.
     """
 
     def __init__(self, rows: int, cols: int, factor: int) -> None:
@@ -90,9 +89,7 @@ class EveSram:
 
     def _commit_carry(self, carry: int) -> None:
         if self.faults.enabled:
-            lanes = self.lanes
-            carry = lanes.pack_flags(
-                self.faults.filter_carry(lanes.unpack_flags(carry)))
+            carry = self.faults.filter_carry(carry)
         if self.bit_serial:
             self.xreg.word = carry
         else:
@@ -104,19 +101,12 @@ class EveSram:
         else:
             self.spare.clear_carry()
 
-    # -- data-in port ------------------------------------------------------
-
-    def set_data_in(self, bits: np.ndarray) -> None:
-        self.data_in_word = pack_row(bits, self.cols, "data_in")
-
     # -- arithmetic micro-operations ------------------------------------------
 
-    def u_rd(self, row: int) -> np.ndarray:
-        """``rd``: read a wordline; the value lands on the read port and is
-        latched into the constant shifter (the shifter's load path)."""
-        word = self.array.read_word(row)
-        self.cshift.word = word
-        return unpack(word, self.cols)
+    def u_rd(self, row: int) -> None:
+        """``rd``: read a wordline into the constant shifter (the
+        shifter's load path)."""
+        self.cshift.word = self.array.read_word(row)
 
     def u_wr(self, row: int, masked: bool = False) -> None:
         """``wr``: write the data-in port into a wordline."""
@@ -168,11 +158,9 @@ class EveSram:
             # The carry flip-flop update above belongs to the adder and
             # has already happened; a dropped/latched write-back only
             # perturbs the destination write itself.
-            filtered = self.faults.filter_wb(self, dest, src,
-                                             unpack(value, self.cols))
-            if filtered is None:
+            value = self.faults.filter_wb(self, dest, src, value)
+            if value is None:
                 return
-            value = pack(filtered)
         lanes = self.lanes
         if isinstance(dest, (int, np.integer)):
             self.array.write_word(int(dest), value,

@@ -7,10 +7,9 @@ words — the software form of composing narrow bit-level lanes into one
 wide operation.  A per-group flag (a carry, a shift condition, a link
 bit) sits at its group's LSB column.
 
-Numpy ``(cols,)`` uint8 vectors stay the host-boundary format;
-:func:`pack` and :func:`unpack` convert between the two, and
-:func:`segment_words` / :func:`segment_values` transpose a whole vector
-register between elements and S-CIM segment rows in one numpy pass.
+Element values enter and leave the model only through
+:func:`segment_words` / :func:`segment_values`, which transpose a whole
+vector register between elements and S-CIM segment rows in one pass.
 """
 
 from __future__ import annotations
@@ -21,27 +20,6 @@ from typing import List, Sequence
 import numpy as np
 
 from ..errors import SramError
-
-
-def pack(bits) -> int:
-    """A 0/1 column vector as a word (column ``c`` becomes bit ``c``)."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def pack_row(bits, cols: int, what: str) -> int:
-    """:func:`pack` a host-supplied ``(cols,)`` row, checking its width."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape != (cols,):
-        raise SramError(f"{what} width mismatch")
-    return pack(bits)
-
-
-def unpack(word: int, cols: int) -> np.ndarray:
-    """A word as a fresh ``(cols,)`` uint8 column vector."""
-    raw = np.frombuffer(word.to_bytes((cols + 7) // 8, "little"),
-                        dtype=np.uint8)
-    return np.unpackbits(raw, count=cols, bitorder="little")
 
 
 class Lanes:
@@ -68,16 +46,6 @@ class Lanes:
     def spread(self, flags: int) -> int:
         """Replicate each group's LSB flag across the whole group."""
         return (flags << self.factor) - flags
-
-    def pack_flags(self, group_bits) -> int:
-        """A ``(groups,)`` 0/1 vector as flags at the group LSB columns."""
-        columns = np.zeros(self.cols, dtype=np.uint8)
-        columns[::self.factor] = np.asarray(group_bits, dtype=np.uint8)
-        return pack(columns)
-
-    def unpack_flags(self, flags: int) -> np.ndarray:
-        """Flags at the group LSB columns as a ``(groups,)`` 0/1 vector."""
-        return np.ascontiguousarray(unpack(flags, self.cols)[::self.factor])
 
 
 @lru_cache(maxsize=None)

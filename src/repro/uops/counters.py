@@ -84,19 +84,16 @@ class Counter:
         return flag
 
 
-class CounterFile:
-    """The 12 counters shared by all EVE SRAMs."""
+class CounterFile(dict):
+    """The 12 counters shared by all EVE SRAMs, keyed by name."""
 
     def __init__(self) -> None:
-        self._counters = {name: Counter(name) for name in COUNTER_NAMES}
+        super().__init__((name, Counter(name)) for name in COUNTER_NAMES)
 
-    def __getitem__(self, name: str) -> Counter:
-        try:
-            return self._counters[name]
-        except KeyError:
-            raise MicroExecutionError(f"unknown counter {name!r}") from None
+    def __missing__(self, name: str) -> Counter:
+        raise MicroExecutionError(f"unknown counter {name!r}")
 
     def reset(self) -> None:
-        for counter in self._counters.values():
+        for counter in self.values():
             counter.init(1)
             counter.ticks = 0

@@ -66,7 +66,7 @@ class MicroEngine:
                  faults=None) -> None:
         if max_cycles <= 0:
             raise MicroExecutionError("watchdog limit must be positive")
-        self.counters = counters or CounterFile()
+        self.counters = counters if counters is not None else CounterFile()
         self.max_cycles = max_cycles
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS

@@ -103,6 +103,46 @@ class TestInjectorAddressing:
                           rows=256, cols=64, groups=8)
 
 
+class TestWordSurfaces:
+    """The hooks see the SRAM's words: carry flags at each group's LSB
+    column, and each write-back value as one row word."""
+
+    @pytest.mark.parametrize("factor", [1, 4])
+    def test_stuck_carry_forces_only_its_group(self, factor):
+        groups = 8
+        lsb = sum(1 << (g * factor) for g in range(groups))
+        stuck = set()
+        for seed in range(4):
+            injector = FaultInjector(FaultSpec(model="stuck_carry", seed=seed),
+                                     wb_events=1, carry_events=1, rows=8,
+                                     cols=groups * factor, groups=groups)
+            bit = 1 << (injector.group * factor)
+            stuck.add(injector.stuck_value)
+            for flags in (0, lsb, lsb ^ bit, bit):
+                out = injector.filter_carry(flags)
+                assert out & bit == (bit if injector.stuck_value else 0)
+                assert out & ~bit == flags & ~bit
+        assert stuck == {0, 1}
+
+    def test_latch_wb_replays_the_previous_word(self):
+        words = [0x1234, 0xBEEF, 0x0F0F]
+        targets = set()
+        for seed in range(6):
+            injector = FaultInjector(FaultSpec(model="latch_wb", seed=seed),
+                                     wb_events=len(words), carry_events=0,
+                                     rows=8, cols=16, groups=4)
+            targets.add(injector.target)
+            for event, value in enumerate(words):
+                out = injector.filter_wb(None, 0, "and", value)
+                if event != injector.target:
+                    assert out == value
+                elif event:
+                    assert out == words[event - 1]
+                else:
+                    assert out == 0  # nothing latched yet: reset state
+        assert targets == {0, 1, 2}
+
+
 class TestCampaign:
     def test_rejects_bad_arguments(self):
         with pytest.raises(FaultInjectionError, match="positive"):

@@ -351,12 +351,18 @@ class TestCellCache:
         assert default["cached"] is False
         assert first["result"].cycles > 0
 
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("garbage", [
+        b"not a pickle",
+        b"\x80\x05\x95" + b"\xff" * 8,  # FRAME too long: OverflowError
+        b"\x80\x05\x8c\x01a\x8c\x01b\x8c\x01cs.",  # SETITEM on a str
+        b"\x80\x05\x8e" + (2 ** 62).to_bytes(8, "little"),  # MemoryError
+    ], ids=["not-a-pickle", "overflow", "type-error", "memory-error"])
+    def test_corrupt_cache_entry_is_a_miss(self, tmp_path, garbage):
         cache = CellCache(str(tmp_path))
         path = cache.result_path("IO", "vvadd", "abc", "def")
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
+            handle.write(garbage)
         assert cache.load_entry(path) == (None, "corrupt")
         # The cell's own entry, smashed: quarantined and re-simulated.
         path = cache.result_path(
@@ -366,7 +372,7 @@ class TestCellCache:
             sweep_config_fingerprint())
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
+            handle.write(garbage)
         (out,) = simulate_cell(_group_spec(["IO"], str(tmp_path)))["cells"]
         assert out["cached"] is False
         assert (out["cache"], out["cache_path"]) == ("corrupt", path)

@@ -1,6 +1,5 @@
 """Bit-line-compute SRAM array tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,39 +13,27 @@ def array():
     return SramArray(8, 16)
 
 
-def bits(values):
-    return np.asarray(values, dtype=np.uint8)
+def word(bits):
+    """A row given column by column (column 0 first) as a word."""
+    return sum(b << c for c, b in enumerate(bits))
 
 
 class TestReadWrite:
     def test_roundtrip(self, array):
-        pattern = bits([i % 2 for i in range(16)])
-        array.write(3, pattern)
-        assert np.array_equal(array.read(3), pattern)
-
-    def test_read_returns_copy(self, array):
-        row = array.read(0)
-        row[:] = 1
-        assert array.read(0).sum() == 0
+        pattern = word([i % 2 for i in range(16)])
+        array.write_word(3, pattern)
+        assert array.read_word(3) == pattern
 
     def test_column_enable(self, array):
-        array.write(0, bits([1] * 16))
-        array.write(0, bits([0] * 16), col_enable=bits([1, 0] * 8).astype(bool))
-        assert list(array.read(0)) == [0, 1] * 8
+        array.write_word(0, word([1] * 16))
+        array.write_word(0, word([0] * 16), enable=word([1, 0] * 8))
+        assert array.read_word(0) == word([0, 1] * 8)
 
     def test_row_bounds(self, array):
         with pytest.raises(SramError):
-            array.read(8)
+            array.read_word(8)
         with pytest.raises(SramError):
-            array.write(-1, bits([0] * 16))
-
-    def test_width_mismatch(self, array):
-        with pytest.raises(SramError):
-            array.write(0, bits([1] * 8))
-
-    def test_non_binary_rejected(self, array):
-        with pytest.raises(SramError):
-            array.write(0, np.full(16, 2, dtype=np.uint8))
+            array.write_word(-1, word([0] * 16))
 
     def test_bad_geometry(self):
         with pytest.raises(SramError):
@@ -55,55 +42,44 @@ class TestReadWrite:
 
 class TestBitLineCompute:
     def test_truth_table(self, array):
-        array.write(0, bits([0, 0, 1, 1] * 4))
-        array.write(1, bits([0, 1, 0, 1] * 4))
-        r = array.bitline_compute(0, 1)
-        assert list(r.and_[:4]) == [0, 0, 0, 1]
-        assert list(r.or_[:4]) == [0, 1, 1, 1]
-        assert list(r.nand[:4]) == [1, 1, 1, 0]
-        assert list(r.nor[:4]) == [1, 0, 0, 0]
+        array.write_word(0, word([0, 0, 1, 1] * 4))
+        array.write_word(1, word([0, 1, 0, 1] * 4))
+        and_, nor = array.bitline_words(0, 1)
+        assert and_ == word([0, 0, 0, 1] * 4)
+        assert array.full ^ nor == word([0, 1, 1, 1] * 4)  # or
+        assert array.full ^ and_ == word([1, 1, 1, 0] * 4)  # nand
+        assert nor == word([1, 0, 0, 0] * 4)
 
     def test_self_compute_senses_row(self, array):
-        pattern = bits([1, 0] * 8)
-        array.write(2, pattern)
-        r = array.bitline_compute(2, 2)
-        assert np.array_equal(r.and_, pattern)
-        assert np.array_equal(r.or_, pattern)
+        pattern = word([1, 0] * 8)
+        array.write_word(2, pattern)
+        and_, nor = array.bitline_words(2, 2)
+        assert and_ == pattern
+        assert array.full ^ nor == pattern
 
     def test_does_not_disturb_cells(self, array):
-        a, b = bits([1] * 16), bits([0, 1] * 8)
-        array.write(0, a)
-        array.write(1, b)
-        array.bitline_compute(0, 1)
-        assert np.array_equal(array.read(0), a)
-        assert np.array_equal(array.read(1), b)
+        a, b = word([1] * 16), word([0, 1] * 8)
+        array.write_word(0, a)
+        array.write_word(1, b)
+        array.bitline_words(0, 1)
+        assert array.read_word(0) == a
+        assert array.read_word(1) == b
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=16, max_size=16),
            st.lists(st.integers(0, 1), min_size=16, max_size=16))
     def test_property_matches_boolean_algebra(self, a, b):
         array = SramArray(2, 16)
-        array.write(0, bits(a))
-        array.write(1, bits(b))
-        r = array.bitline_compute(0, 1)
-        av, bv = np.array(a), np.array(b)
-        assert np.array_equal(r.and_, av & bv)
-        assert np.array_equal(r.or_, av | bv)
-        assert np.array_equal(r.nand, 1 - (av & bv))
-        assert np.array_equal(r.nor, 1 - (av | bv))
+        array.write_word(0, word(a))
+        array.write_word(1, word(b))
+        and_, nor = array.bitline_words(0, 1)
+        for c in range(16):
+            assert (and_ >> c) & 1 == a[c] & b[c]
+            assert (nor >> c) & 1 == 1 - (a[c] | b[c])
 
 
 class TestBulkState:
-    def test_snapshot_load_roundtrip(self, array):
-        data = np.random.default_rng(0).integers(0, 2, (8, 16)).astype(np.uint8)
-        array.load(data)
-        assert np.array_equal(array.snapshot(), data)
-
-    def test_load_shape_checked(self, array):
-        with pytest.raises(SramError):
-            array.load(np.zeros((4, 16), dtype=np.uint8))
-
     def test_clear(self, array):
-        array.write(0, bits([1] * 16))
+        array.write_word(0, word([1] * 16))
         array.clear()
-        assert array.snapshot().sum() == 0
+        assert array.words == [0] * 8

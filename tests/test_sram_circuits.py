@@ -1,13 +1,9 @@
 """Peripheral circuit-stack tests (Section III layers)."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SramError
 from repro.sram import SramArray
-from repro.sram.array import BitLineResult
 from repro.sram.circuits import (
     AddLogic,
     ConstantShifter,
@@ -15,173 +11,135 @@ from repro.sram.circuits import (
     SpareShifter,
     XorLayer,
     XRegister,
-    group_view,
 )
-from repro.sram.words import lane_masks, pack, unpack
+from repro.sram.words import lane_masks
 
 
-def bits(values):
-    return np.asarray(values, dtype=np.uint8)
-
-
-def blr(a, b):
-    a, b = bits(a), bits(b)
-    return BitLineResult(and_=a & b, nand=1 - (a & b), or_=a | b,
-                         nor=1 - (a | b))
-
-
-class TestGroupView:
-    def test_reshape(self):
-        v = group_view(bits(range(8)), 4)
-        assert v.shape == (2, 4)
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(SramError):
-            group_view(bits([0] * 10), 4)
+def word(bits):
+    """A row given column by column (column 0 first) as a word."""
+    return sum(b << c for c, b in enumerate(bits))
 
 
 class TestXorLayer:
     def test_truth_table(self):
-        xor, xnor = XorLayer.compute(blr([0, 0, 1, 1], [0, 1, 0, 1]))
-        assert list(xor) == [0, 1, 1, 0]
-        assert list(xnor) == [1, 0, 0, 1]
+        a, b = word([0, 0, 1, 1]), word([0, 1, 0, 1])
+        xor, xnor = XorLayer.word(0xF ^ (a & b), a | b, 0xF)
+        assert xor == word([0, 1, 1, 0])
+        assert xnor == word([1, 0, 0, 1])
 
 
 class TestAddLogic:
-    def encode(self, value, n):
-        return bits([(value >> j) & 1 for j in range(n)])
-
-    def decode(self, row):
-        return sum(int(b) << j for j, b in enumerate(row))
-
     @settings(max_examples=60, deadline=None)
     @given(a=st.integers(0, 255), b=st.integers(0, 255),
            carry=st.integers(0, 1))
     def test_manchester_chain_adds(self, a, b, carry):
         logic = AddLogic(groups=1, factor=8)
-        av, bv = self.encode(a, 8), self.encode(b, 8)
-        result = blr(av, bv)
-        xor, _ = XorLayer.compute(result)
-        sums, carry_out = logic.compute(result.and_, xor,
-                                        np.array([carry], dtype=np.uint8))
+        xor, _ = XorLayer.word(0xFF ^ (a & b), a | b, 0xFF)
+        sums, carry_out = logic.word(a & b, xor, carry)
         total = a + b + carry
-        assert self.decode(sums[0]) == total & 0xFF
-        assert carry_out[0] == total >> 8
+        assert sums == total & 0xFF
+        assert carry_out == total >> 8
 
     def test_parallel_groups_independent(self):
         logic = AddLogic(groups=2, factor=4)
-        a = np.concatenate([self.encode(0xF, 4), self.encode(0x1, 4)])
-        b = np.concatenate([self.encode(0x1, 4), self.encode(0x2, 4)])
-        result = blr(a, b)
-        xor, _ = XorLayer.compute(result)
-        sums, carry = logic.compute(result.and_, xor, bits([0, 0]))
-        assert self.decode(sums[0]) == 0x0  # 0xF + 1 wraps
-        assert self.decode(sums[1]) == 0x3
-        assert list(carry) == [1, 0]
-
-    def test_carry_shape_checked(self):
-        logic = AddLogic(groups=2, factor=4)
-        with pytest.raises(SramError):
-            logic.compute(bits([0] * 8), bits([0] * 8), bits([0]))
+        a = 0xF | 0x1 << 4
+        b = 0x1 | 0x2 << 4
+        xor, _ = XorLayer.word(0xFF ^ (a & b), a | b, 0xFF)
+        sums, carry = logic.word(a & b, xor, 0)
+        assert sums & 0xF == 0x0  # 0xF + 1 wraps
+        assert sums >> 4 == 0x3
+        assert carry == word([1, 0, 0, 0, 0, 0, 0, 0])  # group 0 only
 
 
 class TestXRegister:
     def test_shift_right_walks_lsb_first(self):
         x = XRegister(groups=1, factor=4)
-        x.load(bits([1, 0, 1, 1]))  # value 0b1101
-        seen = [int(x.lsb[0])]
+        x.word = word([1, 0, 1, 1])  # value 0b1101
+        seen = [x.word & 1]
         for _ in range(3):
-            x.shift_right()
-            seen.append(int(x.lsb[0]))
+            x.shift_right_word()
+            seen.append(x.word & 1)
         assert seen == [1, 0, 1, 1]
 
     def test_shift_left_walks_msb_first(self):
         x = XRegister(groups=1, factor=4)
-        x.load(bits([1, 0, 1, 1]))
-        seen = [int(x.msb[0])]
+        x.word = word([1, 0, 1, 1])
+        seen = [x.word >> 3]
         for _ in range(3):
-            x.shift_left()
-            seen.append(int(x.msb[0]))
+            x.shift_left_word()
+            seen.append(x.word >> 3)
         assert seen == [1, 1, 0, 1]
 
     def test_zero_fill(self):
         x = XRegister(groups=1, factor=2)
-        x.load(bits([1, 1]))
-        x.shift_right()
-        x.shift_right()
-        assert x.bits.sum() == 0
+        x.word = word([1, 1])
+        x.shift_right_word()
+        x.shift_right_word()
+        assert x.word == 0
 
 
 class TestMaskLogic:
     def test_reset_all_active(self):
         mask = MaskLogic(cols=8, factor=4)
-        assert mask.bits.sum() == 8
+        assert mask.word == word([1] * 8)
 
     def test_load_groups_replicates(self):
         mask = MaskLogic(cols=8, factor=4)
-        mask.load_groups(bits([1, 0]))
-        assert list(mask.bits) == [1, 1, 1, 1, 0, 0, 0, 0]
-        assert list(mask.group_bits) == [1, 0]
-
-    def test_width_checked(self):
-        mask = MaskLogic(cols=8, factor=4)
-        with pytest.raises(SramError):
-            mask.load_columns(bits([1] * 4))
-        with pytest.raises(SramError):
-            mask.load_groups(bits([1] * 3))
+        mask.load_group_flags(word([1, 0, 0, 0, 0, 0, 0, 0]))
+        assert mask.word == word([1, 1, 1, 1, 0, 0, 0, 0])
+        assert mask.group_flags == word([1, 0, 0, 0, 0, 0, 0, 0])
 
 
 class TestConstantShifter:
     def test_conditional_left_shift(self):
         shifter = ConstantShifter(groups=2, factor=4)
-        shifter.load(bits([1, 0, 0, 0] * 2))  # both groups hold value 1
-        out = shifter.shift_left(condition=np.array([True, False]),
-                                 bit_in=bits([0, 0]))
-        assert list(shifter.bits[0]) == [0, 1, 0, 0]  # shifted: value 2
-        assert list(shifter.bits[1]) == [1, 0, 0, 0]  # untouched
-        assert list(out) == [0, 0]
+        shifter.word = word([1, 0, 0, 0] * 2)  # both groups hold value 1
+        out = shifter.shift_left_word(condition=word([1, 0, 0, 0]),
+                                      bit_in=0)
+        assert shifter.word & 0xF == word([0, 1, 0, 0])  # shifted: value 2
+        assert shifter.word >> 4 == word([1, 0, 0, 0])  # untouched
+        assert out == 0
 
     def test_shift_right_returns_lsb(self):
         shifter = ConstantShifter(groups=1, factor=4)
-        shifter.load(bits([1, 1, 0, 0]))
-        out = shifter.shift_right(condition=np.array([True]), bit_in=bits([1]))
-        assert out[0] == 1
-        assert list(shifter.bits[0]) == [1, 0, 0, 1]
+        shifter.word = word([1, 1, 0, 0])
+        out = shifter.shift_right_word(condition=1, bit_in=1)
+        assert out == 1
+        assert shifter.word == word([1, 0, 0, 1])
 
     def test_rotate_roundtrip(self):
         shifter = ConstantShifter(groups=1, factor=4)
-        pattern = bits([1, 1, 0, 1])
-        shifter.load(pattern)
+        pattern = word([1, 1, 0, 1])
+        shifter.word = pattern
         for _ in range(4):
-            shifter.rotate_left(np.array([True]))
-        assert np.array_equal(shifter.bits[0], pattern)
+            shifter.rotate_left_word(1)
+        assert shifter.word == pattern
 
 
 class TestSpareShifter:
     def test_exchange_ferries_bits(self):
         spare = SpareShifter(groups=1, factor=4)
-        incoming = spare.exchange(bits([1]), np.array([True]))
-        assert incoming[0] == 0  # link started clear
-        incoming = spare.exchange(bits([0]), np.array([True]))
-        assert incoming[0] == 1  # previous out-bit comes back
+        incoming = spare.exchange_word(1, 1)
+        assert incoming == 0  # link started clear
+        incoming = spare.exchange_word(0, 1)
+        assert incoming == 1  # previous out-bit comes back
 
     def test_exchange_conditional(self):
         spare = SpareShifter(groups=2, factor=4)
-        spare.exchange(bits([1, 1]), np.array([True, False]))
-        assert list(spare.link) == [1, 0]
+        spare.exchange_word(word([1, 0, 0, 0] * 2), word([1, 0, 0, 0]))
+        assert spare.link_flags == word([1, 0, 0, 0])  # group 0 only
 
     def test_carry_storage(self):
         spare = SpareShifter(groups=2, factor=4)
-        spare.set_carry(bits([1, 0]))
-        assert list(spare.carry) == [1, 0]
+        spare.carry_flags = word([1, 0, 0, 0])
         spare.clear_carry()
-        assert spare.carry.sum() == 0
+        assert spare.carry_flags == 0
 
     def test_link_and_carry_independent(self):
         spare = SpareShifter(groups=1, factor=4)
-        spare.set_carry(bits([1]))
+        spare.carry_flags = 1
         spare.clear_link()
-        assert spare.carry[0] == 1
+        assert spare.carry_flags == 1
 
 
 # -- word kernels against their per-group definitions -------------------------
@@ -306,34 +264,25 @@ class TestWordShifters:
 
 
 class TestPacking:
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 100).flatmap(
-        lambda cols: st.lists(st.integers(0, 1), min_size=cols,
-                              max_size=cols)))
-    def test_pack_unpack_round_trip(self, column_bits):
-        cols = len(column_bits)
-        word = pack(bits(column_bits))
-        assert word == sum(b << c for c, b in enumerate(column_bits))
-        assert unpack(word, cols).tolist() == column_bits
-        assert unpack(word, cols).dtype == np.uint8
-
     def test_odd_column_count(self):
-        pattern = bits([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1])  # 11 columns
-        assert unpack(pack(pattern), 11).tolist() == pattern.tolist()
+        pattern = word([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1])  # 11 columns
         array = SramArray(3, 11)
-        array.write(1, pattern)
-        assert array.snapshot()[1].tolist() == pattern.tolist()
-        assert array.read(1).tolist() == pattern.tolist()
+        array.write_word(1, pattern)
+        assert array.words[1] == pattern
+        assert array.read_word(1) == pattern
+        assert array.bitline_words(1, 1) == (pattern, 0x7FF ^ pattern)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 70), st.integers(0, 2 ** 32), st.data())
-    def test_flip_toggles_exactly_one_cell(self, cols, seed, data):
+    @given(st.integers(1, 70), st.data())
+    def test_flip_toggles_exactly_one_cell(self, cols, data):
         rows = 4
         array = SramArray(rows, cols)
-        array.load(np.random.default_rng(seed).integers(0, 2, (rows, cols)))
+        array.words = data.draw(st.lists(st.integers(0, (1 << cols) - 1),
+                                         min_size=rows, max_size=rows))
         row = data.draw(st.integers(0, rows - 1))
         col = data.draw(st.integers(0, cols - 1))
-        before = array.snapshot()
+        before = list(array.words)
         array.flip(row, col)
-        changed = np.argwhere(array.snapshot() != before)
-        assert changed.tolist() == [[row, col]]
+        changed = [(r, c) for r in range(rows) for c in range(cols)
+                   if (array.words[r] ^ before[r]) >> c & 1]
+        assert changed == [(row, col)]

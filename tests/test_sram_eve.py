@@ -9,8 +9,9 @@ from repro.errors import SramError
 from repro.sram import EveSram, RegisterLayout
 
 
-def bits(values):
-    return np.asarray(values, dtype=np.uint8)
+def word(bits):
+    """A row given column by column (column 0 first) as a word."""
+    return sum(b << c for c, b in enumerate(bits))
 
 
 @pytest.fixture
@@ -25,37 +26,35 @@ def layout_for(sram, regs=4):
 
 class TestBasicOps:
     def test_wr_rd_roundtrip(self, sram):
-        pattern = bits([1, 0] * 8)
-        sram.set_data_in(pattern)
+        pattern = word([1, 0] * 8)
+        sram.data_in_word = pattern
         sram.u_wr(5)
-        assert np.array_equal(sram.u_rd(5), pattern)
+        sram.u_rd(5)
+        sram.u_wb(6, "shift")  # what rd read goes back out unchanged
+        assert sram.array.read_word(6) == pattern
 
     def test_rd_loads_constant_shifter(self, sram):
-        pattern = bits([1] + [0] * 15)
-        sram.set_data_in(pattern)
+        pattern = word([1] + [0] * 15)
+        sram.data_in_word = pattern
         sram.u_wr(0)
         sram.u_rd(0)
-        assert np.array_equal(sram.cshift.flat(), pattern)
+        assert sram.cshift.word == pattern
 
     def test_masked_wr(self, sram):
-        sram.set_data_in(bits([1] * 16))
+        sram.data_in_word = word([1] * 16)
         sram.u_wr(0)
-        sram.mask.load_groups(bits([1, 0, 1, 0]))
-        sram.set_data_in(bits([0] * 16))
+        sram.mask.load_group_flags(word([1, 0, 0, 0, 0, 0, 0, 0] * 2))
+        sram.data_in_word = word([0] * 16)
         sram.u_wr(0, masked=True)
-        row = sram.array.read(0)
-        assert list(row) == [0] * 4 + [1] * 4 + [0] * 4 + [1] * 4
-
-    def test_data_in_width_checked(self, sram):
-        with pytest.raises(SramError):
-            sram.set_data_in(bits([1] * 8))
+        row = sram.array.read_word(0)
+        assert row == word([0] * 4 + [1] * 4 + [0] * 4 + [1] * 4)
 
 
 class TestBlcAndWriteback:
     def setup_rows(self, sram):
-        sram.set_data_in(bits([0, 0, 1, 1] * 4))
+        sram.data_in_word = word([0, 0, 1, 1] * 4)
         sram.u_wr(0)
-        sram.set_data_in(bits([0, 1, 0, 1] * 4))
+        sram.data_in_word = word([0, 1, 0, 1] * 4)
         sram.u_wr(1)
 
     @pytest.mark.parametrize("src,expected", [
@@ -66,7 +65,7 @@ class TestBlcAndWriteback:
         self.setup_rows(sram)
         sram.u_blc(0, 1)
         sram.u_wb(2, src)
-        assert list(sram.array.read(2)) == expected * 4
+        assert sram.array.read_word(2) == word(expected * 4)
 
     def test_wb_unknown_source(self, sram):
         with pytest.raises(SramError):
@@ -90,90 +89,90 @@ class TestBlcAndWriteback:
         self.setup_rows(sram)
         sram.u_blc(0, 1)
         sram.u_wb("mask", "and")
-        assert list(sram.mask.bits) == [0, 0, 0, 1] * 4
+        assert sram.mask.word == word([0, 0, 0, 1] * 4)
 
     def test_wb_mask_groups_uses_lsb_column(self, sram):
-        sram.set_data_in(bits([1, 0, 0, 0, 0, 1, 1, 1] + [0] * 8))
+        sram.data_in_word = word([1, 0, 0, 0, 0, 1, 1, 1] + [0] * 8)
         sram.u_wr(0)
         sram.u_blc(0, 0)
         sram.u_wb("mask_groups", "and")
-        assert list(sram.mask.group_bits) == [1, 0, 0, 0]
+        assert sram.mask.group_flags == word([1])  # group 0 only
 
     def test_wb_to_xreg(self, sram):
         self.setup_rows(sram)
         sram.u_blc(0, 0)
         sram.u_wb("xreg", "and")
-        assert np.array_equal(sram.xreg.bits.reshape(-1),
-                              bits([0, 0, 1, 1] * 4))
+        assert sram.xreg.word == word([0, 0, 1, 1] * 4)
 
     def test_mask_as_source(self, sram):
-        sram.mask.load_groups(bits([1, 0, 1, 0]))
+        sram.mask.load_group_flags(word([1, 0, 0, 0, 0, 0, 0, 0] * 2))
         sram.u_wb(3, "mask")
-        assert list(sram.array.read(3)) == [1] * 4 + [0] * 4 + [1] * 4 + [0] * 4
+        assert sram.array.read_word(3) == word(
+            [1] * 4 + [0] * 4 + [1] * 4 + [0] * 4)
 
 
 class TestCarryPath:
     def test_add_commits_carry(self, sram):
-        sram.set_data_in(bits([1, 1, 1, 1] + [0] * 12))  # group 0 = 0xF
+        sram.data_in_word = word([1, 1, 1, 1] + [0] * 12)  # group 0 = 0xF
         sram.u_wr(0)
         sram.u_blc(0, 0)  # 0xF + 0xF = 0x1E
         sram.u_wb(1, "add")
-        assert sram.spare.carry[0] == 1
-        assert sram.spare.carry[1] == 0
+        assert sram.spare.carry_flags == word([1])  # group 0 only
 
     def test_carry_feeds_next_add(self, sram):
-        sram.set_data_in(bits([1, 1, 1, 1] + [0] * 12))
+        sram.data_in_word = word([1, 1, 1, 1] + [0] * 12)
         sram.u_wr(0)
-        sram.set_data_in(bits([0] * 16))
+        sram.data_in_word = word([0] * 16)
         sram.u_wr(1)
         sram.u_blc(0, 0)
         sram.u_wb(2, "add")            # carry out = 1 in group 0
         sram.u_blc(1, 1)               # 0 + 0 + carry
         sram.u_wb(3, "add")
-        assert list(sram.array.read(3)[:4]) == [1, 0, 0, 0]
+        assert sram.array.read_word(3) & 0xF == word([1, 0, 0, 0])
 
     def test_set_carry_via_data_in(self, sram):
-        sram.set_data_in(bits([1] * 16))
+        sram.data_in_word = word([1] * 16)
         sram.u_wb("carry", "data_in")
-        assert sram.spare.carry.sum() == 4
+        assert sram.spare.carry_flags == word([1, 0, 0, 0] * 4)
         sram.clear_carry()
-        assert sram.spare.carry.sum() == 0
+        assert sram.spare.carry_flags == 0
 
     def test_bit_serial_carry_lives_in_xreg(self):
         serial = EveSram(rows=32, cols=4, factor=1)
-        serial.set_data_in(bits([1, 1, 0, 0]))
+        serial.data_in_word = word([1, 1, 0, 0])
         serial.u_wr(0)
         serial.u_blc(0, 0)  # 1+1 per column
         serial.u_wb(1, "add")
-        assert list(serial.xreg.bits[:, 0]) == [1, 1, 0, 0]
+        assert serial.xreg.word == word([1, 1, 0, 0])
 
     def test_mask_from_carry(self, sram):
-        sram.spare.set_carry(bits([1, 0, 1, 0]))
+        groups_0_2 = word([1, 0, 0, 0, 0, 0, 0, 0] * 2)
+        sram.spare.carry_flags = groups_0_2
         sram.u_mask_from_carry()
-        assert list(sram.mask.group_bits) == [1, 0, 1, 0]
+        assert sram.mask.group_flags == groups_0_2
         sram.u_mask_from_carry(invert=True)
-        assert list(sram.mask.group_bits) == [0, 1, 0, 1]
+        assert sram.mask.group_flags == word([0, 0, 0, 0, 1, 0, 0, 0] * 2)
 
     def test_mask_from_carry_lsb_only(self, sram):
-        sram.spare.set_carry(bits([1, 1, 0, 0]))
+        sram.spare.carry_flags = word([1, 0, 0, 0] * 2)
         sram.u_mask_from_carry(lsb_only=True)
-        assert list(sram.mask.bits) == [1, 0, 0, 0, 1, 0, 0, 0] + [0] * 8
+        assert sram.mask.word == word([1, 0, 0, 0, 1, 0, 0, 0] + [0] * 8)
 
 
 class TestMaskWalks:
     def test_mask_shft_lsb_walk(self, sram):
-        sram.xreg.load(bits([1, 0, 1, 0] * 4))  # every group value 0b0101
+        sram.xreg.word = word([1, 0, 1, 0] * 4)  # every group value 0b0101
         sram.u_mask_shft()
-        assert list(sram.mask.group_bits) == [1, 1, 1, 1]
+        assert sram.mask.group_flags == word([1, 0, 0, 0] * 4)
         sram.u_mask_shft()
-        assert list(sram.mask.group_bits) == [0, 0, 0, 0]
+        assert sram.mask.group_flags == 0
 
     def test_mask_shftl_msb_walk(self, sram):
-        sram.xreg.load(bits([0, 0, 0, 1] + [0, 0, 0, 0] * 3))
+        sram.xreg.word = word([0, 0, 0, 1] + [0, 0, 0, 0] * 3)
         sram.u_mask_shftl()
-        assert list(sram.mask.group_bits) == [1, 0, 0, 0]
+        assert sram.mask.group_flags == word([1])  # group 0 only
         sram.u_mask_shftl()
-        assert list(sram.mask.group_bits) == [0, 0, 0, 0]
+        assert sram.mask.group_flags == 0
 
 
 class TestVregAccess:

@@ -66,7 +66,7 @@ class TestEngineMechanics:
         ])
         MicroEngine().run(b.build(), sram, binding)
         # All 8 segments of vs1 (rows 0..7) were written, top-down.
-        assert sram.array.snapshot()[:8].all()
+        assert sram.array.words[:8] == [sram.array.full] * 8
 
     def test_unbound_slot_raises(self):
         sram, binding = small_binding()
