@@ -9,7 +9,8 @@ The heavy lifting lives in :class:`repro.analysis.columns.TraceColumns`
 (vectorized, shared with the checkers and the dependence graph); this
 module materialises the object view — per-definition use lists, kill
 sites, live-out sets — for callers that want to walk the facts rather
-than batch over them (tests, ``repro stats``, the corpus cross-check).
+than batch over them.  Nothing in the toolkit itself calls it; its one
+caller is ``tests/test_analysis.py``.
 """
 
 from __future__ import annotations

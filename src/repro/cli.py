@@ -115,7 +115,7 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from . import __version__
 from .compiler import compiler_descriptor
@@ -132,8 +132,9 @@ from .faults.inject import FAULT_MODELS
 from .obs import MetricsRegistry, SelfProfiler, SpanTracer
 from .obs.diff import DEFAULT_SPEEDUP_BUDGET, diff_records
 from .obs.events import (DEFAULT_EVENTS_PATH, CampaignTelemetry, EventLog,
-                         NULL_TELEMETRY, Watchdog, campaign_summaries,
-                         check_conservation, follow_events, read_events)
+                         NULL_TELEMETRY, NullTelemetry, Watchdog,
+                         campaign_summaries, check_conservation,
+                         follow_events, read_events)
 from .obs.htmlreport import write_report
 from .obs.progress import make_progress
 from .obs.render import emit_csv, emit_json, findings_json, write_json
@@ -148,12 +149,11 @@ EVE_FACTORS = (1, 2, 4, 8, 16, 32)
 
 
 def _make_runner(args, collect_metrics: bool = False,
-                 telemetry=None) -> ExperimentRunner:
+                 telemetry=NULL_TELEMETRY) -> ExperimentRunner:
     override = tiny_overrides() if getattr(args, "tiny", False) else None
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = DEFAULT_SEED
-    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs != 1:
         cache_root = (None if getattr(args, "no_cache", False)
@@ -166,10 +166,12 @@ def _make_runner(args, collect_metrics: bool = False,
                             telemetry=telemetry)
 
 
-def _make_telemetry(args, kind: str) -> Optional[CampaignTelemetry]:
+def _make_telemetry(args, kind: str
+                    ) -> Union[CampaignTelemetry, NullTelemetry]:
     """Build the campaign telemetry hub from ``--events`` / ``--progress``
-    / ``--quiet``, or return ``None`` (the zero-cost default) when
-    neither an event log nor a live progress display is wanted.
+    / ``--quiet``, or return :data:`NULL_TELEMETRY` (the zero-cost
+    default) when neither an event log nor a live progress display is
+    wanted.
 
     Progress auto-detects: on by default when stderr is a TTY, off
     otherwise (scripts, tests, CI) unless ``--progress`` forces it.
@@ -179,7 +181,7 @@ def _make_telemetry(args, kind: str) -> Optional[CampaignTelemetry]:
     force = getattr(args, "progress", False)
     progress = make_progress(kind, quiet=quiet, force=force)
     if events_path is None and progress is None:
-        return None
+        return NULL_TELEMETRY
     hint = None
     try:
         hint = historical_cell_seconds(
@@ -195,11 +197,10 @@ def _make_telemetry(args, kind: str) -> Optional[CampaignTelemetry]:
                              fingerprint=sweep_config_fingerprint())
 
 
-def _finalize_telemetry(telemetry: Optional[CampaignTelemetry]) -> None:
+def _finalize_telemetry(telemetry: Union[CampaignTelemetry, NullTelemetry]
+                        ) -> None:
     """Seal the campaign (idempotent); called from ``finally`` blocks so
     even an aborted campaign persists the events it buffered."""
-    if telemetry is None:
-        return
     summary = telemetry.finalize()
     if summary.get("written"):
         print(f"events: {summary['written']} event(s) "
@@ -988,7 +989,7 @@ def _cmd_fuzz(args) -> int:
     telemetry = _make_telemetry(args, "fuzz")
 
     def progress(done: int, total: int, found: int) -> None:
-        if telemetry is not None:
+        if telemetry.enabled:
             return  # the live renderer owns stderr
         if done % 50 == 0 or done == total:
             print(f"fuzz: {done}/{total} seeds checked, "
@@ -1034,8 +1035,7 @@ def _cmd_faults(args) -> int:
         report = run_campaign(args.count, models=models, factors=factors,
                               seed=args.seed, jobs=args.jobs,
                               profiler=profiler, metrics=metrics,
-                              telemetry=(telemetry if telemetry is not None
-                                         else NULL_TELEMETRY))
+                              telemetry=telemetry)
     finally:
         _finalize_telemetry(telemetry)
     payload = report.to_json_dict()

@@ -21,9 +21,12 @@ outer, events inner), dead ops included — elimination changes what
 the *checkers* see, never what the timing models charge.  Instrumented
 runs (tracer, metrics, attribution) replay the compiled trace too.
 
-:data:`COMPILER_VERSION` and the pass list are folded into experiment
-fingerprints (see :func:`compiler_descriptor`), so results of different
-compiler versions never collide in the result cache or the run store.
+Every compile runs every pass, in the order :data:`DEFAULT_PASSES`
+lists; only the strictness of the DCE gate is configurable
+(:class:`CompilerConfig`).  :data:`COMPILER_VERSION` and the pass list
+are folded into experiment fingerprints (see
+:func:`compiler_descriptor`), so results of different compiler
+versions never collide in the result cache or the run store.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..analysis.columns import TraceColumns
-from ..errors import CompilerError
 from ..isa.trace import Trace
 from .blocks import Block, schedule_blocks
 from .passes import (DceResult, LinesTable, eliminate_dead_ops,
@@ -42,34 +44,15 @@ from .passes import (DceResult, LinesTable, eliminate_dead_ops,
 #: compiled run's fingerprint.
 COMPILER_VERSION = 1
 
-#: The full pipeline, in the order it runs.
+#: The pipeline, in the order it runs: every compile runs every pass.
 DEFAULT_PASSES: Tuple[str, ...] = ("dce", "hoist", "schedule")
-
-_KNOWN_PASSES = frozenset(DEFAULT_PASSES)
 
 
 @dataclass(frozen=True)
 class CompilerConfig:
-    """Which passes run, and whether equivalence gates are fatal."""
+    """Whether the DCE equivalence gate is fatal."""
 
-    passes: Tuple[str, ...] = DEFAULT_PASSES
     strict: bool = False
-
-    def __post_init__(self) -> None:
-        unknown = set(self.passes) - _KNOWN_PASSES
-        if unknown:
-            raise CompilerError(
-                f"unknown compiler pass(es): {sorted(unknown)} "
-                f"(known: {sorted(_KNOWN_PASSES)})")
-        if "hoist" not in self.passes:
-            raise CompilerError(
-                "the 'hoist' pass cannot be dropped: the machines time "
-                "every memory event from its hoisted line list")
-
-    def descriptor(self) -> Dict[str, object]:
-        """Fingerprint ingredient: identifies the compiled semantics."""
-        return {"compiler_version": COMPILER_VERSION,
-                "passes": list(self.passes)}
 
 
 class CompiledTrace:
@@ -82,7 +65,7 @@ class CompiledTrace:
     """
 
     def __init__(self, trace: Trace, config: CompilerConfig,
-                 lines: LinesTable, blocks: Optional[List[Block]],
+                 lines: LinesTable, blocks: List[Block],
                  dce: Optional[DceResult],
                  dce_ok: bool = True,
                  dce_mismatch: Tuple[tuple, tuple] = ((), ())) -> None:
@@ -108,10 +91,6 @@ class CompiledTrace:
     def iter_events(self) -> Iterator[tuple]:
         """Yield ``(index, event)`` block-at-a-time, program order."""
         events = self.trace.events
-        if self.blocks is None:
-            for index, event in enumerate(events):
-                yield index, event
-            return
         for block in self.blocks:
             for index in block.events:
                 yield index, events[index]
@@ -120,14 +99,13 @@ class CompiledTrace:
         return self.lines.get(index, ())
 
     def descriptor(self) -> Dict[str, object]:
-        return self.config.descriptor()
+        return compiler_descriptor()
 
     def summary(self) -> Dict[str, object]:
         return {
             "events": len(self.trace.events),
-            "blocks": len(self.blocks) if self.blocks is not None else 0,
-            "max_block": max((len(b) for b in self.blocks), default=0)
-                         if self.blocks is not None else 0,
+            "blocks": len(self.blocks),
+            "max_block": max((len(b) for b in self.blocks), default=0),
             "dep_levels": max((b.level for b in self.blocks), default=0) + 1
                           if self.blocks else 0,
             "eliminated": len(self.eliminated),
@@ -149,37 +127,30 @@ def compile_trace(trace: Trace, config: Optional[CompilerConfig] = None,
     non-strict compile never contradicts ``repro check``.
     """
     config = config if config is not None else CompilerConfig()
-    passes = config.passes
-    if columns is None and ("dce" in passes or "schedule" in passes):
+    if columns is None:
         columns = TraceColumns(trace)
 
-    dce = None
+    dce = eliminate_dead_ops(trace, columns=columns)
     dce_ok = True
     dce_mismatch: Tuple[tuple, tuple] = ((), ())
-    if "dce" in passes:
-        dce = eliminate_dead_ops(trace, columns=columns)
-        if dce.eliminated:
-            dce_ok, missing, unexpected = verify_dce_findings(
-                trace, dce, strict=config.strict)
-            dce_mismatch = (missing, unexpected)
-            if not dce_ok:
-                dce = None
+    if dce.eliminated:
+        dce_ok, missing, unexpected = verify_dce_findings(
+            trace, dce, strict=config.strict)
+        dce_mismatch = (missing, unexpected)
+        if not dce_ok:
+            dce = None
 
-    lines: LinesTable = (hoist_memory_lines(trace)
-                         if "hoist" in passes else {})
-
-    blocks = None
-    if "schedule" in passes:
-        blocks = schedule_blocks(trace, columns=columns)
-
+    lines = hoist_memory_lines(trace)
+    blocks = schedule_blocks(trace, columns=columns)
     return CompiledTrace(trace, config, lines, blocks, dce,
                          dce_ok=dce_ok, dce_mismatch=dce_mismatch)
 
 
-def compiler_descriptor(config: Optional[CompilerConfig] = None
-                        ) -> Dict[str, object]:
-    """The fingerprint ingredient every simulated result carries."""
-    return (config if config is not None else CompilerConfig()).descriptor()
+def compiler_descriptor() -> Dict[str, object]:
+    """The fingerprint ingredient every simulated result carries: the
+    compiler version and its pass list."""
+    return {"compiler_version": COMPILER_VERSION,
+            "passes": list(DEFAULT_PASSES)}
 
 
 __all__ = [

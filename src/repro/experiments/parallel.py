@@ -24,7 +24,9 @@ version, so a code or parameter change invalidates the cache while a
 repeat invocation skips already-simulated cells entirely.  The cache is
 advisory: deleting ``.eve-cache/`` (or passing ``cache_root=None``)
 simply re-simulates.  Writes go to a unique temp file followed by
-``os.replace``, so a crashed worker can never publish a torn pickle.
+``os.replace``, so a crashed worker can never publish a torn pickle,
+and each entry starts with the sha256 digest of its pickle bytes, so
+an entry altered on disk reads as corrupt and is re-simulated.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import all_system_names, make_system
-from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
+from ..obs.events import NULL_MONITOR, NULL_TELEMETRY, TelemetryMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.selfprof import SelfProfiler
 from ..workloads import DEFAULT_SEED, REGISTRY, canonical_workload, get_workload
@@ -58,7 +60,10 @@ DEFAULT_CACHE_ROOT = ".eve-cache"
 #: + compiler version), so results of different compilers can never
 #: collide on one cache entry.  (Versions up to 3 also cached traces
 #: under ``traces/``; the census still counts and prunes them.)
-CACHE_VERSION = 3
+#: v4: each entry starts with the sha256 digest of its pickle bytes, so
+#: altered bytes read as corrupt even when they unpickle.
+CACHE_VERSION = 4
+_DIGEST_BYTES = 32
 
 #: ``fork`` keeps worker start-up cheap where the OS offers it; spawn is
 #: the portable fallback (all cell inputs are picklable primitives).
@@ -120,12 +125,14 @@ class CellCache:
 
         <root>/results/<config_fp>/<system>--<workload>-<params_fp>[-m].pkl
 
-    Loads tolerate missing files (a miss, never an error); *corrupt*
-    entries — present but unreadable pickles — are distinguished from
-    misses, quarantined in place (renamed to ``<path>.corrupt``, never
-    deleted, so the evidence survives for a post-mortem), and reported
-    to the caller so the sweep's cache telemetry can count them.
-    Stores are atomic (unique temp + ``os.replace``).
+    An entry is the sha256 digest of its pickle bytes followed by those
+    bytes.  Loads tolerate missing files (a miss, never an error);
+    *corrupt* entries — present, but short, not matching their digest,
+    or not unpickling — are distinguished from misses, quarantined in
+    place (renamed to ``<path>.corrupt``, never deleted, so the evidence
+    survives for a post-mortem), and reported to the caller so the
+    sweep's cache telemetry can count them.  Stores are atomic (unique
+    temp + ``os.replace``).
     """
 
     def __init__(self, root: str = DEFAULT_CACHE_ROOT) -> None:
@@ -146,23 +153,26 @@ class CellCache:
         :func:`prune_cache` evicts least-recently-used entries first."""
         try:
             with open(path, "rb") as handle:
-                obj = pickle.load(handle)
-            try:
-                os.utime(path)
-            except OSError:  # pragma: no cover - read-only cache mounts
-                pass
-            return obj, "hit"
-        except FileNotFoundError:
-            return None, "miss"
+                blob = handle.read()
         except OSError:
-            # Unreadable for environmental reasons (permissions, I/O):
-            # a miss, not corruption — do not quarantine.
+            # Missing, or unreadable for environmental reasons
+            # (permissions, I/O): a miss, not corruption.
             return None, "miss"
+        digest, body = blob[:_DIGEST_BYTES], blob[_DIGEST_BYTES:]
+        try:
+            if hashlib.sha256(body).digest() != digest:
+                raise ValueError("cache entry does not match its digest")
+            obj = pickle.loads(body)
         except Exception:
-            # Anything else the unpickler raises means the bytes are
-            # bad (a truncated stream, a mangled opcode or length).
+            # Short or altered bytes, or anything else the unpickler
+            # raises (a mangled opcode or length): the entry is bad.
             self.quarantine(path)
             return None, "corrupt"
+        try:
+            os.utime(path)
+        except OSError:  # pragma: no cover - read-only cache mounts
+            pass
+        return obj, "hit"
 
     def quarantine(self, path: str) -> str:
         """Move a corrupt entry aside (rename, don't delete) so the next
@@ -177,9 +187,10 @@ class CellCache:
     def store(self, path: str, obj) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.{os.getpid()}.{id(obj):x}.tmp"
+        body = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             with open(tmp, "wb") as handle:
-                pickle.dump(obj, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(hashlib.sha256(body).digest() + body)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # pragma: no cover - error path
@@ -285,16 +296,17 @@ def _leased_pool(jobs: int, count: int):
 # -- the generic fan-out -------------------------------------------------------
 
 def _observed_call(func: Callable, spec) -> Dict[str, object]:
-    """Run one unit inside a worker, capturing what telemetry needs.
+    """Run one unit, in a pool worker or in-process, capturing what
+    telemetry needs.
 
     This is the "workers stream events over the pool's result channel"
     half of the telemetry design: rather than opening a side channel,
-    each worker wraps its return value with raw monotonic start/end
+    each unit's return value is wrapped with raw monotonic start/end
     timestamps (system-wide on the hosts we target, so directly
-    comparable to the parent's clock), its pid, and any exception — the
-    parent replays these as ``started`` / terminal events.  Exceptions
-    are captured, not raised, so one failed unit cannot tear down the
-    pool before its siblings report.
+    comparable to the parent's clock), the running process's pid, and
+    any exception — the parent replays these as ``started`` / terminal
+    events.  Exceptions are captured, not raised, so one failed unit
+    cannot stop its siblings or tear down the pool before they report.
     """
     t0 = time.monotonic()
     value = error = None
@@ -345,46 +357,41 @@ def _drain_observed(results: List, landed: queue.SimpleQueue, monitor,
 def fan_out(func: Callable, specs: Sequence, jobs: int,
             profiler: Optional[SelfProfiler] = None,
             phase: str = "fan_out", monitor=None) -> List:
-    """Map a picklable ``func`` over ``specs`` with a process pool.
+    """Map ``func`` over ``specs``: the one loop that runs a campaign's
+    units.
 
-    The shared executor behind :meth:`ParallelRunner.prefetch` and the
-    fault-injection campaign runner: results come back in *input* order
-    (never completion order), ``jobs=1`` or a single spec runs in-process
-    with no pool, and ``chunksize=1`` deals work finely because specs can
-    differ in cost by orders of magnitude.
+    Sweeps (serial and pooled), ``repro fuzz`` and ``repro faults`` all
+    run their units here.  Results come back in *input* order (never
+    completion order).  ``jobs=1`` or a single spec runs in-process with
+    no pool, so ``func`` need not be picklable there; otherwise a pool
+    deals the specs one at a time, because specs can differ in cost by
+    orders of magnitude.
 
-    ``monitor`` (e.g. :class:`repro.obs.events.TelemetryMonitor`) opts a
-    call into observed execution: every unit is wrapped by
-    :func:`_observed_call`, ``monitor.on_dispatch(i)`` fires as specs
-    are submitted, ``monitor.on_complete(i, observation)`` as results
-    land, and ``monitor.poll()`` between completion checks (heartbeats,
-    stall detection).  Worker exceptions are re-raised parent-side after
-    the monitor has seen every unit's fate, preserving the unmonitored
-    path's error semantics.  With ``monitor=None`` the pre-telemetry
-    code path runs unchanged (``pool.map``) — the zero-cost guarantee.
-    Either way the pool is created per call and always joined on exit
+    Every unit runs inside :func:`_observed_call`, and ``monitor`` (a
+    :class:`repro.obs.events.TelemetryMonitor`; none by default) sees
+    ``on_dispatch(i)`` as specs are submitted, ``on_complete(i,
+    observation)`` as results land, and ``poll()`` between completion
+    checks (heartbeats, stall detection).  The failure contract is the
+    same on both paths: a spec that raises is reported failed, its
+    siblings still run, every spec gets exactly one ``on_complete``,
+    and the first failure in input order is re-raised once all have
+    finished.  The pool is created per call and always joined on exit
     (:func:`_leased_pool`).
     """
     if not specs:
         return []
+    if monitor is None:
+        monitor = NULL_MONITOR
     span = (profiler.phase(phase) if profiler is not None
             else contextlib.nullcontext())
-    if monitor is None:
-        if jobs <= 1 or len(specs) == 1:
-            with span:
-                return [func(spec) for spec in specs]
-        with span:
-            with _leased_pool(jobs, len(specs)) as mp_pool:
-                return mp_pool.map(func, specs, chunksize=1)
     wrapped = functools.partial(_observed_call, func)
     with span:
         if jobs <= 1 or len(specs) == 1:
             observed = []
             for i, spec in enumerate(specs):
                 monitor.on_dispatch(i)
-                obs = wrapped(spec)
-                observed.append(obs)
-                monitor.on_complete(i, obs)
+                observed.append(wrapped(spec))
+                monitor.on_complete(i, observed[-1])
                 monitor.poll()
         else:
             landed = queue.SimpleQueue()
@@ -544,17 +551,16 @@ class ParallelRunner(ExperimentRunner):
         warm = [key for key in ordered if key in self._results]
         todo = [key for key in ordered if key not in self._results]
         start = time.perf_counter()
-        if self.telemetry.enabled:
-            # Cells already in memory are cache hits, as in the serial
-            # prefetch; the fan-out below reports the rest.
-            self.telemetry.begin([f"{s}/{w}" for s, w in ordered])
-            for system, workload in warm:
-                now = time.monotonic()
-                self.telemetry.unit_finished(
-                    f"{system}/{workload}", ok=True, cached=True,
-                    t_start=now, t_end=now,
-                    detail={"system": system, "workload": workload,
-                            "cycles": self._results[system, workload].cycles})
+        # Cells already in memory are cache hits, as in the serial
+        # prefetch; the fan-out below reports the rest.
+        self.telemetry.begin([f"{s}/{w}" for s, w in ordered])
+        for system, workload in warm:
+            now = time.monotonic()
+            self.telemetry.unit_finished(
+                f"{system}/{workload}", ok=True, cached=True,
+                t_start=now, t_end=now,
+                detail={"system": system, "workload": workload,
+                        "cycles": self._results[system, workload].cycles})
         if not todo:
             return {"cells": len(ordered), "simulated": 0,
                     "cached": len(warm), "jobs": self.jobs, "seconds": 0.0,
@@ -567,13 +573,10 @@ class ParallelRunner(ExperimentRunner):
                   self.cache_root, self.collect_metrics, self.verify,
                   self.seed)
                  for (workload, _vlmax), systems in groups.items()]
-        monitor = None
-        if self.telemetry.enabled:
-            units = [tuple(f"{s}/{workload}" for s in systems)
-                     for workload, systems, *_ in specs]
-            monitor = TelemetryMonitor(self.telemetry, units,
-                                       describe=describe_group,
-                                       jobs=self.jobs)
+        units = [tuple(f"{s}/{workload}" for s in systems)
+                 for workload, systems, *_ in specs]
+        monitor = TelemetryMonitor(self.telemetry, units,
+                                   describe=describe_group, jobs=self.jobs)
         outs = fan_out(simulate_cell, specs, self.jobs,
                        profiler=self.profiler, phase="sweep",
                        monitor=monitor)

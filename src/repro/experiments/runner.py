@@ -36,7 +36,7 @@ from ..analysis import require_clean
 from ..config import make_system
 from ..cores.result import SimResult
 from ..isa.trace import Trace
-from ..obs.events import NULL_TELEMETRY
+from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.selfprof import SelfProfiler
 from ..obs.tracer import SpanTracer
@@ -226,38 +226,30 @@ class ExperimentRunner:
     def prefetch(self, pairs) -> Dict[str, object]:
         """Warm the result cache for every (system, workload) cell.
 
-        The serial implementation just runs the cells in order; the
-        process-pool subclass
+        The serial implementation runs the cells in order through
+        :func:`~repro.experiments.parallel.fan_out`'s in-process loop,
+        so a failing cell is reported ``failed``, the other cells still
+        run, and the first failure is re-raised after them; a cell
+        already in memory is a ``cache_hit``.  The process-pool subclass
         (:class:`~repro.experiments.parallel.ParallelRunner`) overrides
         this with a worker fan-out.  Returns summary stats either way.
         """
+        from .parallel import fan_out  # parallel imports this module
         start = time.perf_counter()
         ordered = canonical_pairs(pairs)
-        if self.telemetry.enabled:
-            self.telemetry.begin([f"{s}/{w}" for s, w in ordered])
-        simulated = cached = 0
-        for system, workload in ordered:
-            was_warm = (system, workload) in self._results
-            cached += was_warm
-            simulated += not was_warm
-            if not self.telemetry.enabled:
-                self.run(system, workload)
-                continue
-            unit = f"{system}/{workload}"
-            t0 = time.monotonic()
-            try:
-                result = self.run(system, workload)
-            except Exception as exc:
-                self.telemetry.unit_finished(
-                    unit, ok=False, t_start=t0, t_end=time.monotonic(),
-                    detail={"error": f"{type(exc).__name__}: {exc}"})
-                raise
-            self.telemetry.unit_finished(
-                unit, ok=True, cached=was_warm, t_start=t0,
-                t_end=time.monotonic(),
-                detail={"system": system, "workload": workload,
-                        "cycles": result.cycles})
-        return {"cells": len(ordered), "simulated": simulated,
+        units = [f"{s}/{w}" for s, w in ordered]
+        self.telemetry.begin(units)
+
+        def cell(key: Tuple[str, str]) -> Tuple[bool, dict]:
+            cached = key in self._results
+            return cached, {"system": key[0], "workload": key[1],
+                            "cycles": self.run(*key).cycles}
+
+        outs = fan_out(cell, ordered, 1, monitor=TelemetryMonitor(
+            self.telemetry, units,
+            describe=lambda out: [(out[0], (), out[1], None, None)]))
+        cached = sum(warm for warm, _detail in outs)
+        return {"cells": len(ordered), "simulated": len(ordered) - cached,
                 "cached": cached, "jobs": 1,
                 "seconds": time.perf_counter() - start}
 

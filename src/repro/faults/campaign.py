@@ -253,12 +253,10 @@ def run_campaign(count: int, *, models: Optional[Sequence[str]] = None,
         specs.append((i, case_seed, vlmax, num_ops,
                       factors[i % len(factors)], models[i % len(models)],
                       injection_seed))
-    monitor = None
-    if telemetry.enabled:
-        units = [f"inj:{spec[0]}" for spec in specs]
-        telemetry.begin(units)
-        monitor = TelemetryMonitor(telemetry, units,
-                                   describe=_describe_injection, jobs=jobs)
+    units = [f"inj:{spec[0]}" for spec in specs]
+    telemetry.begin(units)
+    monitor = TelemetryMonitor(telemetry, units,
+                               describe=_describe_injection, jobs=jobs)
     raw = fan_out(_run_injection, specs, jobs, profiler=profiler,
                   phase="faults", monitor=monitor)
     outcomes = [InjectionOutcome(**out) for out in raw]

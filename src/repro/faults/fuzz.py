@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +37,9 @@ import numpy as np
 
 from ..core.functional import EveFunctionalEngine
 from ..errors import FaultInjectionError
+from ..experiments.parallel import fan_out
 from ..isa.intrinsics import VectorContext
+from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
 
 #: Every segment width the paper's design space covers (bits per segment).
 FUZZ_WIDTHS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
@@ -606,53 +607,48 @@ def fuzz_many(num_seeds: int, *, master_seed: int = 0,
               widths: Sequence[int] = FUZZ_WIDTHS,
               vlmax: Optional[int] = None, num_ops: int = DEFAULT_OPS,
               out_dir: Optional[str] = None,
-              progress=None, telemetry=None) -> List[FuzzMismatch]:
+              progress=None, telemetry=NULL_TELEMETRY) -> List[FuzzMismatch]:
     """Generate and check ``num_seeds`` cases; returns shrunk mismatches.
 
     Each mismatch is shrunk at the first diverging width and, when
     ``out_dir`` is given, written to ``mismatch-<seed>-n<factor>.json`` in
-    a format :func:`load_case` replays directly.  ``telemetry`` (a
+    a format :func:`load_case` replays directly.  The seeds run in order
+    through :func:`~repro.experiments.parallel.fan_out`'s in-process
+    loop: a seed that raises does not stop the others, and the first
+    failure is re-raised after them.  ``telemetry`` (a
     :class:`~repro.obs.events.CampaignTelemetry`) streams one
     ``seed:<case_seed>`` unit per checked seed; a ``finished`` terminal
     carries the per-seed mismatch count.
     """
-    telemetry_on = telemetry is not None and telemetry.enabled
-    if telemetry_on:
-        telemetry.begin([f"seed:{master_seed * SEED_STRIDE + i}"
-                         for i in range(num_seeds)])
+    units = [f"seed:{master_seed * SEED_STRIDE + i}"
+             for i in range(num_seeds)]
+    telemetry.begin(units)
     mismatches: List[FuzzMismatch] = []
-    for i in range(num_seeds):
+
+    def check_seed(i: int) -> int:
         case_seed = master_seed * SEED_STRIDE + i
-        t0 = time.monotonic()
         before = len(mismatches)
-        try:
-            case = generate_case(case_seed, vlmax=vlmax, num_ops=num_ops)
-            failures = check_case(case, widths)
-            for factor, _div in failures:
-                shrunk = shrink_case(case, factor)
-                divergence = compare_runs(run_oracle(shrunk),
-                                          run_dut(shrunk, factor))
-                mismatch = FuzzMismatch(case=shrunk, factor=factor,
-                                        divergence=divergence or {})
-                mismatches.append(mismatch)
-                if out_dir is not None:
-                    os.makedirs(out_dir, exist_ok=True)
-                    path = os.path.join(
-                        out_dir, f"mismatch-{case_seed}-n{factor}.json")
-                    with open(path, "w") as fh:
-                        json.dump(mismatch.to_json_dict(), fh, indent=2)
-        except Exception as exc:
-            if telemetry_on:
-                telemetry.unit_finished(
-                    f"seed:{case_seed}", ok=False, t_start=t0,
-                    t_end=time.monotonic(),
-                    detail={"error": f"{type(exc).__name__}: {exc}"})
-            raise
-        if telemetry_on:
-            telemetry.unit_finished(
-                f"seed:{case_seed}", ok=True, t_start=t0,
-                t_end=time.monotonic(),
-                detail={"mismatches": len(mismatches) - before})
+        case = generate_case(case_seed, vlmax=vlmax, num_ops=num_ops)
+        failures = check_case(case, widths)
+        for factor, _div in failures:
+            shrunk = shrink_case(case, factor)
+            divergence = compare_runs(run_oracle(shrunk),
+                                      run_dut(shrunk, factor))
+            mismatch = FuzzMismatch(case=shrunk, factor=factor,
+                                    divergence=divergence or {})
+            mismatches.append(mismatch)
+            if out_dir is not None:
+                os.makedirs(out_dir, exist_ok=True)
+                path = os.path.join(
+                    out_dir, f"mismatch-{case_seed}-n{factor}.json")
+                with open(path, "w") as fh:
+                    json.dump(mismatch.to_json_dict(), fh, indent=2)
         if progress is not None:
             progress(i + 1, num_seeds, len(mismatches))
+        return len(mismatches) - before
+
+    fan_out(check_seed, range(num_seeds), 1, monitor=TelemetryMonitor(
+        telemetry, units,
+        describe=lambda found: [(False, (), {"mismatches": found}, None,
+                                 None)]))
     return mismatches

@@ -13,8 +13,9 @@ of *units of work* whose lifecycle this module records as events:
 ``cache_hit``
     The unit was satisfied from the on-disk cell cache (terminal).
 ``cache_corrupt``
-    A cache entry for the unit failed to unpickle; the offending file
-    was quarantined (renamed, not deleted) and the unit re-simulated.
+    A cache entry for the unit did not match its digest or failed to
+    unpickle; the offending file was quarantined (renamed, not deleted)
+    and the unit re-simulated.
 ``finished`` / ``failed``
     The unit completed / raised (terminal; ``failed`` carries the
     error).
@@ -31,19 +32,24 @@ of *units of work* whose lifecycle this module records as events:
 Invariants the log is designed around:
 
 * **Conservation** — every queued unit gets *exactly one* terminal
-  event (``cache_hit`` / ``finished`` / ``failed``); a violation means
-  the campaign aborted mid-flight.  :func:`check_conservation` verifies
-  this and ``repro events --check`` gates on it in CI.
+  event (``cache_hit`` / ``finished`` / ``failed``), in a failed
+  campaign too; a violation means the campaign was interrupted
+  mid-flight.  :func:`check_conservation` verifies this and ``repro
+  events --check`` gates on it in CI.
 * **Deterministic merge** — workers report their events through the
   pool's result channel; the parent buffers them and writes the log in
   *unit input order* (never completion order), so two runs of the same
   campaign produce the same ``(unit, event)`` sequence for the
   deterministic event kinds regardless of ``--jobs``.  ``heartbeat`` /
   ``stalled`` are wall-clock-driven and explicitly excluded.
+* **One failure contract** — every campaign runs its units through
+  :func:`~repro.experiments.parallel.fan_out`: a unit that raises is
+  reported ``failed``, its siblings still run, and the first failure
+  in input order is re-raised once all have finished.
 * **Zero cost when off** — call sites hold :data:`NULL_TELEMETRY` and
-  guard with its ``enabled`` flag, the same null-hook pattern the
-  metrics registry and tracer use; a telemetry-off sweep executes the
-  exact pre-telemetry code path and its results are byte-identical.
+  call it like a live hub, the same null-hook pattern the metrics
+  registry and tracer use; a telemetry-off run takes the same unit
+  loop, and its results are byte-identical.
 
 Timestamps are ``time.monotonic()`` seconds relative to the campaign
 epoch.  On the platforms the toolkit targets the monotonic clock is
@@ -56,7 +62,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import EventLogError
 from .journal import Journal
@@ -347,6 +353,9 @@ class NullTelemetry:
 
     enabled = False
 
+    def now(self) -> float:
+        return 0.0
+
     def begin(self, units) -> None:
         pass
 
@@ -576,7 +585,8 @@ class CampaignTelemetry:
 # -- the fan-out monitor -------------------------------------------------------
 
 class TelemetryMonitor:
-    """Adapts :class:`CampaignTelemetry` to the executor's fan-out hooks.
+    """Adapts :class:`CampaignTelemetry` (or :data:`NULL_TELEMETRY`) to
+    the executor's fan-out hooks.
 
     The pool executor calls :meth:`on_dispatch` as specs are submitted,
     :meth:`on_complete` as observed results arrive (completion order —
@@ -594,8 +604,9 @@ class TelemetryMonitor:
     have, and its stall threshold scales by its unit count.
     """
 
-    def __init__(self, telemetry: CampaignTelemetry, units: Sequence,
-                 describe: Optional[Callable] = None, jobs: int = 1) -> None:
+    def __init__(self, telemetry: Union[CampaignTelemetry, NullTelemetry],
+                 units: Sequence, describe: Optional[Callable] = None,
+                 jobs: int = 1) -> None:
         self.telemetry = telemetry
         self.units = [(unit,) if isinstance(unit, str) else tuple(unit)
                       for unit in units]
@@ -638,3 +649,15 @@ class TelemetryMonitor:
         self.telemetry.heartbeat(self.in_flight(), group_sizes={
             self.units[i][-1]: len(self.units[i])
             for i in self._open[:self.jobs]})
+
+
+class NullMonitor:
+    """Do-nothing fan-out hooks: what an unobserved fan-out reports to."""
+
+    def on_dispatch(self, *_args) -> None:
+        pass
+
+    on_complete = poll = on_dispatch
+
+
+NULL_MONITOR = NullMonitor()

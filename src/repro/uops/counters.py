@@ -10,9 +10,10 @@ two sticky flags:
 * the *binary-decade flag*, set when a decrement lands on a power of two
   (``bnd`` branches on it and consumes it when taken).
 
-For address generation the counter also exposes ``index``: the number of
-decrements since ``init``, modulo the initial value — i.e. the current
-iteration of the loop it drives.
+For address generation the counter also keeps ``index``: the number of
+ticks since ``init`` less one, modulo the initial value (0 before the
+first tick) — i.e. the current iteration of the loop it drives.  Each
+tick updates it, so reading it costs an attribute load.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ class Counter:
         self.init_value = 1
         self.value = 1
         self.ticks = 0
+        #: 0-based iteration index of the loop this counter drives.
+        self.index = 0
         self.zero_flag = False
         self.decade_flag = False
 
@@ -41,11 +44,13 @@ class Counter:
         self.init_value = value
         self.value = value
         self.ticks = 0
+        self.index = 0
         self.zero_flag = False
         self.decade_flag = False
 
     def decr(self) -> None:
         self.value -= 1
+        self.index = self.ticks % self.init_value
         self.ticks += 1
         if self.value == 0:
             self.zero_flag = True
@@ -59,17 +64,11 @@ class Counter:
         if self.value >= self.init_value:  # freshly armed: start from zero
             self.value = 0
         self.value += 1
+        self.index = self.ticks % self.init_value
         self.ticks += 1
         if self.value == self.init_value:
             self.zero_flag = True
             self.value = 0
-
-    @property
-    def index(self) -> int:
-        """0-based iteration index of the loop this counter drives."""
-        if self.ticks == 0:
-            return 0
-        return (self.ticks - 1) % self.init_value
 
     def consume_zero(self) -> bool:
         """Read-and-clear used by ``bnz`` fall-through."""

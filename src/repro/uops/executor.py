@@ -87,23 +87,27 @@ class MicroEngine:
     def _resolver(self, binding: Binding) -> Callable[[RowRef], int]:
         """Row resolution for one bit-exact run: each bound slot's base
         row comes from the layout's base-row table once, and a reference
-        adds its segment.  An unbound slot or an out-of-range register or
-        segment falls back to the layout's own arithmetic, which raises
-        the error it always has."""
+        adds its segment, read inline from its counter's ``index`` when
+        it is counter-addressed.  An unbound slot or an out-of-range
+        register or segment falls back to the layout's own arithmetic,
+        which raises the error it always has."""
         layout = binding.layout
         bases = _base_rows(layout)
         segments = layout.segments
         slot_rows = {slot: bases[vreg] for slot, vreg in binding.regs.items()
                      if 0 <= vreg < len(bases)}
-        seg_index = self._seg_index
+        counters = self.counters
 
         def row(ref: RowRef) -> int:
             base = slot_rows.get(ref.reg)
             if base is not None:
-                seg = seg_index(ref.seg)
+                seg = ref.seg
+                if isinstance(seg, CounterSeg):
+                    seg = seg.base + seg.step * counters[seg.counter].index
                 if 0 <= seg < segments:
                     return base + seg
-            return layout.row_of(binding.vreg(ref.reg), seg_index(ref.seg))
+            return layout.row_of(binding.vreg(ref.reg),
+                                 self._seg_index(ref.seg))
         return row
 
     def _data_in(self, spec: DataIn, binding: Binding, lanes: Lanes) -> int:

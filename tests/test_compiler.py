@@ -193,11 +193,6 @@ class TestBlockScheduler:
         assert quiet
         assert all(compiled.lines_for(index) == () for index in quiet)
 
-    def test_hoist_cannot_be_dropped(self):
-        # The machines time every memory event from its hoisted list.
-        with pytest.raises(CompilerError, match="hoist"):
-            CompilerConfig(passes=("dce", "schedule"))
-
 
 # -- the frozen memory-model reference ----------------------------------------
 
@@ -562,15 +557,12 @@ class TestFastMemorySystem:
 
 class TestCacheDistinctness:
     def test_cache_schema_bumped_for_the_compiler(self):
-        assert CACHE_VERSION == 3
+        assert CACHE_VERSION == 4
 
     def test_compiler_descriptor_shapes(self):
         descriptor = compiler_descriptor()
         assert descriptor["passes"] == ["dce", "hoist", "schedule"]
         assert descriptor["compiler_version"] >= 1
-        assert compiler_descriptor(CompilerConfig(passes=("hoist",))) == {
-            "compiler_version": descriptor["compiler_version"],
-            "passes": ["hoist"]}
 
     def test_fingerprints_differ_by_compiler_descriptor(self):
         bare = params_fingerprint("vvadd", TINY_PARAMS)

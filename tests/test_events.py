@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import EventLogError
 from repro.experiments import ExperimentRunner, ParallelRunner
+from repro.experiments import runner as runner_module
 from repro.obs.events import (CAMPAIGN_UNIT, CampaignTelemetry, Event,
                               EventLog, LIVE_EVENTS, TERMINAL_EVENTS,
                               TelemetryMonitor, Watchdog,
@@ -429,6 +430,30 @@ class TestSweepTelemetry:
         hits = [e for e in log.read() if e.event == "cache_hit"]
         assert len(hits) == len(PAIRS)
         assert check_conservation(log.read()) == []
+
+    def test_serial_failure_runs_the_other_cells_and_conserves(
+            self, monkeypatch):
+        build_machine = runner_module.build_machine
+
+        def build(system, **kwargs):
+            if system == "O3":
+                raise ValueError("injected failure")
+            return build_machine(system, **kwargs)
+
+        monkeypatch.setattr(runner_module, "build_machine", build)
+        hub = _telemetry()
+        runner = ExperimentRunner(params_override=TINY_PARAMS, telemetry=hub)
+        pairs = [(s, "vvadd") for s in ("IO", "O3", "O3+EVE-4")]
+        with pytest.raises(ValueError, match="injected failure"):
+            runner.prefetch(pairs)
+        assert set(runner._results) == {("IO", "vvadd"),
+                                        ("O3+EVE-4", "vvadd")}
+        events = hub.ordered_events()
+        assert check_conservation(events) == []
+        assert [(e.unit, e.event) for e in events
+                if e.event in TERMINAL_EVENTS] == [
+            ("IO/vvadd", "finished"), ("O3/vvadd", "failed"),
+            ("O3+EVE-4/vvadd", "finished")]
 
     def test_corrupt_cache_entry_quarantined_and_reported(self, tmp_path):
         root = str(tmp_path / "cache")

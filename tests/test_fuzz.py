@@ -10,6 +10,8 @@ from repro.errors import FaultInjectionError
 from repro.faults.fuzz import (FUZZ_WIDTHS, FuzzCase, _trace_is_clean,
                                check_case, fuzz_many, generate_case,
                                load_case, run_dut, run_oracle, shrink_case)
+from repro.obs.events import (TERMINAL_EVENTS, CampaignTelemetry,
+                              check_conservation)
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -145,6 +147,29 @@ class TestHealthySweep:
                 progress_calls.append((done, total, found)))
         assert mismatches == []
         assert progress_calls[-1] == (4, 4, 0)
+
+    def test_a_failing_seed_leaves_the_others_running(self, monkeypatch):
+        from repro.faults import fuzz
+        real = fuzz.generate_case
+        seen = []
+
+        def generate(seed, **kwargs):
+            seen.append(seed)
+            if seed == 1:
+                raise ValueError("injected failure")
+            return real(seed, **kwargs)
+
+        monkeypatch.setattr(fuzz, "generate_case", generate)
+        hub = CampaignTelemetry("fuzz", campaign_id="c")
+        with pytest.raises(ValueError, match="injected failure"):
+            fuzz_many(3, widths=(4,), num_ops=6, telemetry=hub)
+        assert seen == [0, 1, 2]
+        events = hub.ordered_events()
+        assert check_conservation(events) == []
+        assert [(e.unit, e.event) for e in events
+                if e.event in TERMINAL_EVENTS] == [
+            ("seed:0", "finished"), ("seed:1", "failed"),
+            ("seed:2", "finished")]
 
     def test_dut_observations_match_oracle_shapes(self):
         case = generate_case(11, num_ops=8)

@@ -6,12 +6,13 @@ import json
 import multiprocessing
 import multiprocessing.pool
 import os
+import pickle
+import struct
 import time
 
 import pytest
 
 from repro.cli import main
-from repro.compiler import compiler_descriptor
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentRunner, ParallelRunner, sweep_pairs
 from repro.experiments import parallel
@@ -53,6 +54,15 @@ def _record_from(results):
     for (system, workload), cycles in sorted(results.items()):
         record.add_result(system, workload, cycles=cycles, time_ns=cycles)
     return record
+
+
+def _flip_cycles_bit(entry, cycles):
+    """``entry`` with the lowest bit of its pickled ``cycles`` float
+    flipped: bytes that still unpickle, to cycles one ulp off."""
+    packed = struct.pack(">d", cycles)
+    flipped = packed[:-1] + bytes([packed[-1] ^ 1])
+    assert b"G" + packed in entry  # BINFLOAT opcode + big-endian double
+    return entry.replace(b"G" + packed, b"G" + flipped, 1)
 
 
 def _double(x):
@@ -101,6 +111,20 @@ class TestFanOut:
         profiler = SelfProfiler()
         fan_out(_double, [1, 2], jobs=1, profiler=profiler, phase="faults")
         assert "faults" in profiler.merged()
+
+    def test_in_process_failure_runs_every_spec_then_reraises_the_first(
+            self):
+        ran = []
+
+        def unit(x):
+            ran.append(x)
+            if x in (1, 3):
+                raise ValueError(f"unit {x} failed")
+            return x
+
+        with pytest.raises(ValueError, match="unit 1 failed"):
+            fan_out(unit, [0, 1, 2, 3], jobs=1)
+        assert ran == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("monitored", [False, True])
     def test_worker_error_reraises_and_reaps_the_pool(self, monitored):
@@ -351,32 +375,41 @@ class TestCellCache:
         assert default["cached"] is False
         assert first["result"].cycles > 0
 
-    @pytest.mark.parametrize("garbage", [
-        b"not a pickle",
-        b"\x80\x05\x95" + b"\xff" * 8,  # FRAME too long: OverflowError
-        b"\x80\x05\x8c\x01a\x8c\x01b\x8c\x01cs.",  # SETITEM on a str
-        b"\x80\x05\x8e" + (2 ** 62).to_bytes(8, "little"),  # MemoryError
-    ], ids=["not-a-pickle", "overflow", "type-error", "memory-error"])
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path, garbage):
-        cache = CellCache(str(tmp_path))
-        path = cache.result_path("IO", "vvadd", "abc", "def")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(garbage)
-        assert cache.load_entry(path) == (None, "corrupt")
+    @pytest.mark.parametrize("smash", [
+        lambda entry, cycles: b"not a pickle",
+        # FRAME too long: OverflowError
+        lambda entry, cycles: b"\x80\x05\x95" + b"\xff" * 8,
+        # SETITEM on a str: TypeError
+        lambda entry, cycles: b"\x80\x05\x8c\x01a\x8c\x01b\x8c\x01cs.",
+        # MemoryError
+        lambda entry, cycles: (b"\x80\x05\x8e"
+                               + (2 ** 62).to_bytes(8, "little")),
+        _flip_cycles_bit,
+        # Unpickles, to an object that is not a cell payload.
+        lambda entry, cycles: pickle.dumps(7),
+    ], ids=["not-a-pickle", "overflow", "type-error", "memory-error",
+            "bit-flip", "wrong-object"])
+    def test_corrupt_cache_entry_is_a_miss(self, tmp_path, smash):
+        root = str(tmp_path)
+        (good,) = simulate_cell(_group_spec(["IO"], root))["cells"]
+        path = good["cache_path"]
+        with open(path, "rb") as handle:
+            entry = handle.read()
+        cycles = good["result"].cycles
+        garbage = smash(entry, cycles)
+        assert garbage != entry
+        cache = CellCache(root)
+        other = cache.result_path("IO", "vvadd", "abc", "def")
+        os.makedirs(os.path.dirname(other), exist_ok=True)
+        for target in (other, path):
+            with open(target, "wb") as handle:
+                handle.write(garbage)
+        assert cache.load_entry(other) == (None, "corrupt")
         # The cell's own entry, smashed: quarantined and re-simulated.
-        path = cache.result_path(
-            "IO", "vvadd",
-            params_fingerprint("vvadd", TINY_PARAMS,
-                               compiler=compiler_descriptor()),
-            sweep_config_fingerprint())
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(garbage)
-        (out,) = simulate_cell(_group_spec(["IO"], str(tmp_path)))["cells"]
+        (out,) = simulate_cell(_group_spec(["IO"], root))["cells"]
         assert out["cached"] is False
         assert (out["cache"], out["cache_path"]) == ("corrupt", path)
-        assert out["result"].cycles > 0
+        assert out["result"].cycles == cycles
         assert os.path.exists(f"{path}.corrupt")
         assert cache.load_entry(path)[1] == "hit"
 

@@ -24,13 +24,15 @@ class TestCounter:
         assert c.value == 3  # hardware auto-reset
 
     def test_index_tracks_iterations(self):
-        c = Counter("seg0")
-        c.init(4)
-        indices = []
-        for _ in range(8):
-            c.decr()
-            indices.append(c.index)
-        assert indices == [0, 1, 2, 3, 0, 1, 2, 3]
+        for tick in (Counter.decr, Counter.incr):
+            c = Counter("seg0")
+            c.init(4)
+            assert c.index == 0
+            indices = []
+            for _ in range(8):
+                tick(c)
+                indices.append(c.index)
+            assert indices == [0, 1, 2, 3, 0, 1, 2, 3], tick.__name__
 
     def test_consume_zero_clears(self):
         c = Counter("seg0")
