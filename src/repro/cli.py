@@ -94,19 +94,20 @@ works), and ``run`` / ``trace`` / ``stats`` accept ``--tiny`` to use the
 test-sized problem inputs.  ``run`` / ``compare`` / ``stats`` accept
 ``--record`` (archive the run into the run store) and ``--baseline REF``
 (diff the fresh run against a stored record or golden-baseline file).
-``compare`` / ``sweep`` / ``scorecard`` accept ``--jobs N`` to fan the
-(system, workload) cells out over N worker processes, one task per
-(workload, vlmax) group that builds and compiles its trace once, backed
-by the on-disk result cache (``--cache-dir`` / ``--no-cache``); results
-are bit-identical to a serial run.  ``run`` / ``compare`` / ``sweep`` accept
-``--seed N`` to vary the generated workload inputs; the seed is folded
-into cache keys and record fingerprints so seeded runs never collide
-with the default-seed results.  ``sweep`` / ``compare`` / ``fuzz`` /
-``faults`` accept ``--events [FILE]`` (append the campaign's lifecycle
-events to a JSONL log), ``--progress`` (force the live progress line
-even without a TTY), and ``--quiet`` (suppress it); telemetry never
-changes simulation results — a telemetry-on sweep is byte-identical to
-a telemetry-off one.
+``compare`` / ``sweep`` / ``scorecard`` prefetch their (system,
+workload) cells through one runner, one task per (workload, vlmax) group
+that builds and compiles its trace once; ``--jobs N`` fans the groups
+out over N worker processes, backed by the on-disk result cache
+(``--cache-dir`` / ``--no-cache``, used only when ``--jobs`` is not 1);
+results are bit-identical to a serial run.  ``run`` / ``compare`` /
+``sweep`` accept ``--seed N`` to vary the generated workload inputs;
+the seed is folded into cache keys and record fingerprints so seeded
+runs never collide with the default-seed results.  ``sweep`` /
+``compare`` / ``fuzz`` / ``faults`` accept ``--events [FILE]`` (append
+the campaign's lifecycle events to a JSONL log), ``--progress`` (force
+the live progress line even without a TTY), and ``--quiet`` (suppress
+it); telemetry never changes simulation results — a telemetry-on sweep
+is byte-identical to a telemetry-off one.
 """
 
 from __future__ import annotations
@@ -121,8 +122,7 @@ from . import __version__
 from .compiler import compiler_descriptor
 from .config import all_system_names
 from .errors import MicroProgramError, ReproError, RunStoreError
-from .experiments import (ExperimentRunner, ParallelRunner, format_table,
-                          sweep_result_payload)
+from .experiments import ExperimentRunner, format_table, sweep_result_payload
 from .experiments.figures import ALL_APPS, area_table, figure2, table3
 from .experiments.parallel import (DEFAULT_CACHE_ROOT, cache_stats,
                                    prune_cache, sweep_config_fingerprint,
@@ -154,15 +154,14 @@ def _make_runner(args, collect_metrics: bool = False,
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = DEFAULT_SEED
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs != 1:
-        cache_root = (None if getattr(args, "no_cache", False)
-                      else getattr(args, "cache_dir", DEFAULT_CACHE_ROOT))
-        return ParallelRunner(params_override=override, jobs=jobs or None,
-                              cache_root=cache_root,
-                              collect_metrics=collect_metrics, seed=seed,
-                              telemetry=telemetry)
-    return ExperimentRunner(params_override=override, seed=seed,
+    jobs = getattr(args, "jobs", 1)
+    # Cache keys do not digest the source, so only a --jobs run uses the
+    # disk cache: a serial run stays fresh after a model edit.
+    cache_root = (None if jobs == 1 or getattr(args, "no_cache", False)
+                  else getattr(args, "cache_dir", DEFAULT_CACHE_ROOT))
+    return ExperimentRunner(params_override=override, seed=seed, jobs=jobs,
+                            cache_root=cache_root,
+                            collect_metrics=collect_metrics,
                             telemetry=telemetry)
 
 
@@ -224,20 +223,18 @@ def _fingerprint_extra(runner: ExperimentRunner):
     return extra
 
 
-def _prefetch(runner: ExperimentRunner, pairs) -> None:
-    """Fan the cells out before the (serial) reporting loops run.
-
-    The parallel runner always prefetches here; the serial runner only
-    does when campaign telemetry is attached (prefetching is what emits
-    the per-cell events) and otherwise simulates lazily inside the
-    harnesses exactly as before.
-    """
-    if isinstance(runner, ParallelRunner) or runner.telemetry.enabled:
-        stats = runner.prefetch(pairs)
-        print(f"sweep: {stats['cells']} cells ({stats['simulated']} "
-              f"simulated, {stats['cached']} cached) with "
-              f"{stats['jobs']} worker(s) in {stats['seconds']:.2f}s",
-              file=sys.stderr)
+def _prefetch(runner: ExperimentRunner, pairs) -> dict:
+    """Simulate the cells before the (serial) reporting loops run, and
+    print the one-line summary; returns the prefetch stats."""
+    stats = runner.prefetch(pairs)
+    print(f"sweep: {stats['cells']} cells ({stats['simulated']} "
+          f"simulated, {stats['cached']} cached) with "
+          f"{stats['jobs']} worker(s) in {stats['seconds']:.2f}s",
+          file=sys.stderr)
+    if stats["cache_corrupt"]:
+        print(f"sweep cache: {stats['cache_corrupt']} corrupt entr(y/ies) "
+              f"quarantined (*.corrupt) and re-simulated", file=sys.stderr)
+    return stats
 
 
 def _recording(args) -> bool:
@@ -370,27 +367,16 @@ def _cmd_compare(args) -> int:
             fingerprint_extra=_fingerprint_extra(runner))
         record.speedup_baseline = "IO"
     for system in all_system_names():
-        flat = snapshot = None
-        prefetched = (runner.cell_metrics(system, args.workload)
-                      if want_metrics else None)
-        if prefetched is not None:
-            # A sweep worker already captured this cell's registry;
-            # reuse it instead of re-simulating with instrumentation.
-            flat, snapshot = prefetched
-            result = runner.run(system, args.workload)
-        else:
-            metrics = MetricsRegistry() if want_metrics else None
-            result = runner.run(system, args.workload, metrics=metrics)
-            if metrics is not None:
-                flat, snapshot = metrics.flat(), metrics.snapshot()
+        result = runner.run(system, args.workload)
         speedup = base.time_ns / result.time_ns
         rows.append([system, result.cycles, result.time_ns / 1e3, speedup])
         entry = result.to_json_dict()
         entry.pop("metrics", None)
         entry["speedup_vs_IO"] = speedup
         per_system[system] = entry
-        if snapshot is not None:
-            metrics_out[system] = snapshot
+        metered = runner.cell_metrics(system, args.workload)
+        if metered is not None:  # captured by the metered prefetch
+            flat, metrics_out[system] = metered
             for name, value in flat.items():
                 metrics_flat[f"{system}.{name}"] = value
         if record is not None:
@@ -420,31 +406,15 @@ def _cmd_compare(args) -> int:
     return _finish_record(args, record)
 
 
-def _sweep_cache_stats(stats) -> dict:
-    """The sweep's explicit cache telemetry: disk hit/miss/corrupt for
-    the parallel executor, warm/cold in-memory counts for the serial
-    runner (which has no disk cache)."""
-    return {"hits": stats.get("cache_hits", stats["cached"]),
-            "misses": stats.get("cache_misses", stats["simulated"]),
-            "corrupt": stats.get("cache_corrupt", 0)}
-
-
 def _cmd_sweep(args) -> int:
     telemetry = _make_telemetry(args, "sweep")
     runner = _make_runner(args, telemetry=telemetry)
     systems, workloads = args.systems, args.workloads
     pairs = sweep_pairs(systems, workloads)
     try:
-        stats = runner.prefetch(pairs)
+        stats = _prefetch(runner, pairs)
     finally:
         _finalize_telemetry(telemetry)
-    print(f"sweep: {stats['cells']} cells ({stats['simulated']} simulated, "
-          f"{stats['cached']} cached) with {stats['jobs']} worker(s) in "
-          f"{stats['seconds']:.2f}s", file=sys.stderr)
-    disk_cache = _sweep_cache_stats(stats)
-    if disk_cache["corrupt"]:
-        print(f"sweep cache: {disk_cache['corrupt']} corrupt entr(y/ies) "
-              f"quarantined (*.corrupt) and re-simulated", file=sys.stderr)
     # The deterministic document core; only the wall-clock "cache" block
     # appended below varies between a cold and a warm run.
     payload = sweep_result_payload(runner, systems, workloads)
@@ -458,7 +428,9 @@ def _cmd_sweep(args) -> int:
             row.append(speedups[workload][system])
         rows.append(row)
     if args.json:
-        emit_json(dict(payload, cache=disk_cache))
+        emit_json(dict(payload, cache={"hits": stats["cache_hits"],
+                                       "misses": stats["cache_misses"],
+                                       "corrupt": stats["cache_corrupt"]}))
     else:
         headers = ["workload", "system", "cycles", "time_us"]
         if payload["baseline"]:
@@ -480,10 +452,7 @@ def _cmd_sweep(args) -> int:
             record.speedups = {workload: dict(per_system)
                                for workload, per_system in speedups.items()}
         record.self_profile = runner.profiler.as_dict()
-        record.extra["sweep"] = {k: stats[k] for k in
-                                 ("cells", "simulated", "cached", "jobs",
-                                  "seconds", "cache_hits", "cache_misses",
-                                  "cache_corrupt") if k in stats}
+        record.extra["sweep"] = dict(stats)
     return _finish_record(args, record)
 
 
@@ -989,7 +958,7 @@ def _cmd_fuzz(args) -> int:
     telemetry = _make_telemetry(args, "fuzz")
 
     def progress(done: int, total: int, found: int) -> None:
-        if telemetry.enabled:
+        if telemetry.progress is not None:
             return  # the live renderer owns stderr
         if done % 50 == 0 or done == total:
             print(f"fuzz: {done}/{total} seeds checked, "
@@ -1170,8 +1139,8 @@ def _add_jobs_arguments(sub) -> None:
     sub.add_argument("--no-cache", action="store_true",
                      help="disable the on-disk result cell cache")
     sub.add_argument("--cache-dir", default=DEFAULT_CACHE_ROOT, metavar="DIR",
-                     help=f"cell-cache directory used by the parallel "
-                          f"executor (default: {DEFAULT_CACHE_ROOT})")
+                     help=f"cell-cache directory, used when --jobs is not 1 "
+                          f"(default: {DEFAULT_CACHE_ROOT})")
 
 
 def _add_record_arguments(sub) -> None:

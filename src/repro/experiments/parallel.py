@@ -1,21 +1,18 @@
-"""Process-pool sweep executor with a crash-safe on-disk cell cache.
+"""The unit fan-out and the crash-safe on-disk cell cache.
 
-The paper's headline results are a full cross-product of ~11 systems x
-7 workloads.  This module fans the (system, workload) cells out over
-``multiprocessing`` workers and merges the outcomes back into the
-ordinary runner caches, so every downstream consumer (the figure
-harnesses, the scorecard, ``repro compare``) sees exactly the results a
-serial run would have produced — the simulator is deterministic, and
-the merge is performed in input order regardless of which worker
-finished first.
-
-The unit of work is a *group*: the cells of one workload whose systems
-grant the same vlmax, and so replay the same trace (EVE-1/2/4 share the
-VL=2048 trace, O3+IV and O3+DV the VL=64 one, IO and O3 the scalar
-one).  A worker runs a group's cells in turn through
-:meth:`~repro.experiments.runner.ExperimentRunner.run` on one fresh
-runner, which builds and compiles the group's trace once; that runner
-is the only code that decides what a cell replays.
+:func:`fan_out` is the one loop that runs a campaign's units: sweeps,
+``repro fuzz`` and ``repro faults`` all hand it their specs, and it
+runs them in-process or on a ``multiprocessing`` pool with one failure
+contract.  A sweep's spec is a *group*: the cells of one workload whose
+systems grant the same vlmax, and so replay the same trace (EVE-1/2/4
+share the VL=2048 trace, O3+IV and O3+DV the VL=64 one, IO and O3 the
+scalar one).  :meth:`~repro.experiments.runner.ExperimentRunner.prefetch`
+builds the groups and merges the outcomes back into the runner's caches
+in input order, so every downstream consumer (the figure harnesses, the
+scorecard, ``repro compare``) sees exactly the results a serial run
+would have produced.  In a pool worker, :func:`simulate_cell` runs a
+group through the runner's one cell loop on a fresh runner, which
+builds and compiles the group's trace once.
 
 A **result cache** keyed by ``(system, workload, params-fingerprint,
 config-fingerprint)`` makes repeat invocations cheap — the config
@@ -42,13 +39,11 @@ import queue
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..config import all_system_names, make_system
-from ..obs.events import NULL_MONITOR, NULL_TELEMETRY, TelemetryMonitor
-from ..obs.metrics import MetricsRegistry
+from ..config import all_system_names
+from ..obs.events import NULL_MONITOR
 from ..obs.selfprof import SelfProfiler
 from ..workloads import DEFAULT_SEED, REGISTRY, canonical_workload, get_workload
-from .runner import ExperimentRunner, canonical_pairs
-from .systems import canonical_system, trace_vlmax
+from .systems import canonical_system
 
 #: Default on-disk cache directory (sibling of ``.eve-runs/``).
 DEFAULT_CACHE_ROOT = ".eve-cache"
@@ -129,7 +124,8 @@ class CellCache:
     bytes.  Loads tolerate missing files (a miss, never an error);
     *corrupt* entries — present, but short, not matching their digest,
     or not unpickling — are distinguished from misses, quarantined in
-    place (renamed to ``<path>.corrupt``, never deleted, so the evidence
+    place (renamed to ``<path>.corrupt``, or ``<path>.N.corrupt`` if the
+    entry was quarantined before; never deleted, so the evidence
     survives for a post-mortem), and reported to the caller so the
     sweep's cache telemetry can count them.  Stores are atomic (unique
     temp + ``os.replace``).
@@ -176,8 +172,14 @@ class CellCache:
 
     def quarantine(self, path: str) -> str:
         """Move a corrupt entry aside (rename, don't delete) so the next
-        run re-simulates instead of tripping over it again."""
-        target = f"{path}.corrupt"
+        run re-simulates instead of tripping over it again.  The target
+        is the first free name among ``<path>.corrupt``,
+        ``<path>.1.corrupt``, ..., so a second corruption of one entry
+        keeps the first one's bytes."""
+        target, n = f"{path}.corrupt", 0
+        while os.path.exists(target):
+            n += 1
+            target = f"{path}.{n}.corrupt"
         try:
             os.replace(path, target)
         except OSError:  # pragma: no cover - raced with another worker
@@ -419,55 +421,25 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
 
     ``spec`` is the picklable tuple ``(workload, systems, params_override,
     cache_root, collect_metrics, verify, seed)``, where every system in
-    ``systems`` grants the same vlmax.  Each cell the result cache lacks
-    runs through :meth:`ExperimentRunner.run` on one fresh runner, so
-    the group builds and compiles its trace once; a metered cell times
-    on the hooked memory model, which takes the same cycles.  Returns
-    ``{"cells", "profile"}``: one payload per system, in order — its
-    :class:`~repro.cores.result.SimResult`, optional metrics-registry
-    views, result-cache status (``hit`` / ``miss`` / ``corrupt``, or
-    ``None`` without a cache) and entry path, and the worker's raw
-    ``t0``/``t1`` monotonic readings around the cell — plus the runner's
+    ``systems`` grants the same vlmax.  Builds a fresh runner from it and
+    runs the group through the runner's one cell loop,
+    :meth:`~repro.experiments.runner.ExperimentRunner.run_group`, so the
+    group builds and compiles its trace once.  Returns ``{"cells",
+    "profile"}``: the loop's per-cell payloads and the runner's
     self-profiler phases, all picklable for the parent-side merge.
     """
+    from .runner import ExperimentRunner  # runner imports this module
     workload, systems, params_override, cache_root, collect_metrics, \
         verify, seed = spec
-    workload = canonical_workload(workload)
     runner = ExperimentRunner(params_override=params_override,
-                              verify=verify, seed=seed)
-    cache = CellCache(cache_root) if cache_root else None
-    from ..compiler import compiler_descriptor
-    params_fp = params_fingerprint(workload, params_override, seed=seed,
-                                   compiler=compiler_descriptor())
-    config_fp = sweep_config_fingerprint()
-    cells = []
-    for system in map(canonical_system, systems):
-        t0 = time.monotonic()
-        payload = path = status = None
-        if cache is not None:
-            path = cache.result_path(system, workload, params_fp, config_fp,
-                                     instrumented=collect_metrics)
-            payload, status = cache.load_entry(path)
-        cached = payload is not None
-        if not cached:
-            metrics = MetricsRegistry() if collect_metrics else None
-            payload = {
-                "result": runner.run(system, workload, metrics=metrics),
-                "metrics_flat": (metrics.flat()
-                                 if metrics is not None else None),
-                "metrics_snapshot": (metrics.snapshot()
-                                     if metrics is not None else None),
-            }
-            if cache is not None:
-                cache.store(path, dict(payload))
-        payload.update({"system": system, "workload": workload,
-                        "cached": cached, "cache": status, "cache_path": path,
-                        "t0": t0, "t1": time.monotonic()})
-        cells.append(payload)
-    return {"cells": cells, "profile": runner.profiler.as_dict()}
+                              verify=verify, seed=seed,
+                              cache_root=cache_root,
+                              collect_metrics=collect_metrics)
+    return {"cells": runner.run_group(workload, systems),
+            "profile": runner.profiler.as_dict()}
 
 
-# -- the executor --------------------------------------------------------------
+# -- the sweep grid -----------------------------------------------------------
 
 def sweep_pairs(systems: Optional[Iterable[str]] = None,
                 workloads: Optional[Iterable[str]] = None
@@ -481,119 +453,3 @@ def sweep_pairs(systems: Optional[Iterable[str]] = None,
     workloads = [canonical_workload(w)
                  for w in (workloads or sorted(REGISTRY))]
     return [(s, w) for w in workloads for s in systems]
-
-
-def describe_group(value: Dict[str, object]) -> List[tuple]:
-    """Telemetry view of one :func:`simulate_cell` return value: one
-    ``(cached, extra_events, detail, t0, t1)`` per cell, in order, for
-    :class:`~repro.obs.events.TelemetryMonitor`."""
-    outcomes = []
-    for cell in value["cells"]:
-        extra = ((("cache_corrupt", {"path": cell["cache_path"]}),)
-                 if cell["cache"] == "corrupt" else ())
-        detail = {"system": cell["system"], "workload": cell["workload"],
-                  "cycles": cell["result"].cycles}
-        outcomes.append((cell["cached"], extra, detail, cell["t0"],
-                         cell["t1"]))
-    return outcomes
-
-
-class ParallelRunner(ExperimentRunner):
-    """An :class:`ExperimentRunner` whose cells can be prefetched by a
-    process pool.
-
-    :meth:`prefetch` groups the requested cells by (workload, vlmax),
-    fans the groups out over ``jobs`` workers and merges the returned
-    results into the ordinary ``_results`` cache, so subsequent
-    :meth:`run` calls (the figure harnesses, the scorecard, speedup
-    columns) hit warm entries and produce output byte-identical to a
-    serial run.  With ``jobs=1`` the groups execute in-process through
-    the same worker function, so the disk cache still applies but no
-    pool is spawned.
-    """
-
-    def __init__(self, params_override: Optional[Dict[str, dict]] = None,
-                 verify: bool = True,
-                 profiler: Optional[SelfProfiler] = None,
-                 jobs: Optional[int] = None,
-                 cache_root: Optional[str] = DEFAULT_CACHE_ROOT,
-                 collect_metrics: bool = False,
-                 seed: int = DEFAULT_SEED,
-                 telemetry=NULL_TELEMETRY) -> None:
-        super().__init__(params_override=params_override, verify=verify,
-                         profiler=profiler, seed=seed, telemetry=telemetry)
-        self.jobs = max(1, jobs if jobs is not None
-                        else (os.cpu_count() or 1))
-        self.cache_root = cache_root
-        self.collect_metrics = collect_metrics
-        self._prefetched_metrics: Dict[Tuple[str, str], tuple] = {}
-
-    def cell_metrics(self, system_name: str, workload_name: str):
-        return self._prefetched_metrics.get(
-            (canonical_system(system_name),
-             canonical_workload(workload_name)))
-
-    def prefetch(self, pairs: Sequence[Tuple[str, str]]
-                 ) -> Dict[str, object]:
-        """Simulate every requested cell, fanned out over the pool.
-
-        The missing cells are grouped by (workload, vlmax of the system's
-        config), known before any trace is built, and the pool maps over
-        the groups in first-seen order.  Returns ``{"cells", "simulated",
-        "cached", "jobs", "seconds"}`` plus the disk-cache counters;
-        ``cached`` counts cells already in memory (each logged as a
-        ``cache_hit``, as the serial prefetch does) and disk-cache hits.
-        Results are merged parent-side in group order (never completion
-        order) and worker self-profiler phases are absorbed under a
-        ``worker:`` namespace, so repeated prefetches are deterministic.
-        """
-        ordered: List[Tuple[str, str]] = canonical_pairs(pairs)
-        warm = [key for key in ordered if key in self._results]
-        todo = [key for key in ordered if key not in self._results]
-        start = time.perf_counter()
-        # Cells already in memory are cache hits, as in the serial
-        # prefetch; the fan-out below reports the rest.
-        self.telemetry.begin([f"{s}/{w}" for s, w in ordered])
-        for system, workload in warm:
-            now = time.monotonic()
-            self.telemetry.unit_finished(
-                f"{system}/{workload}", ok=True, cached=True,
-                t_start=now, t_end=now,
-                detail={"system": system, "workload": workload,
-                        "cycles": self._results[system, workload].cycles})
-        if not todo:
-            return {"cells": len(ordered), "simulated": 0,
-                    "cached": len(warm), "jobs": self.jobs, "seconds": 0.0,
-                    "cache_hits": 0, "cache_misses": 0, "cache_corrupt": 0}
-        groups: Dict[Tuple[str, int], List[str]] = {}
-        for system, workload in todo:
-            vlmax = trace_vlmax(make_system(system))
-            groups.setdefault((workload, vlmax), []).append(system)
-        specs = [(workload, tuple(systems), self.params_override,
-                  self.cache_root, self.collect_metrics, self.verify,
-                  self.seed)
-                 for (workload, _vlmax), systems in groups.items()]
-        units = [tuple(f"{s}/{workload}" for s in systems)
-                 for workload, systems, *_ in specs]
-        monitor = TelemetryMonitor(self.telemetry, units,
-                                   describe=describe_group, jobs=self.jobs)
-        outs = fan_out(simulate_cell, specs, self.jobs,
-                       profiler=self.profiler, phase="sweep",
-                       monitor=monitor)
-        cached = corrupt = 0  # disk-cache hits among the fanned-out cells
-        for out in outs:  # spec order: the merge is deterministic
-            self.profiler.absorb(out["profile"], prefix="worker:")
-            for cell in out["cells"]:
-                key = (cell["system"], cell["workload"])
-                self._results[key] = cell["result"]
-                if cell["metrics_flat"] is not None:
-                    self._prefetched_metrics[key] = (
-                        cell["metrics_flat"], cell["metrics_snapshot"])
-                cached += cell["cached"]
-                corrupt += cell["cache"] == "corrupt"
-        return {"cells": len(ordered), "simulated": len(todo) - cached,
-                "cached": len(warm) + cached, "jobs": self.jobs,
-                "seconds": time.perf_counter() - start,
-                "cache_hits": cached,
-                "cache_misses": len(todo) - cached,
-                "cache_corrupt": corrupt}

@@ -216,11 +216,11 @@ class CampaignReport:
 def _describe_injection(out: dict):
     """Telemetry view of one worker outcome dict: the spec's one unit,
     never cached, no extra events, the classification as the terminal
-    detail, and the spec's own times."""
+    detail, the spec's own times, and no error."""
     return [(False, (), {"outcome": out.get("outcome"),
                          "model": out.get("model"),
                          "factor": out.get("factor"),
-                         "fired": bool(out.get("fired"))}, None, None)]
+                         "fired": bool(out.get("fired"))}, None, None, None)]
 
 
 def run_campaign(count: int, *, models: Optional[Sequence[str]] = None,

@@ -650,5 +650,5 @@ def fuzz_many(num_seeds: int, *, master_seed: int = 0,
     fan_out(check_seed, range(num_seeds), 1, monitor=TelemetryMonitor(
         telemetry, units,
         describe=lambda found: [(False, (), {"mismatches": found}, None,
-                                 None)]))
+                                 None, None)]))
     return mismatches

@@ -351,7 +351,7 @@ def make_campaign_id(kind: str) -> str:
 class NullTelemetry:
     """Do-nothing telemetry; the zero-cost default at every call site."""
 
-    enabled = False
+    progress = None
 
     def now(self) -> float:
         return 0.0
@@ -389,8 +389,6 @@ class CampaignTelemetry:
     campaign footer — assigns sequence numbers, and appends to the
     :class:`EventLog` (when one is attached) in a single locked write.
     """
-
-    enabled = True
 
     def __init__(self, kind: str, *, log: Optional[EventLog] = None,
                  progress=None, watchdog: Optional[Watchdog] = None,
@@ -593,10 +591,12 @@ class TelemetryMonitor:
     only *live* state depends on it), and :meth:`poll` between checks.
     ``units[i]`` names the unit spec ``i`` runs, or is a tuple naming
     the units of a spec that runs several in turn.  ``describe`` maps a
-    successful spec's return value to one ``(cached, extra_events,
-    detail, t0, t1)`` per unit, in order, where ``t0``/``t1`` are the
-    worker's raw monotonic readings around that unit, or ``None`` to
-    take the spec's own.  A failed spec fails each of its units once.
+    spec's return value to one ``(cached, extra_events, detail, t0, t1,
+    error)`` per unit, in order, where ``t0``/``t1`` are the worker's
+    raw monotonic readings around that unit, or ``None`` to take the
+    spec's own, and ``error`` is the exception the unit raised, or
+    ``None``: units of one spec succeed or fail on their own.  A spec
+    that raised as a whole fails each of its units once.
     ``jobs`` bounds how many dispatched specs are assumed to be actually
     executing (chunksize-1 pools start work in dispatch order).  The
     parent cannot see which units of an executing spec have finished,
@@ -633,11 +633,11 @@ class TelemetryMonitor:
         if error is None and self.describe is not None:
             outcomes = self.describe(observed["value"])
         else:
-            detail = (None if error is None
-                      else {"error": f"{type(error).__name__}: {error}"})
-            outcomes = [(False, (), detail, None, None)] * len(units)
-        for unit, (cached, extra_events, detail, t0, t1) in zip(
+            outcomes = [(False, (), None, None, None, error)] * len(units)
+        for unit, (cached, extra_events, detail, t0, t1, error) in zip(
                 units, outcomes):
+            if error is not None:
+                detail = {"error": f"{type(error).__name__}: {error}"}
             self.telemetry.unit_finished(
                 unit, ok=error is None, cached=cached,
                 t_start=observed.get("t0") if t0 is None else t0,

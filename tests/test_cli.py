@@ -213,6 +213,20 @@ class TestObservabilityCommands:
         assert entry["speedup_vs_IO"] > 1.0
         assert "breakdown" in entry
 
+    def test_metered_compare_is_the_same_at_every_jobs(self, capsys,
+                                                       tmp_path):
+        import json
+        metrics = []
+        for jobs in (["--jobs", "1"], ["--jobs", "2", "--no-cache"]):
+            out_file = tmp_path / f"metrics-{jobs[1]}.json"
+            assert main(["compare", "vvadd", "--tiny",
+                         "--metrics-out", str(out_file)] + jobs) == 0
+            assert "sweep: 10 cells" in capsys.readouterr().err
+            metrics.append(json.loads(out_file.read_text())["metrics"])
+        assert metrics[0] == metrics[1]
+        assert set(metrics[0]) == {"IO", "O3", "O3+IV", "O3+DV"} | {
+            f"O3+EVE-{n}" for n in (1, 2, 4, 8, 16, 32)}
+
     def test_run_metrics_out(self, capsys, tmp_path):
         import json
         out_file = tmp_path / "metrics.json"
@@ -358,7 +372,8 @@ class TestTelemetryOptions:
         log = str(tmp_path / "events.jsonl")
         assert main(["fuzz", "--seeds", "2", "--n-widths", "8", "--ops", "6",
                      "--events", log]) == 0
-        capsys.readouterr()
+        # No live renderer without a TTY, so the plain line still prints.
+        assert "fuzz: 2/2 seeds checked" in capsys.readouterr().err
         assert main(["events", "--log", log, "--check", "--json"]) == 0
         import json
         payload = json.loads(capsys.readouterr().out)

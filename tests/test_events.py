@@ -9,8 +9,7 @@ import os
 import pytest
 
 from repro.errors import EventLogError
-from repro.experiments import ExperimentRunner, ParallelRunner
-from repro.experiments import runner as runner_module
+from repro.experiments import ExperimentRunner
 from repro.obs.events import (CAMPAIGN_UNIT, CampaignTelemetry, Event,
                               EventLog, LIVE_EVENTS, TERMINAL_EVENTS,
                               TelemetryMonitor, Watchdog,
@@ -374,12 +373,9 @@ class TestTelemetryMonitor:
 def _sweep_events(tmp_path, jobs, name):
     log = EventLog(str(tmp_path / f"{name}.jsonl"))
     hub = CampaignTelemetry("sweep", log=log, campaign_id=name)
-    if jobs == 1:
-        runner = ExperimentRunner(params_override=TINY_PARAMS, telemetry=hub)
-    else:
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=jobs,
-                                cache_root=str(tmp_path / f"cache-{name}"),
-                                telemetry=hub)
+    runner = ExperimentRunner(
+        params_override=TINY_PARAMS, jobs=jobs, telemetry=hub,
+        cache_root=None if jobs == 1 else str(tmp_path / f"cache-{name}"))
     stats = runner.prefetch(PAIRS)
     hub.finalize()
     return stats, log.read()
@@ -404,12 +400,12 @@ class TestSweepTelemetry:
         assert deterministic(serial) == deterministic(pooled)
 
     def test_results_identical_with_and_without_telemetry(self, tmp_path):
-        bare = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                              cache_root=str(tmp_path / "cache-bare"))
+        bare = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                cache_root=str(tmp_path / "cache-bare"))
         bare.prefetch(PAIRS)
         _, _ = _sweep_events(tmp_path, 2, "pool")
-        observed = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                  cache_root=str(tmp_path / "cache-pool"))
+        observed = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                    cache_root=str(tmp_path / "cache-pool"))
         # Re-run over the observed run's cache: cycles must agree with
         # the never-instrumented sweep bit-for-bit.
         assert {(s, w): bare.run(s, w).cycles for s, w in PAIRS} == \
@@ -418,11 +414,11 @@ class TestSweepTelemetry:
     def test_cache_hits_emit_cache_hit_events(self, tmp_path):
         log = EventLog(str(tmp_path / "warm.jsonl"))
         root = str(tmp_path / "cache")
-        ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                       cache_root=root).prefetch(PAIRS)
+        ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                         cache_root=root).prefetch(PAIRS)
         hub = CampaignTelemetry("sweep", log=log, campaign_id="warm")
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                cache_root=root, telemetry=hub)
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                  cache_root=root, telemetry=hub)
         stats = runner.prefetch(PAIRS)
         hub.finalize()
         assert stats["cache_hits"] == len(PAIRS)
@@ -431,34 +427,10 @@ class TestSweepTelemetry:
         assert len(hits) == len(PAIRS)
         assert check_conservation(log.read()) == []
 
-    def test_serial_failure_runs_the_other_cells_and_conserves(
-            self, monkeypatch):
-        build_machine = runner_module.build_machine
-
-        def build(system, **kwargs):
-            if system == "O3":
-                raise ValueError("injected failure")
-            return build_machine(system, **kwargs)
-
-        monkeypatch.setattr(runner_module, "build_machine", build)
-        hub = _telemetry()
-        runner = ExperimentRunner(params_override=TINY_PARAMS, telemetry=hub)
-        pairs = [(s, "vvadd") for s in ("IO", "O3", "O3+EVE-4")]
-        with pytest.raises(ValueError, match="injected failure"):
-            runner.prefetch(pairs)
-        assert set(runner._results) == {("IO", "vvadd"),
-                                        ("O3+EVE-4", "vvadd")}
-        events = hub.ordered_events()
-        assert check_conservation(events) == []
-        assert [(e.unit, e.event) for e in events
-                if e.event in TERMINAL_EVENTS] == [
-            ("IO/vvadd", "finished"), ("O3/vvadd", "failed"),
-            ("O3+EVE-4/vvadd", "finished")]
-
     def test_corrupt_cache_entry_quarantined_and_reported(self, tmp_path):
         root = str(tmp_path / "cache")
-        ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                       cache_root=root).prefetch(PAIRS)
+        ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                         cache_root=root).prefetch(PAIRS)
         # Smash every cached cell result.
         corrupted = []
         for dirpath, _, names in os.walk(os.path.join(root, "results")):
@@ -470,8 +442,8 @@ class TestSweepTelemetry:
         assert corrupted
         log = EventLog(str(tmp_path / "corrupt.jsonl"))
         hub = CampaignTelemetry("sweep", log=log, campaign_id="corrupt")
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                cache_root=root, telemetry=hub)
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                  cache_root=root, telemetry=hub)
         stats = runner.prefetch(PAIRS)
         hub.finalize()
         assert stats["cache_corrupt"] == len(corrupted)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ExperimentError
-from repro.experiments import ExperimentRunner, ParallelRunner, sweep_pairs
+from repro.experiments import ExperimentRunner, sweep_pairs
 from repro.experiments import parallel
 from repro.experiments import runner as runner_module
 from repro.experiments.figures import geomean
@@ -180,9 +180,9 @@ class TestFanOut:
         hub.begin(["a", "b", "c"])
         monitor = TelemetryMonitor(
             hub, [("a", "b", "c")], jobs=1,
-            describe=lambda value: [(False, (), None, 0.0, 0.5),
-                                    (False, (), None, 0.5, 1.0),
-                                    (False, (), None, 1.0, 7.5)])
+            describe=lambda value: [(False, (), None, 0.0, 0.5, None),
+                                    (False, (), None, 0.5, 1.0, None),
+                                    (False, (), None, 1.0, 7.5, None)])
         monitor.on_dispatch(0)
         clock[0] = 5.0  # past one unit's 2 s threshold, inside the group's 6 s
         monitor.poll()
@@ -218,8 +218,8 @@ class TestFanOut:
 
 class TestParallelDeterminism:
     def test_parallel_matches_serial_cycles(self, tmp_path):
-        parallel = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                  cache_root=str(tmp_path / "cache"))
+        parallel = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                    cache_root=str(tmp_path / "cache"))
         stats = parallel.prefetch(PAIRS)
         assert stats["cells"] == len(PAIRS)
         assert stats["simulated"] == len(PAIRS)
@@ -227,8 +227,8 @@ class TestParallelDeterminism:
         assert got == _serial_cycles()
 
     def test_serial_and_parallel_diff_verdicts_agree(self, tmp_path):
-        parallel = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                  cache_root=str(tmp_path / "cache"))
+        parallel = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                    cache_root=str(tmp_path / "cache"))
         parallel.prefetch(PAIRS)
         serial_rec = _record_from(_serial_cycles())
         parallel_rec = _record_from(
@@ -243,8 +243,8 @@ class TestParallelDeterminism:
         serial_card = build_scorecard(
             runner=ExperimentRunner(params_override=TINY_PARAMS),
             figures=figures, apps=apps, tiny=True)
-        parallel_runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                         cache_root=str(tmp_path / "cache"))
+        parallel_runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                           cache_root=str(tmp_path / "cache"))
         parallel_runner.prefetch(scorecard_pairs(figures, apps))
         parallel_card = build_scorecard(runner=parallel_runner,
                                         figures=figures, apps=apps, tiny=True)
@@ -261,8 +261,8 @@ class TestParallelDeterminism:
             return real_fan_out(func, group_specs, *args, **kwargs)
 
         monkeypatch.setattr(parallel, "fan_out", spy)
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                cache_root=None)
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                  cache_root=None)
         assert runner.prefetch(sweep_pairs())["simulated"] == 70
         # One task per (workload, vlmax): 7 kernels x 6 vlmaxes.
         assert runner.profiler.calls["worker:trace_build"] == 42
@@ -273,30 +273,38 @@ class TestParallelDeterminism:
             ("O3+EVE-1", "O3+EVE-2", "O3+EVE-4"), ("O3+EVE-8",),
             ("O3+EVE-16",), ("O3+EVE-32",)}
 
-    def test_failing_cell_fails_every_cell_of_its_group(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_failing_cell_fails_alone(self, monkeypatch, jobs):
+        # O3+EVE-1 shares its group with O3+EVE-4, and O3 with IO: a cell
+        # that raises fails alone, in-process and on the pool alike.
         build_machine = runner_module.build_machine
 
         def build(system, **kwargs):
-            if system == "O3+EVE-4":
-                raise ValueError("injected failure")
+            if system in ("O3", "O3+EVE-1"):
+                raise ValueError(f"injected failure: {system}")
             return build_machine(system, **kwargs)
 
         monkeypatch.setattr(runner_module, "build_machine", build)
         hub = CampaignTelemetry("sweep", campaign_id="c")
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=1,
-                                cache_root=None, telemetry=hub)
-        with pytest.raises(ValueError, match="injected failure"):
-            runner.prefetch([(s, "vvadd") for s in SYSTEMS])
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=jobs,
+                                  telemetry=hub)
+        systems = ("IO", "O3", "O3+IV", "O3+DV", "O3+EVE-1", "O3+EVE-4")
+        with pytest.raises(ValueError) as raised:
+            runner.prefetch([(s, "vvadd") for s in systems])
+        assert str(raised.value) == "injected failure: O3"  # input order
+        assert set(runner._results) == {
+            (s, "vvadd") for s in ("IO", "O3+IV", "O3+DV", "O3+EVE-4")}
         events = hub.ordered_events()
         assert check_conservation(events) == []
         assert [(e.unit, e.event) for e in events
                 if e.event in TERMINAL_EVENTS] == [
-            ("IO/vvadd", "finished"), ("O3+EVE-1/vvadd", "failed"),
-            ("O3+EVE-4/vvadd", "failed")]
+            (f"{s}/vvadd",
+             "failed" if s in ("O3", "O3+EVE-1") else "finished")
+            for s in systems]
 
     def test_jobs1_in_process_path_matches(self, tmp_path):
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=1,
-                                cache_root=str(tmp_path / "cache"))
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=1,
+                                  cache_root=str(tmp_path / "cache"))
         runner.prefetch(PAIRS)
         assert {(s, w): runner.run(s, w).cycles
                 for s, w in PAIRS} == _serial_cycles()
@@ -306,9 +314,8 @@ class TestRepeatPrefetch:
     def test_warm_cells_count_as_cached_on_both_runners(self):
         pairs = [("IO", "vvadd"), ("O3+EVE-4", "vvadd")]
         seen = []
-        for runner in (ExperimentRunner(params_override=TINY_PARAMS),
-                       ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                      cache_root=None)):
+        for jobs in (1, 2):
+            runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=jobs)
             runner.prefetch(pairs)
             hub = CampaignTelemetry("sweep", campaign_id="c")
             runner.telemetry = hub
@@ -328,12 +335,12 @@ class TestRepeatPrefetch:
 class TestCellCache:
     def test_repeat_prefetch_hits_disk_cache(self, tmp_path):
         root = str(tmp_path / "cache")
-        first = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                               cache_root=root)
+        first = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                 cache_root=root)
         stats = first.prefetch(PAIRS)
         assert stats["cached"] == 0
-        second = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                cache_root=root)
+        second = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                  cache_root=root)
         stats = second.prefetch(PAIRS)
         assert stats["cached"] == len(PAIRS)
         assert stats["simulated"] == 0
@@ -344,8 +351,8 @@ class TestCellCache:
         # EVE-1 and EVE-4 share one VL=2048 trace: one task builds it
         # (plus IO's scalar trace), and the cache holds results only.
         root = str(tmp_path / "cache")
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                cache_root=root)
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                  cache_root=root)
         runner.prefetch([(s, "vvadd") for s in SYSTEMS])
         assert runner.profiler.calls["worker:trace_build"] == 2
         assert runner.profiler.calls["worker:compile"] == 2
@@ -410,8 +417,18 @@ class TestCellCache:
         assert out["cached"] is False
         assert (out["cache"], out["cache_path"]) == ("corrupt", path)
         assert out["result"].cycles == cycles
-        assert os.path.exists(f"{path}.corrupt")
         assert cache.load_entry(path)[1] == "hit"
+        # A second corruption of the same entry keeps the first's bytes.
+        again = b"again " + garbage
+        with open(path, "wb") as handle:
+            handle.write(again)
+        (out,) = simulate_cell(_group_spec(["IO"], root))["cells"]
+        assert out["cache"] == "corrupt"
+        for quarantined, content in ((f"{path}.corrupt", garbage),
+                                     (f"{path}.1.corrupt", again)):
+            with open(quarantined, "rb") as handle:
+                assert handle.read() == content
+        assert cache_stats(root)["corrupt"]["count"] == 3  # other's too
 
     def test_collect_metrics_round_trip(self, tmp_path):
         root = str(tmp_path / "cache")
