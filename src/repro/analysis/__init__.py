@@ -5,8 +5,6 @@ Layered like a small compiler middle-end:
 * :mod:`repro.analysis.columns` — the shared vectorized substrate: the
   whole trace lowered to numpy columns with reaching definitions, use
   counts, kill sites, and the ``vl`` state machine derived by array ops;
-* :mod:`repro.analysis.defuse` — the def-use object view (per-def use
-  lists, liveness) materialised from the columns for walking callers;
 * :mod:`repro.analysis.footprint` — byte-interval memory footprints per
   buffer plus the load/store dependence (alias) relation;
 * :mod:`repro.analysis.depgraph` — the exported :class:`DepGraph`
@@ -22,14 +20,13 @@ Layered like a small compiler middle-end:
 from .checkers import (AnalysisReport, AnalysisSummary, analyze_trace,
                        check_trace, require_clean)
 from .columns import TraceColumns
-from .defuse import DefUse, build_defuse
 from .depgraph import DepEdge, DepGraph, build_depgraph
 from .footprint import BufferMap, MemoryFootprint, build_footprint
 from .replay import TraceReplayer
 
 __all__ = [
     "AnalysisReport", "AnalysisSummary", "analyze_trace", "check_trace",
-    "require_clean", "TraceColumns", "DefUse", "build_defuse", "DepEdge",
-    "DepGraph", "build_depgraph", "BufferMap", "MemoryFootprint",
-    "build_footprint", "TraceReplayer",
+    "require_clean", "TraceColumns", "DepEdge", "DepGraph",
+    "build_depgraph", "BufferMap", "MemoryFootprint", "build_footprint",
+    "TraceReplayer",
 ]

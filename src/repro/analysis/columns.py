@@ -14,8 +14,8 @@ def-use facts with array operations:
 * kill sites and live-out sets from the reg-major def ordering;
 * the ``vl`` state machine via ``searchsorted`` over vsetvl sites.
 
-Everything downstream (checkers, DepGraph construction, the DefUse
-convenience view) reads these arrays instead of the event objects.
+Everything downstream (checkers, DepGraph construction) reads these
+arrays instead of the event objects.
 """
 
 from __future__ import annotations

@@ -98,7 +98,7 @@ test-sized problem inputs.  ``run`` / ``compare`` / ``stats`` accept
 workload) cells through one runner, one task per (workload, vlmax) group
 that builds and compiles its trace once; ``--jobs N`` fans the groups
 out over N worker processes, backed by the on-disk result cache
-(``--cache-dir`` / ``--no-cache``, used only when ``--jobs`` is not 1);
+(``--cache-dir`` / ``--no-cache``, used only with more than one worker);
 results are bit-identical to a serial run.  ``run`` / ``compare`` /
 ``sweep`` accept ``--seed N`` to vary the generated workload inputs;
 the seed is folded into cache keys and record fingerprints so seeded
@@ -154,15 +154,16 @@ def _make_runner(args, collect_metrics: bool = False,
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = DEFAULT_SEED
-    jobs = getattr(args, "jobs", 1)
-    # Cache keys do not digest the source, so only a --jobs run uses the
-    # disk cache: a serial run stays fresh after a model edit.
-    cache_root = (None if jobs == 1 or getattr(args, "no_cache", False)
-                  else getattr(args, "cache_dir", DEFAULT_CACHE_ROOT))
-    return ExperimentRunner(params_override=override, seed=seed, jobs=jobs,
-                            cache_root=cache_root,
-                            collect_metrics=collect_metrics,
-                            telemetry=telemetry)
+    runner = ExperimentRunner(params_override=override, seed=seed,
+                              jobs=getattr(args, "jobs", 1),
+                              collect_metrics=collect_metrics,
+                              telemetry=telemetry)
+    # Cache keys do not digest the source, so only a run on more than one
+    # worker uses the disk cache: a serial run stays fresh after a model
+    # edit.
+    if runner.jobs > 1 and not getattr(args, "no_cache", False):
+        runner.cache_root = getattr(args, "cache_dir", DEFAULT_CACHE_ROOT)
+    return runner
 
 
 def _make_telemetry(args, kind: str
@@ -1132,14 +1133,23 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _job_count(text: str) -> int:
+    """``--jobs``: a worker count of 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a worker count of 0 or more, got {text!r}")
+    return int(text)
+
+
 def _add_jobs_arguments(sub) -> None:
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
+    sub.add_argument("--jobs", type=_job_count, default=1, metavar="N",
                      help="simulate (system, workload) cells on N worker "
                           "processes (0 = all CPUs; default: 1, serial)")
     sub.add_argument("--no-cache", action="store_true",
                      help="disable the on-disk result cell cache")
     sub.add_argument("--cache-dir", default=DEFAULT_CACHE_ROOT, metavar="DIR",
-                     help=f"cell-cache directory, used when --jobs is not 1 "
+                     help=f"cell-cache directory, used when the run has "
+                          f"more than one worker "
                           f"(default: {DEFAULT_CACHE_ROOT})")
 
 
@@ -1456,7 +1466,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=list(EVE_FACTORS), metavar="N",
                         help="segment widths to round-robin over "
                              "(default: all six)")
-    faults.add_argument("--jobs", type=int, default=1, metavar="N",
+    faults.add_argument("--jobs", type=_job_count, default=1, metavar="N",
                         help="fan injections out over N worker processes "
                              "(default: 1, serial)")
     faults.add_argument("--json", action="store_true",

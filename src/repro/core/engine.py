@@ -77,7 +77,8 @@ class EveMachine(VectorMachineBase):
     def reset(self) -> None:
         """A cold machine with idle VMU, DTU pool and VRU."""
         super().reset()
-        self.vmu = VmuModel(self.mem)
+        self.vmu = VmuModel(self.mem, tracer=self.tracer,
+                            attribution=self.attr)
         self.dtu = DtuPool(self.num_dtus, self.segments,
                            bit_parallel=(self.factor == 32),
                            tracer=self.tracer, attribution=self.attr)

@@ -38,10 +38,12 @@ class VmuModel:
     #: Request generation + TLB translation per line (Section VII-A).
     CYCLES_PER_REQUEST = 1.0
 
-    def __init__(self, mem: FastMemorySystem) -> None:
+    def __init__(self, mem: FastMemorySystem,
+                 tracer: Optional[SpanTracer] = None,
+                 attribution=None) -> None:
         self.mem = mem
-        self.tracer = mem.tracer
-        self.attr = mem.attr
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.attr = attribution if attribution is not None else NULL_ATTRIBUTION
         self.free_at = 0.0
         self.busy_cycles = 0.0
         self.stall_cycles = 0.0

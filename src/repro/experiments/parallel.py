@@ -337,7 +337,9 @@ def _drain_observed(results: List, landed: queue.SimpleQueue, monitor,
     stall watchdog on their cadence.  Completions are reported to
     ``monitor.on_complete`` *as they land* (completion order — only live
     progress/heartbeat state depends on it); the returned list is
-    input-ordered, so the downstream merge stays deterministic.
+    input-ordered, so the downstream merge stays deterministic.  A
+    result the pool cannot hand back (say, one that does not pickle)
+    is recorded as that unit's failure, and the drain goes on.
     """
     observed: List[Optional[Dict[str, object]]] = [None] * len(results)
     pending = len(results)
@@ -349,7 +351,10 @@ def _drain_observed(results: List, landed: queue.SimpleQueue, monitor,
         else:
             # The callback runs just before the result marks itself
             # ready; get() waits out that gap (or re-raises a failure).
-            observed[i] = results[i].get()
+            try:
+                observed[i] = results[i].get()
+            except Exception as exc:
+                observed[i] = {"value": None, "error": exc}
             pending -= 1
             monitor.on_complete(i, observed[i])
         monitor.poll()

@@ -17,6 +17,9 @@ Every run, plain or instrumented, times on the same model:
 and :class:`MemorySystem` / :class:`DramChannel` subclass them to add
 only the tracer, metrics and attribution hooks.  Machines call
 :func:`memory_system`, which picks the subclass only when a hook is on.
+Every run streams its vector requests through the one fused kernel,
+:meth:`FastMemorySystem.stream`; a traced or metered model observes the
+hits the kernel resolves inline through its hit observer.
 """
 
 from .mshr import MshrPool

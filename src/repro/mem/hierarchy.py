@@ -14,20 +14,22 @@ full pool stalls the requester (Figure 8's metric for the EVE VMU).
 The vector units hand each memory macro-op's whole request list to
 ``stream()``; scalar cores issue single ``access()`` calls.
 
-There is one model.  :class:`FastMemorySystem` carries no
-instrumentation branches on its hot path; :class:`MemorySystem`
-subclasses it and adds only the tracer, metrics and attribution hooks.
-:func:`memory_system` picks between them from the hooks a machine was
-given, so an instrumented run times exactly what a plain run times.
-Two stream loops serve the hooked model: a traced or metered run sends
-every request through the hooked ``access()`` (each needs its span and
-latency sample), while an attribution-only run takes the fused kernel,
-since only misses make charges and they still reach ``access()``.
+There is one model.  :class:`FastMemorySystem` carries no hooks;
+:class:`MemorySystem` subclasses it and adds only the tracer, metrics
+and attribution hooks.  :func:`memory_system` picks between them from
+the hooks a machine was given, so an instrumented run times exactly
+what a plain run times.  There is one stream loop,
+:meth:`FastMemorySystem.stream`, for every run: a request it does not
+resolve inline goes through ``access()``, and with the tracer or the
+metrics on, each hit it resolves inline goes to the model's
+:attr:`~FastMemorySystem.hit_observer`, the method the hooked
+``access()`` also calls, so every request keeps its span and latency
+sample in request order.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
 from ..errors import MemoryModelError
@@ -66,11 +68,13 @@ class FastMemorySystem:
     ``access`` only for the requests that miss its port's first level.
     """
 
+    #: Called by :meth:`stream` with each first-level hit it resolves
+    #: inline, as ``(now, line_addr, is_store, port, grant, done, level,
+    #: mshr_stall)``; ``None`` (nothing observes) on the plain model.
+    hit_observer: Optional[Callable[..., None]] = None
+
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self.tracer = NULL_TRACER
-        self.metrics = NULL_METRICS
-        self.attr = NULL_ATTRIBUTION
         self.l1d = CacheArray(config.l1d)
         self.l2 = CacheArray(config.l2)
         self.llc = CacheArray(config.llc)
@@ -189,17 +193,19 @@ class FastMemorySystem:
         the L2 bank delay plus probe (DV), the L1 probe behind the
         ``window`` slot (IV's LSQ).  Every other request goes through
         :meth:`access`, so the miss path (MSHRs, DRAM, fills, inclusive
-        invalidation, the vector-port counters) is written once.
+        invalidation, the vector-port counters) is written once.  Each
+        inline hit is handed to :attr:`hit_observer` when one is set,
+        before the next request issues, so a hooked model observes every
+        request in request order.
 
         Results are byte-identical to issuing every request through
-        :meth:`access` (what :meth:`MemorySystem.stream` does for a
-        traced or metered run): an
-        inline hit evaluates the chain's float operations in the chain's
-        order, and the issue rule ``max(at, grant) + interval`` is the
-        same.  The probe reads the set without touching it, so a miss
-        reaches :meth:`access` with the cache exactly as it found it;
-        the L2 bank delay does not depend on the probe, so it may follow
-        it.  The additions a hit skips are ``+ 0.0`` stalls.
+        :meth:`access` under the issue rule ``max(at, grant) +
+        interval``: an inline hit evaluates the chain's float operations
+        in the chain's order, and its grant is its issue time.  The
+        probe reads the set without touching it, so a miss reaches
+        :meth:`access` with the cache exactly as it found it; the L2
+        bank delay does not depend on the probe, so it may follow it.
+        The additions a hit skips are ``+ 0.0`` stalls.
         """
         if port == "llc":
             cache, hit_latency, banks = self.llc, self._llc_hit, None
@@ -212,6 +218,7 @@ class FastMemorySystem:
             raise MemoryModelError(
                 f"unknown port {port!r} (expected one of {PORTS})")
         access = self.access
+        observe = self.hit_observer
         acquire = release = None
         if window is not None:
             acquire, release = window.acquire, window.release
@@ -241,13 +248,18 @@ class FastMemorySystem:
                 hits += 1
                 if banks is None:
                     done = at + hit_latency
+                    wait = 0.0
                 else:
                     bank = line % n_banks
                     free = banks[bank]
                     begin = free if free > at else at
                     banks[bank] = begin + 1.0  # pipelined, 1-cycle occupancy
                     done = begin + hit_latency
-                    stall += begin - at
+                    wait = begin - at
+                    stall += wait
+                if observe is not None:
+                    observe(at, line_addr, is_store, port, at, done, port,
+                            wait)
                 t = at + interval
             if release is not None:
                 release(done)
@@ -278,20 +290,18 @@ class FastMemorySystem:
             stats[f"{pool.name}_mshr"] = pool.stats()
         return stats
 
-    def populate_metrics(self, elapsed: float = 0.0) -> None:
-        """No-op: only :class:`MemorySystem` publishes metrics."""
-
 
 class MemorySystem(FastMemorySystem):
     """:class:`FastMemorySystem` plus the observability hooks: one span
-    and one latency-histogram sample per access, MSHR occupancy counter
+    and one latency-histogram sample per request, MSHR occupancy counter
     tracks, MSHR-stall and DRAM-busy attribution charges, and the
     end-of-run metrics publication.
 
-    The charges are made on the miss path (the MSHR pools and the DRAM
-    channel), so an attribution-only run streams through the fused
-    kernel; :meth:`stream` keeps the per-request loop for traced and
-    metered runs."""
+    Requests stream through the one fused kernel.  The charges are made
+    on the miss path (the MSHR pools and the DRAM channel), which goes
+    through :meth:`access`; with the tracer or metrics on, the kernel's
+    inline hits go to :meth:`_observe`, which :meth:`access` calls for
+    every other request."""
 
     def __init__(self, config: SystemConfig,
                  tracer: Optional[SpanTracer] = None,
@@ -311,17 +321,29 @@ class MemorySystem(FastMemorySystem):
         self._latency_hist = {
             port: self.metrics.histogram(f"mem.{port}.latency")
             for port in PORTS}
+        if self.tracer.enabled or self.metrics.enabled:
+            self.hit_observer = self._observe
 
     def access(self, now: float, line_addr: int, is_store: bool,
                port: str = "l1") -> Completion:
         """Issue one cache-line request on the given port."""
         completion = super().access(now, line_addr, is_store, port)
-        if self.tracer.enabled:
-            self.tracer.span(
-                _PORT_TRACK[port],
-                f"{'st' if is_store else 'ld'}:{completion.level}",
-                now, completion.done, line=line_addr,
-                mshr_stall=completion.mshr_stall)
+        self._observe(now, line_addr, is_store, port, completion.grant,
+                      completion.done, completion.level,
+                      completion.mshr_stall)
+        return completion
+
+    def _observe(self, now: float, line_addr: int, is_store: bool,
+                 port: str, grant: float, done: float, level: str,
+                 mshr_stall: float) -> None:
+        """One request's span, entry-pool MSHR occupancy sample and
+        latency sample: for each :meth:`access`, and for each hit
+        :meth:`stream` resolves inline (grant ``now``, level ``port``)."""
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.span(_PORT_TRACK[port],
+                        f"{'st' if is_store else 'ld'}:{level}",
+                        now, done, line=line_addr, mshr_stall=mshr_stall)
             # Counter tracks: the accessed chain's MSHR pool occupancy
             # (every port ends up traversing l1d/l2/llc pools; sampling
             # the entry pool keeps the trace compact and matches the HWM
@@ -329,49 +351,16 @@ class MemorySystem(FastMemorySystem):
             pool = (self.l1d_mshrs if port == "l1"
                     else self.l2_mshrs if port == "l2"
                     else self.llc_mshrs)
-            self.tracer.sample("MSHR", f"{pool.name}_mshr_occupancy",
-                               completion.grant, pool.outstanding)
+            tracer.sample("MSHR", f"{pool.name}_mshr_occupancy", grant,
+                          pool.outstanding)
         if self.metrics.enabled:
-            self._latency_hist[port].observe(completion.done - now)
-        return completion
-
-    def stream(self, start: float, lines: Sequence[int], is_store: bool,
-               port: str, interval: float,
-               window: Optional[MshrPool] = None
-               ) -> Tuple[float, float, float, float]:
-        """:meth:`FastMemorySystem.stream`'s contract.
-
-        With the tracer or metrics on, one :meth:`access` per request, so
-        every request keeps its span and latency sample, in request
-        order.  An attribution-only run takes the fused kernel: a
-        first-level hit makes no charge, and every miss still goes
-        through the hooked :meth:`access`, so the MSHR-stall and
-        DRAM-transfer charges are made, in the same order, either way.
-        """
-        if not (self.tracer.enabled or self.metrics.enabled):
-            return super().stream(start, lines, is_store, port, interval,
-                                  window)
-        t = first_done = last_done = start
-        stall = 0.0
-        for i, line in enumerate(lines):
-            at = t if window is None else window.acquire(t)[0]
-            completion = self.access(at, line, is_store, port)
-            done = completion.done
-            if window is not None:
-                window.release(done)
-            if i == 0:
-                first_done = done
-            last_done = max(last_done, done)
-            stall += completion.mshr_stall
-            t = max(at, completion.grant) + interval
-        return t, first_done, last_done, stall
+            self._latency_hist[port].observe(done - now)
 
     def populate_metrics(self, elapsed: float = 0.0) -> None:
         """Publish the hierarchy's aggregate stats into the registry
-        (called once at end of run — keeps the hot path lean)."""
+        (called once at end of run, with metrics on — keeps the hot path
+        lean)."""
         metrics = self.metrics
-        if not metrics.enabled:
-            return
         for name, cache in (("l1d", self.l1d), ("l2", self.l2),
                             ("llc", self.llc)):
             for key, value in cache.stats().items():

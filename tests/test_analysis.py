@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import (DepGraph, TraceColumns, analyze_trace,
-                            build_defuse, build_depgraph, build_footprint,
-                            check_trace, require_clean)
+                            build_depgraph, build_footprint, check_trace,
+                            require_clean)
 from repro.errors import AnalysisError, IsaError
 from repro.isa.instructions import MemAccess, VectorInstr
 from repro.isa.trace import Trace
@@ -195,20 +195,26 @@ class TestDefUseView:
     def test_defs_uses_and_liveness(self):
         trace = make_trace([setvl(8), splat(1, 7), vadd(2, 1, 1),
                             splat(1, 9)])
-        defuse = build_defuse(trace)
-        first = defuse.defs[0]
-        assert (first.index, first.reg, first.uses) == (1, 1, [2])
-        assert first.killed_by == 3
-        assert not first.is_dead            # used before the overwrite
-        assert set(defuse.live_out) == {1, 2}
-        assert defuse.live_out[1].index == 3
-        assert defuse.live_high_water == 2
-        assert not defuse.uninit_uses
+        cols = TraceColumns(trace)
+        # Def positions follow program order: v1 @1, v2 @2, v1 @3.
+        assert cols.def_event.tolist() == [1, 2, 3]
+        assert cols.def_reg.tolist() == [1, 2, 1]
+        assert cols.def_killed_by.tolist() == [3, -1, -1]
+        # Both reads of event 2 bind to the first def, which is used
+        # before the overwrite, so it is not a dead write.
+        assert cols.use_def.tolist() == [0, 0]
+        assert cols.use_event.tolist() == [2, 2]
+        assert cols.use_reg.tolist() == [1, 1]
+        assert cols.dead_def_positions().tolist() == []
+        assert cols.live_out() == {1: 2, 2: 1}
+        assert cols.def_event[cols.live_out()[1]] == 3
+        assert cols.live_high_water() == 2
 
     def test_uninit_uses_reported(self):
-        trace = make_trace([setvl(8), vadd(2, 1, 1)])
-        defuse = build_defuse(trace)
-        assert defuse.uninit_uses == [(1, 1), (1, 1)]
+        cols = TraceColumns(make_trace([setvl(8), vadd(2, 1, 1)]))
+        uninit = cols.use_def < 0
+        assert list(zip(cols.use_event[uninit].tolist(),
+                        cols.use_reg[uninit].tolist())) == [(1, 1), (1, 1)]
 
 
 class TestAnalyzeTrace:

@@ -393,6 +393,26 @@ class TestTelemetryOptions:
             build_parser().parse_args(["sweep", "--progress", "--quiet"])
 
 
+class TestJobsOption:
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--tiny"], ["compare", "vvadd"], ["scorecard", "--tiny"],
+        ["faults"]])
+    def test_negative_jobs_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(command + ["--jobs", "-1"])
+        assert raised.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_zero_on_one_cpu_runs_serial_without_the_cache(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(["sweep", "--tiny", "--systems", "IO", "--workloads",
+                     "vvadd", "--jobs", "0", "--json"]) == 0
+        capsys.readouterr()
+        assert not os.path.exists(tmp_path / ".eve-cache")
+
+
 class TestEventsCommand:
     def test_missing_log_is_a_diagnostic(self, capsys, tmp_path):
         assert main(["events", "--log", str(tmp_path / "nope.jsonl")]) == 2

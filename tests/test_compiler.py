@@ -9,8 +9,9 @@ The compiler's contract has two halves, and this module tests both:
   compiled trace, with or without instrumentation — across every
   workload x system cell.  Both memory models (:class:`FastMemorySystem`,
   and :class:`MemorySystem` with every hook on and with attribution
-  alone, the two routes its ``stream()`` takes) must reproduce a frozen
-  reference request for request and cell for cell.
+  alone) must reproduce a frozen reference request for request and cell
+  for cell, and the one stream loop must observe what issuing each
+  request through ``access()`` observes.
 
 * **Analysis is conservative.**  Dead-op elimination produces the
   checker-facing view; its findings must be exactly the original
@@ -284,8 +285,8 @@ class TestCompiledMachineEquivalence:
                 plain = runner.run(system, workload)
                 hooks = _hooks()
                 hooked = runner.run(system, workload, **hooks)
-                # Attribution alone takes the fused stream kernel; with
-                # every hook on, each request goes through access().
+                # Every run takes the one stream loop; attribution alone
+                # sets no hit observer, every hook on sets one.
                 alone = AttributionCollector()
                 attributed = runner.run(system, workload,
                                         attribution=alone)
@@ -382,8 +383,8 @@ def _stream_plan(seed, rounds=20):
 
 def _models(config):
     """Both memory models: the plain one, the hooked one with every hook
-    on (its per-request stream), and the hooked one with attribution
-    alone (its fused stream)."""
+    on (its stream hands inline hits to the observer), and the hooked one
+    with attribution alone (no observer)."""
     return {"FastMemorySystem": FastMemorySystem(config),
             "MemorySystem": MemorySystem(config, **_hooks()),
             "MemorySystem(attribution)": MemorySystem(
@@ -404,6 +405,26 @@ def _completion(c):
     return [c.grant, c.done, c.level, c.mshr_stall]
 
 
+def _access_loop(mem, start, lines, is_store, port, interval, window=None):
+    """``stream()``'s contract as one :meth:`access` per request, each
+    issued under ``max(at, grant) + interval``: the oracle for what a
+    stream must answer and observe."""
+    t = first_done = last_done = start
+    stall = 0.0
+    for i, line in enumerate(lines):
+        at = t if window is None else window.acquire(t)[0]
+        completion = mem.access(at, line, is_store, port)
+        done = completion.done
+        if window is not None:
+            window.release(done)
+        if i == 0:
+            first_done = done
+        last_done = max(last_done, done)
+        stall += completion.mshr_stall
+        t = max(at, completion.grant) + interval
+    return t, first_done, last_done, stall
+
+
 def _vector_counters(mem):
     return {"vector_requests": mem.vector_requests,
             "vector_mshr_stall": mem.vector_mshr_stall,
@@ -411,8 +432,8 @@ def _vector_counters(mem):
 
 
 class TestFastMemorySystem:
-    """Each seeded plan, request by request, on both models and both
-    :class:`MemorySystem` stream routes."""
+    """Each seeded plan, request by request, on the plain model and on
+    :class:`MemorySystem` with and without a hit observer."""
 
     @pytest.mark.parametrize("windowed", [False, True])
     @pytest.mark.parametrize("system,seed", [("O3+DV", 11),
@@ -511,12 +532,38 @@ class TestFastMemorySystem:
                 now = max(now + gap, got.done - 40.0)
             assert _plain(mem.level_stats(now)) == want["level_stats"]
 
+    @pytest.mark.parametrize("windowed", [False, True])
+    @pytest.mark.parametrize("system,seed", [("O3+DV", 11),
+                                             ("O3+EVE-4", 12),
+                                             ("O3+IV", 13)])
+    def test_stream_observes_what_access_observes(self, system, seed,
+                                                  windowed):
+        """The hooked stream, hits observed inline, against a twin whose
+        every request goes through access() under the stream's issue
+        rule: the same answers, trace, metrics and charges."""
+        config = make_system(system)
+        models = [MemorySystem(config, **_hooks()) for _ in range(2)]
+        windows = [MshrPool(48, "lsq") if windowed else None
+                   for _ in models]
+        fused, twin = models
+        now = 0.0
+        for port, shape, lines, store, interval in _stream_plan(seed):
+            got = fused.stream(now, lines, store, port, interval,
+                               window=windows[0])
+            want = _access_loop(twin, now, lines, store, port, interval,
+                                window=windows[1])
+            assert got == want, (port, shape)
+            now = max(now + 1.0, got[0] - 40.0)
+        for mem in models:
+            mem.populate_metrics(now)
+        assert fused.tracer.to_dict() == twin.tracer.to_dict()
+        assert fused.metrics.flat() == twin.metrics.flat()
+        _assert_same_charges(fused.attr, twin.attr)
+
     @pytest.mark.parametrize("port", PORTS)
-    def test_attribution_alone_reaches_access_once_per_miss(self, port,
-                                                            monkeypatch):
-        """An attribution-only stream resolves first-level hits inline;
-        with the tracer or metrics on too, every request goes through
-        access()."""
+    def test_stream_reaches_access_once_per_miss(self, port, monkeypatch):
+        """A stream resolves first-level hits inline whichever hooks are
+        on; only the misses go through access()."""
         calls = []
         hooked_access = MemorySystem.access
 
@@ -526,15 +573,14 @@ class TestFastMemorySystem:
 
         monkeypatch.setattr(MemorySystem, "access", spy)
         lines = list(range(0, 40 * 64, 64))
-        for hooks, per_stream in (({}, (40, 0)),
-                                  ({"tracer": SpanTracer()}, (40, 80)),
-                                  ({"metrics": MetricsRegistry()}, (40, 80))):
+        for hooks in ({}, {"tracer": SpanTracer()},
+                      {"metrics": MetricsRegistry()}):
             mem = MemorySystem(make_system("O3+EVE-4"),
                                attribution=AttributionCollector(), **hooks)
             first = getattr(mem, FIRST_LEVEL[port])
             for start, stream, want in zip((0.0, 500.0),
                                            (lines, lines + lines),
-                                           per_stream):
+                                           (40, 0)):
                 del calls[:]
                 mem.stream(start, stream, False, port, 1.0)
                 assert len(calls) == want, (hooks, len(stream))
@@ -543,6 +589,7 @@ class TestFastMemorySystem:
     def test_hooks_choose_the_hooked_model(self):
         config = make_system("IO")
         assert type(memory_system(config)) is FastMemorySystem
+        assert memory_system(config).hit_observer is None
         for hook, value in _hooks().items():
             mem = memory_system(config, **{hook: value})
             assert type(mem) is MemorySystem, hook
@@ -550,6 +597,8 @@ class TestFastMemorySystem:
                     "attribution": mem.attr}[hook] is value
             assert mem.dram.attr is mem.attr
             assert mem.llc_mshrs.attr is mem.attr
+            # Only a span or a latency sample needs each hit observed.
+            assert (mem.hit_observer is None) == (hook == "attribution")
 
 
 # -- compiler descriptors in cache keys ---------------------------------------

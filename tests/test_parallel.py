@@ -82,7 +82,12 @@ def _first_lands_last(x):
 
 
 def _unpicklable_on_one(x):
-    return (lambda: x) if x == 1 else x
+    """Unit 1 returns at once with a result that does not pickle; the
+    others land after it."""
+    if x == 1:
+        return lambda: x
+    time.sleep(0.2)
+    return x
 
 
 class _OrderRecorder(TelemetryMonitor):
@@ -205,15 +210,19 @@ class TestFanOut:
     @pytest.mark.parametrize("monitored", [False, True])
     def test_unpicklable_result_reraises_and_reaps_the_pool(self,
                                                             monitored):
-        units = ["u0", "u1", "u2"]
+        units = ["u0", "u1", "u2", "u3"]
         monitor = None
         if monitored:
             hub = CampaignTelemetry("test", campaign_id="c")
             hub.begin(units)
             monitor = TelemetryMonitor(hub, units, jobs=2)
         with pytest.raises(multiprocessing.pool.MaybeEncodingError):
-            fan_out(_unpicklable_on_one, [0, 1, 2], jobs=2, monitor=monitor)
+            fan_out(_unpicklable_on_one, [0, 1, 2, 3], jobs=2,
+                    monitor=monitor)
         assert multiprocessing.active_children() == []
+        if monitored:
+            # Every unit still got its terminal event.
+            assert check_conservation(hub.ordered_events()) == []
 
 
 class TestParallelDeterminism:
