@@ -36,6 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..analysis.columns import TraceColumns
 from ..isa.trace import Trace
+from ..mem.hierarchy import TagWalk
 from .blocks import Block, schedule_blocks
 from .passes import (DceResult, LinesTable, eliminate_dead_ops,
                      hoist_memory_lines, verify_dce_findings)
@@ -61,7 +62,9 @@ class CompiledTrace:
     The machines drive a run through :meth:`iter_events`
     (block-at-a-time event stream, order-identical to ``enumerate``)
     and :meth:`lines_for` (the hoisted request list, ``()`` for an event
-    with no requests).
+    with no requests), and keep in :attr:`walks` the tag walk each
+    machine class records on its first run of the program, which every
+    later run of that class on the same cache geometry replays.
     """
 
     def __init__(self, trace: Trace, config: CompilerConfig,
@@ -78,6 +81,9 @@ class CompiledTrace:
         #: in strict mode (a violation raises at compile time).
         self.dce_ok = dce_ok
         self.dce_mismatch = dce_mismatch
+        #: Tag walks recorded by runs of this program, by the machine's
+        #: walk key (:meth:`~repro.cores.machine.Machine._start`).
+        self.walks: Dict[tuple, TagWalk] = {}
 
     @property
     def optimized(self) -> Trace:

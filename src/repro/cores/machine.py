@@ -2,11 +2,14 @@
 
 A machine replays a :class:`~repro.compiler.CompiledTrace`: the runner's
 shared one, or one compiled on demand when a caller holds only a trace.
-Each run starts on a cold memory hierarchy and ends through one
-epilogue, :meth:`Machine._result`, which emits the ``Machine/execute``
-span, builds the :class:`~repro.cores.result.SimResult`, publishes the
-metrics and hands attribution the machine's units plus the shared
-``core`` / ``dram`` / ``mshr`` totals.
+Each run starts on a cold memory hierarchy, which replays the tag walk
+an earlier run of the program recorded under the machine's walk key, or
+walks the tags and records one (:meth:`Machine._start`).  It ends
+through one epilogue, :meth:`Machine._result`, which emits the
+``Machine/execute`` span, builds the
+:class:`~repro.cores.result.SimResult`, publishes the metrics and hands
+attribution the machine's units plus the shared ``core`` / ``dram`` /
+``mshr`` totals.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ class Machine:
                      else NULL_ATTRIBUTION)
         for prefix in self.METRIC_PREFIXES:
             self.metrics.reserve(prefix, type(self).__name__)
+        #: Runs of one compiled program under one walk key issue the
+        #: same requests to the same cache geometry, so they share one
+        #: tag walk (:meth:`_start`).
+        self._walk_key = (type(self), config.l1d, config.l2, config.llc)
         self.reset()
 
     def reset(self) -> None:
@@ -54,12 +61,21 @@ class Machine:
 
     def _start(self, trace: Trace, compiled):
         """Reset, and return the compiled trace this run replays: the
-        caller's, or ``trace`` compiled here when the caller has none."""
+        caller's, or ``trace`` compiled here when the caller has none.
+
+        The first run of the program under this machine's walk key
+        walks the tags and records the walk on the compiled trace
+        (:meth:`_result`); every later one replays that record, and its
+        hierarchy times the requests without touching a tag array."""
         self.reset()
-        if compiled is not None:
-            return compiled
-        from ..compiler import compile_trace
-        return compile_trace(trace)
+        if compiled is None:
+            from ..compiler import compile_trace
+            compiled = compile_trace(trace)
+        walk = compiled.walks.get(self._walk_key)
+        if walk is not None:
+            self.mem.replay(walk)
+        self._walks = compiled.walks
+        return compiled
 
     # -- the epilogue ----------------------------------------------------------
 
@@ -79,6 +95,9 @@ class Machine:
         ``timeline_units`` those whose buckets partition ``cycles``, and
         ``fields`` any extra :class:`SimResult` fields."""
         mem = self.mem
+        walk = mem.finish()
+        if walk is not None:
+            self._walks[self._walk_key] = walk
         if self.tracer.enabled:
             self.tracer.span("Machine", f"execute:{trace.name}", 0.0, cycles,
                              system=self.config.name,

@@ -40,6 +40,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import all_system_names
+from ..errors import ExperimentError
 from ..obs.events import NULL_MONITOR
 from ..obs.selfprof import SelfProfiler
 from ..workloads import DEFAULT_SEED, REGISTRY, canonical_workload, get_workload
@@ -431,7 +432,10 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
     :meth:`~repro.experiments.runner.ExperimentRunner.run_group`, so the
     group builds and compiles its trace once.  Returns ``{"cells",
     "profile"}``: the loop's per-cell payloads and the runner's
-    self-profiler phases, all picklable for the parent-side merge.
+    self-profiler phases, all picklable for the parent-side merge.  A
+    cell error that does not pickle is replaced by an
+    :class:`~repro.errors.ExperimentError` naming its type and message,
+    so the group's other cells still reach the parent.
     """
     from .runner import ExperimentRunner  # runner imports this module
     workload, systems, params_override, cache_root, collect_metrics, \
@@ -440,8 +444,17 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
                               verify=verify, seed=seed,
                               cache_root=cache_root,
                               collect_metrics=collect_metrics)
-    return {"cells": runner.run_group(workload, systems),
-            "profile": runner.profiler.as_dict()}
+    cells = runner.run_group(workload, systems)
+    for cell in cells:
+        error = cell["error"]
+        if error is not None:
+            try:
+                pickle.dumps(error)
+            except Exception:
+                cell["error"] = ExperimentError(
+                    f"{cell['system']}/{cell['workload']}: "
+                    f"{type(error).__name__}: {error}")
+    return {"cells": cells, "profile": runner.profiler.as_dict()}
 
 
 # -- the sweep grid -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Set-associative cache tag arrays with LRU replacement and banking.
+"""Set-associative cache tag arrays with LRU replacement.
 
 The tag arrays are real, so hit/miss behaviour, conflict evictions, and
 the dirty-line population the reconfiguration FSM must walk (Section V-E)
@@ -46,11 +46,6 @@ class CacheArray:
         self._free: List[Optional[List[int]]] = [None] * self.sets
         self.hits = 0
         self.misses = 0
-
-    # -- address mapping ----------------------------------------------------
-
-    def bank_of(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) % self.config.banks
 
     # -- operations ---------------------------------------------------------
 

@@ -118,13 +118,6 @@ class TestCacheArray:
         assert evicted == (0, False)
         assert cache.lookup(1 * 64)
 
-    def test_bank_of(self):
-        cache = CacheArray(CacheConfig("t", 8 * 64 * 4, ways=4, hit_latency=1,
-                                       mshrs=4, banks=4))
-        assert cache.bank_of(0) == 0
-        assert cache.bank_of(64) == 1
-        assert cache.bank_of(4 * 64) == 0
-
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=100))
     def test_fill_then_lookup_always_hits(self, lines):

@@ -103,6 +103,26 @@ class TestVectorPort:
         assert stats["llc"] == (0, 1)
 
 
+class TestL2Banks:
+    def test_bank_of(self, mem):
+        """Line ``i`` sits in L2 bank ``i % banks``, and a bank takes one
+        request a cycle: the timing replay (``access``) and the stream
+        kernel's inline hits map lines to banks alike."""
+        banks = mem.config.l2.banks
+        hit = mem.config.l2.hit_latency
+        lines = [0, 64, banks * 64]  # banks 0, 1 and 0 again
+        for now, line in enumerate(lines):
+            mem.access(float(now), line, False, port="l2")
+        got = [mem.access(1000.0, line, False, port="l2") for line in lines]
+        assert [c.level for c in got] == ["l2"] * 3
+        assert [c.mshr_stall for c in got] == [0.0, 0.0, 1.0]
+        assert [c.done for c in got] == [1000.0 + hit, 1000.0 + hit,
+                                         1001.0 + hit]
+        issue_end, first, last, stall = mem.stream(2000.0, lines, False,
+                                                   "l2", 0.0)
+        assert (first, last, stall) == (2000.0 + hit, 2001.0 + hit, 1.0)
+
+
 class TestReconfig:
     def test_cold_spawn_is_free(self, mem):
         assert spawn_cost(mem.l2).cycles == 0

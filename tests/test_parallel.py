@@ -311,6 +311,36 @@ class TestParallelDeterminism:
              "failed" if s in ("O3", "O3+EVE-1") else "finished")
             for s in systems]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_cell_error_that_does_not_pickle_keeps_the_rest(
+            self, monkeypatch, jobs):
+        # O3's error holds a lambda: on the pool, a stand-in that names
+        # it crosses back instead, so its group's IO cell still merges.
+        build_machine = runner_module.build_machine
+
+        class Unpicklable(Exception):
+            def __init__(self, message):
+                super().__init__(message)
+                self.hook = lambda: message
+
+        def build(system, **kwargs):
+            if system == "O3":
+                raise Unpicklable(f"probe on {system}")
+            return build_machine(system, **kwargs)
+
+        monkeypatch.setattr(runner_module, "build_machine", build)
+        hub = CampaignTelemetry("sweep", campaign_id="c")
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=jobs,
+                                  telemetry=hub)
+        systems = ("IO", "O3", "O3+IV", "O3+DV", "O3+EVE-4")
+        with pytest.raises(Exception) as raised:
+            runner.prefetch([(s, "vvadd") for s in systems])
+        said = f"{type(raised.value).__name__}: {raised.value}"
+        assert "Unpicklable" in said and "probe" in said
+        assert set(runner._results) == {
+            (s, "vvadd") for s in ("IO", "O3+IV", "O3+DV", "O3+EVE-4")}
+        assert check_conservation(hub.ordered_events()) == []
+
     def test_jobs1_in_process_path_matches(self, tmp_path):
         runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=1,
                                   cache_root=str(tmp_path / "cache"))
