@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import AnalysisError
 from ..isa.instructions import VectorInstr
 from ..isa.intrinsics import (BINARY_SEMANTICS, COMPARE_SEMANTICS,
-                              REDUCE_SEMANTICS, wrap32)
+                              REDUCE_SEMANTICS, wrap32, wrap32_int)
 from ..isa.trace import Trace
 
 _I32 = np.int32
@@ -63,7 +63,7 @@ class TraceReplayer:
     def _splat64(scalar: int, vl: int) -> np.ndarray:
         """Scalar operand splat, wrapped to int32 first (as the intrinsics
         layer's ``_operand`` does) then widened for the semantics tables."""
-        return np.full(vl, int(wrap32(np.array([scalar]))[0]), dtype=np.int64)
+        return np.full(vl, wrap32_int(scalar), dtype=np.int64)
 
     # -- state access ------------------------------------------------------
 
@@ -148,8 +148,7 @@ class TraceReplayer:
             if instr.masked:
                 values = values[self._read_mask(vl)]
             init, fold = REDUCE_SEMANTICS[op]
-            self.scalars[index] = int(wrap32(
-                np.array([fold(values, init)]))[0])
+            self.scalars[index] = wrap32_int(fold(values, init))
             return
         handler = getattr(self, "_op_" + op.replace(".", "_"), None)
         if handler is None:
@@ -184,8 +183,8 @@ class TraceReplayer:
         if instr.vs1 >= 0:
             self.regs[instr.vd] = self._read(instr.vs1, instr.vl).copy()
         else:
-            self.regs[instr.vd] = np.full(
-                instr.vl, wrap32(np.array([instr.scalar]))[0], dtype=_I32)
+            self.regs[instr.vd] = np.full(instr.vl, wrap32_int(instr.scalar),
+                                          dtype=_I32)
 
     def _op_vid(self, index: int, instr: VectorInstr) -> None:
         base = self._read(instr.vs1, instr.vl).astype(np.int64)
@@ -228,7 +227,7 @@ class TraceReplayer:
     def _op_vmv_s_x(self, index: int, instr: VectorInstr) -> None:
         result = np.zeros(instr.vl, dtype=_I32)
         if instr.vl:
-            result[0] = wrap32(np.array([instr.scalar]))[0]
+            result[0] = wrap32_int(instr.scalar)
         self.regs[instr.vd] = result
 
     # -- results -------------------------------------------------------------

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..faults.inject import NULL_FAULTS
-from ..isa.intrinsics import wrap32
+from ..isa.intrinsics import wrap32, wrap32_int
 from ..isa.memory import Buffer, VirtualMemory
 from ..sram.eve_sram import EveSram
 from ..sram.layout import RegisterLayout
@@ -489,7 +489,7 @@ class EveFunctionalEngine:
         values = self._read(a).astype(np.int64)
         if mask is not None:
             values = values[self._read(mask) != 0]
-        return int(wrap32(np.array([fold(values, init)]))[0])
+        return wrap32_int(fold(values, init))
 
     def vredsum(self, a, init: int = 0, mask=None) -> int:
         return self._reduce(lambda v, i: v.sum() + i, init, a, mask)
@@ -527,5 +527,5 @@ class EveFunctionalEngine:
 
     def vmv_s_x(self, value: int) -> EveVec:
         result = np.zeros(self.vl, dtype=np.int64)
-        result[0] = int(wrap32(np.array([int(value)]))[0])
+        result[0] = wrap32_int(value)
         return self._write_new(result)

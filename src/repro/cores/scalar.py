@@ -63,8 +63,10 @@ class ScalarCore(Machine):
         l1_hit = self.config.l1d.hit_latency
         now += issue_cycles
         access = self.mem.access
+        walk_ahead = self.mem.walk_ahead
         for pattern, pattern_lines in zip(block.accesses, lines):
             is_store = pattern.is_store
+            walk_ahead(pattern_lines, is_store)
             for line in pattern_lines:
                 completion = access(now, line, is_store)
                 if completion.done - l1_hit > now:
@@ -87,8 +89,10 @@ class ScalarCore(Machine):
         exposed_end = now
         t_issue = now
         access = self.mem.access
+        walk_ahead = self.mem.walk_ahead
         for pattern, pattern_lines in zip(block.accesses, lines):
             is_store = pattern.is_store
+            walk_ahead(pattern_lines, is_store)
             for line in pattern_lines:
                 completion = access(t_issue, line, is_store)
                 latency = completion.done - t_issue

@@ -50,10 +50,13 @@ class VectorMachineBase(Machine):
         issue_cycles = block.n_instr * core.base_cpi
         end = now + issue_cycles
         t = now
+        access = self.mem.access
+        walk_ahead = self.mem.walk_ahead
         for pattern, pattern_lines in zip(block.accesses, lines):
             is_store = pattern.is_store
+            walk_ahead(pattern_lines, is_store)
             for line in pattern_lines:
-                completion = self.mem.access(t, line, is_store)
+                completion = access(t, line, is_store)
                 exposed = (completion.done - t) * (1.0 - core.miss_overlap)
                 end = max(end, t + exposed)
                 t += 1.0

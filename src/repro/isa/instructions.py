@@ -5,23 +5,36 @@ A workload trace is a sequence of :class:`VectorInstr` and
 :class:`MemAccess` pattern (base + stride + count, or an explicit address
 vector for gathers/scatters) that machine models expand to cache-line
 requests; this keeps traces small while driving a real cache simulator.
+
+The three are immutable records backed by a tuple: each is a
+``__slots__ = ()`` subclass of a :func:`collections.namedtuple`, because
+a trace build makes one per event and a tuple is built in one call,
+where a frozen dataclass pays an ``object.__setattr__`` per field.  A
+record's ``__new__`` runs its validations, and a record pickles as its
+constructor arguments (``__getnewargs__``), so unpickling validates
+again.  A :class:`VectorInstr` resolves its opcode facts once, when it
+is built: ``info``, ``category``, ``sources`` and ``dest`` are fields,
+read per event by the timing loops, the trace compiler and the analyzer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import IsaError
-from .opcodes import Category, OpInfo, opinfo
+from .opcodes import OPCODES, Category
 
 LINE_BYTES = 64
 
+_new_record = tuple.__new__
 
-@dataclass(frozen=True)
-class MemAccess:
+
+class MemAccess(namedtuple("MemAccess", ("base", "stride", "count",
+                                         "elem_bytes", "is_store",
+                                         "addresses"))):
     """A compact description of the addresses one instruction touches.
 
     Either a (base, stride, count) arithmetic pattern, or an explicit
@@ -29,28 +42,26 @@ class MemAccess:
     granularity (always 4 for the 32-bit integer ISA).
     """
 
-    base: int = 0
-    stride: int = 0
-    count: int = 0
-    elem_bytes: int = 4
-    is_store: bool = False
-    addresses: Optional[np.ndarray] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.addresses is None and self.count > 0 and self.stride == 0 and self.count > 1:
-            raise IsaError("strided pattern with zero stride and count > 1")
-        if (self.addresses is None and self.count > 0
-                and min(self.base,
-                        self.base + self.stride * (self.count - 1)) < 0):
-            raise IsaError("strided pattern reaches below address 0")
-        if self.addresses is not None:
-            addrs = np.asarray(self.addresses)
+    def __new__(cls, base: int = 0, stride: int = 0, count: int = 0,
+                elem_bytes: int = 4, is_store: bool = False,
+                addresses: Optional[np.ndarray] = None) -> "MemAccess":
+        if addresses is None:
+            if stride == 0 and count > 1:
+                raise IsaError("strided pattern with zero stride and count > 1")
+            if count > 0 and (base < 0 or base + stride * (count - 1) < 0):
+                raise IsaError("strided pattern reaches below address 0")
+        else:
+            addrs = np.asarray(addresses)
             if not np.issubdtype(addrs.dtype, np.integer):
                 raise IsaError(
                     f"gather/scatter addresses must be integers "
                     f"(got dtype {addrs.dtype})")
             if addrs.size and int(addrs.min()) < 0:
                 raise IsaError("gather/scatter addresses must be non-negative")
+        return _new_record(cls, (base, stride, count, elem_bytes, is_store,
+                                 addresses))
 
     @property
     def num_accesses(self) -> int:
@@ -110,61 +121,79 @@ class MemAccess:
         return self.num_accesses * self.elem_bytes
 
 
-@dataclass(frozen=True)
-class VectorInstr:
-    """One dynamic vector instruction in a trace."""
+#: Per opcode: its info and category, whether it is a store, and
+#: whether it writes a vector register (neither a store nor a scalar
+#: writer).
+_OPCODE_FACTS = {name: (info, info.category, info.is_store,
+                        not (info.is_store or info.writes_scalar))
+                 for name, info in OPCODES.items()}
 
-    op: str
-    vl: int
-    vd: int = -1
-    vs1: int = -1
-    vs2: int = -1
-    #: Scalar operand (shift amounts, vx forms, slide offsets).
-    scalar: int = 0
-    masked: bool = False
-    mem: Optional[MemAccess] = None
-    #: Index-register source for indexed memory ops (for dependency tracking).
-    vidx: int = -1
-    #: Merge-old register for masked ops / vslideup: lanes the instruction
-    #: does not produce are taken from this register.  Deliberately NOT
-    #: part of :attr:`sources` — the timing models treat the merge as part
-    #: of the writeback, so dependence chains (and cycle counts) ignore it;
-    #: the static analyzer reads it via :attr:`reads`.
-    vold: int = -1
+#: The constructor arguments of a :class:`VectorInstr`, in order.
+_VECTOR_ARGS = ("op", "vl", "vd", "vs1", "vs2", "scalar", "masked", "mem",
+                "vidx", "vold")
+_N_ARGS = len(_VECTOR_ARGS)
 
-    def __post_init__(self) -> None:
-        info = self.info  # validates the opcode
-        if info.category.is_memory and self.mem is None:
-            raise IsaError(f"memory instruction {self.op} missing MemAccess")
-        if self.vl < 0:
+
+class VectorInstr(namedtuple("VectorInstr", _VECTOR_ARGS + (
+        "info", "category", "sources", "dest"))):
+    """One dynamic vector instruction in a trace.
+
+    Built from ``op``, ``vl`` and the operand fields; the last four
+    fields are the opcode facts ``__new__`` resolves from them:
+
+    * ``info`` — the opcode's :class:`~repro.isa.opcodes.OpInfo`;
+    * ``category`` — its Table IV :class:`~repro.isa.opcodes.Category`;
+    * ``sources`` — the registers the timing scoreboards wait on:
+      ``vs1``, ``vs2`` and ``vidx`` when set, plus a store's data
+      register ``vd``;
+    * ``dest`` — the vector register written, ``-1`` for stores and
+      scalar writers.
+
+    ``scalar`` is the scalar operand (shift amounts, vx forms, slide
+    offsets).  ``vidx`` is the index register of an indexed memory op.
+    ``vold`` is the merge-old register of a masked op or ``vslideup``:
+    lanes the instruction does not produce are taken from it.  It is
+    deliberately NOT one of the :attr:`sources`: the timing models treat
+    the merge as part of the writeback, so dependence chains (and cycle
+    counts) ignore it; the static analyzer reads it via :attr:`reads`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, vl: int, vd: int = -1, vs1: int = -1,
+                vs2: int = -1, scalar: int = 0, masked: bool = False,
+                mem: Optional[MemAccess] = None, vidx: int = -1,
+                vold: int = -1) -> "VectorInstr":
+        try:
+            info, category, is_store, has_dest = _OPCODE_FACTS[op]
+        except KeyError:
+            raise IsaError(f"unknown vector opcode {op!r}") from None
+        if mem is None and category.is_memory:
+            raise IsaError(f"memory instruction {op} missing MemAccess")
+        if vl < 0:
             raise IsaError("vector length must be non-negative")
+        sources = (((vs1,) if vs1 >= 0 else ())
+                   + ((vs2,) if vs2 >= 0 else ())
+                   + ((vidx,) if vidx >= 0 else ()))
+        if is_store and vd >= 0:
+            sources += (vd,)  # stores read their "destination" register
+        return _new_record(cls, (op, vl, vd, vs1, vs2, scalar, masked, mem,
+                                 vidx, vold, info, category, sources,
+                                 vd if has_dest else -1))
 
-    @property
-    def info(self) -> OpInfo:
-        return opinfo(self.op)
+    def __getnewargs__(self) -> tuple:
+        return self[:_N_ARGS]
 
-    @property
-    def category(self) -> Category:
-        return self.info.category
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(_VECTOR_ARGS, self))
+        return f"VectorInstr({fields})"
 
     @property
     def per_element(self) -> bool:
         """Strided and indexed memory ops issue one request per element
         (see :meth:`MemAccess.request_lines`)."""
         return self.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
-
-    @property
-    def sources(self) -> Tuple[int, ...]:
-        regs = [r for r in (self.vs1, self.vs2, self.vidx) if r >= 0]
-        if self.info.is_store and self.vd >= 0:
-            regs.append(self.vd)  # stores read their "destination" register
-        return tuple(regs)
-
-    @property
-    def dest(self) -> int:
-        if self.info.is_store or self.info.writes_scalar:
-            return -1
-        return self.vd
 
     @property
     def reads(self) -> Tuple[int, ...]:
@@ -183,8 +212,7 @@ class VectorInstr:
         return tuple(regs)
 
 
-@dataclass(frozen=True)
-class ScalarBlock:
+class ScalarBlock(namedtuple("ScalarBlock", ("n_instr", "accesses"))):
     """A block of scalar instructions between vector instructions.
 
     ``n_instr`` counts all scalar instructions in the block; ``accesses``
@@ -192,12 +220,13 @@ class ScalarBlock:
     cache-line requests.
     """
 
-    n_instr: int
-    accesses: Tuple[MemAccess, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_instr < 0:
+    def __new__(cls, n_instr: int,
+                accesses: Tuple[MemAccess, ...] = ()) -> "ScalarBlock":
+        if n_instr < 0:
             raise IsaError("scalar block size must be non-negative")
+        return _new_record(cls, (n_instr, accesses))
 
     @property
     def n_mem(self) -> int:

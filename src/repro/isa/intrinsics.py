@@ -19,6 +19,7 @@ executors can never drift.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -36,9 +37,16 @@ I32_MIN, I32_MAX = -(2 ** 31), 2 ** 31 - 1
 
 
 def wrap32(values: np.ndarray) -> np.ndarray:
-    """Wrap an integer array to signed 32-bit two's complement."""
-    as64 = np.asarray(values, dtype=np.int64) & _MASK32
-    return (((as64 + 0x8000_0000) % 0x1_0000_0000) - 0x8000_0000).astype(_I32)
+    """Wrap an integer array to signed 32-bit two's complement.
+
+    One cast: NumPy's int64 -> int32 ``astype`` keeps the low 32 bits,
+    which read as two's complement are the wrapped value."""
+    return np.asarray(values, dtype=np.int64).astype(_I32)
+
+
+def wrap32_int(value: int) -> int:
+    """:func:`wrap32` of one integer, as a Python ``int``."""
+    return ((int(value) + 0x8000_0000) & _MASK32) - 0x8000_0000
 
 
 def _signed_div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -116,18 +124,18 @@ REDUCE_SEMANTICS = {
 class Vec:
     """A vector value: an int32 numpy array bound to a register id.
 
-    When a :class:`VectorContext` allocates the register, it installs an
-    ``_on_free`` callback so the register returns to the free pool when
+    When a :class:`VectorContext` allocates the register, it passes an
+    ``on_free`` callback so the register returns to the free pool when
     the value is garbage-collected — i.e. strictly after its last use in
     the kernel, which keeps trace register ids faithful to dataflow.
     """
 
     __slots__ = ("reg", "values", "_on_free")
 
-    def __init__(self, reg: int, values: np.ndarray) -> None:
+    def __init__(self, reg: int, values: np.ndarray, on_free=None) -> None:
         self.reg = reg
         self.values = np.ascontiguousarray(values, dtype=_I32)
-        self._on_free = None
+        self._on_free = on_free
 
     def __len__(self) -> int:
         return len(self.values)
@@ -189,6 +197,10 @@ class VectorContext:
         self.vl = 0
         self._next_reg = self._FIRST_REG
         self._free_regs: List[int] = []
+        #: Returns a register to the free pool: every :class:`Vec` this
+        #: context allocates calls it when it is garbage-collected.
+        self._release_reg = functools.partial(heapq.heappush,
+                                              self._free_regs)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -208,16 +220,11 @@ class VectorContext:
         self._next_reg += 1
         return reg
 
-    def _release_reg(self, reg: int) -> None:
-        heapq.heappush(self._free_regs, reg)
-
     def _new_vec(self, values: np.ndarray) -> Vec:
-        vec = Vec(self._alloc_reg(), values)
-        vec._on_free = self._release_reg
-        return vec
+        return Vec(self._alloc_reg(), values, self._release_reg)
 
     def _emit(self, instr: VectorInstr) -> None:
-        self.trace.append(instr)
+        self.trace.events.append(instr)
 
     def finalize_trace(self) -> Trace:
         """Stamp the trace with its analysis metadata and return it.
@@ -235,7 +242,7 @@ class VectorContext:
         if self.vl <= 0:
             raise IsaError("setvl must be called before vector operations")
         for vec in vecs:
-            if len(vec) != self.vl:
+            if len(vec.values) != self.vl:
                 raise IsaError(
                     f"operand length {len(vec)} does not match vl {self.vl}"
                 )
@@ -247,7 +254,7 @@ class VectorContext:
         if isinstance(value, Vec):
             return value.values, value.reg, 0
         scalar = int(value)
-        return np.full(vl, wrap32(np.array([scalar]))[0], dtype=_I32), -1, scalar
+        return np.full(vl, wrap32_int(scalar), dtype=_I32), -1, scalar
 
     def peek(self, value: Union[Vec, Mask]) -> np.ndarray:
         """Current value of a vector or mask as a fresh integer array.
@@ -546,7 +553,7 @@ class VectorContext:
             values = values[mask.values]
         total = REDUCE_SEMANTICS[op][1](values, init)
         self._emit(VectorInstr(op=op, vl=vl, vs1=a.reg, masked=mask is not None))
-        return int(wrap32(np.array([total]))[0])
+        return wrap32_int(total)
 
     def vredsum(self, a: Vec, init: int = 0, mask: Optional[Mask] = None) -> int:
         return self._reduce("vredsum", a, init, mask)
@@ -608,7 +615,7 @@ class VectorContext:
     def vmv_s_x(self, value: int) -> Vec:
         vl = self._check_vl()
         result = np.zeros(vl, dtype=_I32)
-        result[0] = wrap32(np.array([int(value)]))[0]
+        result[0] = wrap32_int(value)
         vec = self._new_vec(result)
         self._emit(VectorInstr(op="vmv.s.x", vl=1, vd=vec.reg,
                                scalar=int(value)))

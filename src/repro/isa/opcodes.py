@@ -24,9 +24,10 @@ class Category(enum.Enum):
     MEM_STRIDE = "st"      # constant-stride memory
     MEM_INDEX = "idx"      # indexed (gather/scatter) memory
 
-    @property
-    def is_memory(self) -> bool:
-        return self in (Category.MEM_UNIT, Category.MEM_STRIDE, Category.MEM_INDEX)
+    def __init__(self, value: str) -> None:
+        #: Unit-stride, constant-stride or indexed memory: a plain
+        #: attribute, since the timing loops read it per event.
+        self.is_memory = value in ("us", "st", "idx")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ The hierarchy is inclusive: an LLC eviction invalidates inner copies.
 Misses hold an MSHR at their level until the fill returns; acquiring a
 full pool stalls the requester (Figure 8's metric for the EVE VMU).
 The vector units hand each memory macro-op's whole request list to
-``stream()``; scalar cores issue single ``access()`` calls.
+``stream()``; scalar cores walk each access pattern's list ahead
+(``walk_ahead()``), then issue single ``access()`` calls.
 
 A request is served in two steps.  The **tag walk**,
 :meth:`FastMemorySystem._walker`, does only ``lookup`` / ``fill`` /
@@ -288,6 +289,24 @@ class FastMemorySystem:
             grant, stall = grant_l1, stall_l1 + stall
         return Completion(grant, done, LEVELS[code], stall)
 
+    def walk_ahead(self, lines: Sequence[int], is_store: bool,
+                   port: str = "l1") -> None:
+        """Walk the tags of a request list in one call, ahead of timing
+        it, so that each of its requests' :meth:`access` only times a
+        code; a replaying model only checks that its record holds the
+        list.  Every code walked must be timed before the next walk."""
+        codes = self._codes
+        if self._replaying is None:
+            if self._pos != len(codes):
+                raise MemoryModelError(
+                    f"walk_ahead() with {len(codes) - self._pos} walked "
+                    f"requests not yet timed")
+            self._walkers[port](lines, is_store)
+        elif self._pos + len(lines) > len(codes):
+            raise MemoryModelError(
+                f"replay handed more requests than the {len(codes)} its "
+                f"record holds")
+
     # -- public ports ---------------------------------------------------------
 
     def access(self, now: float, line_addr: int, is_store: bool,
@@ -353,14 +372,9 @@ class FastMemorySystem:
         else:
             raise MemoryModelError(
                 f"unknown port {port!r} (expected one of {PORTS})")
+        self.walk_ahead(lines, is_store, port)
         codes = self._codes
         pos = self._pos
-        if self._replaying is None:
-            self._walkers[port](lines, is_store)
-        elif pos + len(lines) > len(codes):
-            raise MemoryModelError(
-                f"replay handed more requests than the {len(codes)} its "
-                f"record holds")
         access = self.access
         observe = self.hit_observer
         acquire = release = None

@@ -45,15 +45,22 @@ class SmithWatermanWorkload(Workload):
 
     def reference(self, inputs, params) -> Dict[str, np.ndarray]:
         n = params["n"]
-        a, b = inputs["a"], inputs["b"]
-        h = np.zeros((n + 1, n + 1), dtype=np.int64)
+        a, b = inputs["a"].tolist(), inputs["b"].tolist()
+        subst = SUBST.tolist()
+        # The score matrix one row at a time, in plain ints: h_prev is
+        # row i - 1, h row i, and column 0 of every row is 0.
+        h_prev = [0] * (n + 1)
         best = 0
         for i in range(1, n + 1):
+            scores = subst[a[i - 1]]
+            h = [0] * (n + 1)
             for j in range(1, n + 1):
-                s = int(SUBST[a[i - 1], b[j - 1]])
-                h[i, j] = max(0, h[i - 1, j - 1] + s,
-                              h[i - 1, j] - GAP, h[i, j - 1] - GAP)
-                best = max(best, int(h[i, j]))
+                cell = max(0, h_prev[j - 1] + scores[b[j - 1]],
+                           h_prev[j] - GAP, h[j - 1] - GAP)
+                h[j] = cell
+                if cell > best:
+                    best = cell
+            h_prev = h
         return {"score": np.array([best])}
 
     def kernel(self, ctx, inputs, params) -> Dict[str, np.ndarray]:

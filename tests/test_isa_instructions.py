@@ -1,10 +1,13 @@
 """Tests for trace events: MemAccess patterns, VectorInstr, ScalarBlock."""
 
+import copyreg
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import IsaError
-from repro.isa import MemAccess, ScalarBlock, VectorInstr
+from repro.isa import MemAccess, ScalarBlock, Trace, VectorInstr
 from repro.isa.opcodes import Category, OPCODES, opinfo
 
 
@@ -122,6 +125,78 @@ class TestScalarBlock:
     def test_negative_size_rejected(self):
         with pytest.raises(IsaError):
             ScalarBlock(n_instr=-1)
+
+
+def _records():
+    """One of each record, with every field away from its default where
+    a field has one."""
+    gather = MemAccess(addresses=np.array([0x40, 0x1000, 0x44],
+                                          dtype=np.int64), count=3)
+    strided = MemAccess(base=0x2000, stride=-8, count=4, is_store=True)
+    return {
+        "MemAccess": (gather, ("base", "stride", "count", "elem_bytes",
+                               "is_store", "addresses")),
+        "VectorInstr": (
+            VectorInstr(op="vluxei32", vl=3, vd=4, vs1=5, vs2=6, scalar=7,
+                        masked=True, mem=gather, vidx=8, vold=9),
+            ("op", "vl", "vd", "vs1", "vs2", "scalar", "masked", "mem",
+             "vidx", "vold")),
+        "ScalarBlock": (ScalarBlock(n_instr=5, accesses=(strided, gather)),
+                        ("n_instr", "accesses")),
+    }
+
+
+class TestRecordContract:
+    """Trace events are immutable records that survive pickling."""
+
+    @pytest.mark.parametrize("kind", ["MemAccess", "VectorInstr",
+                                      "ScalarBlock"])
+    def test_every_field_is_read_only(self, kind):
+        record, fields = _records()[kind]
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    def test_events_repickle_to_the_same_bytes(self):
+        records = _records()
+        trace = Trace("contract")
+        trace.append(VectorInstr(op="vsetvl", vl=3, scalar=3))
+        trace.append(records["VectorInstr"][0])
+        trace.append(records["ScalarBlock"][0])
+        trace.append(VectorInstr(
+            op="vsse32", vl=4, vd=2,
+            mem=MemAccess(base=0x80, stride=16, count=4, is_store=True)))
+        trace.append(VectorInstr(op="vredsum", vl=3, vs1=2, masked=True))
+        blob = pickle.dumps(trace.events)
+        assert pickle.dumps(pickle.loads(blob)) == blob
+
+    def test_unpickled_events_keep_their_opcode_facts(self):
+        instr = _records()["VectorInstr"][0]
+        loaded = pickle.loads(pickle.dumps(instr))
+        assert loaded.info is instr.info
+        assert loaded.category is Category.MEM_INDEX
+        assert loaded.sources == instr.sources == (5, 6, 8)
+        assert loaded.dest == 4
+        assert loaded.mem.addresses.tolist() == [0x40, 0x1000, 0x44]
+
+    def test_records_pickle_as_their_constructor_arguments(self):
+        for record, fields in _records().values():
+            rebuild, args = record.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[:2]
+            assert rebuild is copyreg.__newobj__
+            assert args == (type(record),) + tuple(getattr(record, name)
+                                                   for name in fields)
+
+    @pytest.mark.parametrize("args", [
+        (0x10, -8, 4, 4, False, None),
+        (0, 0, 2, 4, False, np.array([0.0, 4.0])),
+        (0, 0, 2, 4, False, np.array([0, -4], dtype=np.int64)),
+    ], ids=["strided-below-zero", "float-gather", "negative-gather"])
+    def test_unpickling_runs_the_validations(self, args):
+        """Unpickling rebuilds a record as ``cls.__new__(cls, *args)``
+        (``copyreg.__newobj__``), so bad arguments fail there as they do
+        in the constructor (``tests/test_analysis.py`` covers that)."""
+        with pytest.raises(IsaError):
+            MemAccess.__new__(MemAccess, *args)
 
 
 class TestOpcodeTable:

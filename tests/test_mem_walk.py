@@ -356,6 +356,37 @@ class TestRecordGuards:
                 else:
                     mem.stream(3.0, [128, 192], False, "llc", 1.0)
 
+    def test_walking_a_pattern_ahead_times_as_walking_each_access(self):
+        lines = [0, 64, 0, 1 << 20, 64, 2 << 20]
+        each = FastMemorySystem(make_system("IO"))
+        ahead = FastMemorySystem(make_system("IO"))
+        ahead.walk_ahead(lines, True)
+        for i, line in enumerate(lines):
+            assert _completion(ahead.access(2.0 * i, line, True)) == \
+                _completion(each.access(2.0 * i, line, True))
+        walked, walked_ahead = each.finish(), ahead.finish()
+        assert (walked.codes, walked.tag_counts) == \
+            (walked_ahead.codes, walked_ahead.tag_counts)
+
+    def test_every_code_walked_ahead_is_timed_before_the_next_walk(self):
+        mem = FastMemorySystem(make_system("IO"))
+        mem.walk_ahead([0, 64], False)
+        mem.access(0.0, 0, False)
+        with pytest.raises(MemoryModelError):
+            mem.walk_ahead([128], False)
+
+    def test_a_replaying_model_walks_nothing_ahead(self):
+        walking = FastMemorySystem(make_system("IO"))
+        walking.walk_ahead([0, 64], False)
+        for line in (0, 64):
+            walking.access(0.0, line, False)
+        mem = FastMemorySystem(make_system("IO"))
+        mem.replay(walking.finish())
+        mem.walk_ahead([0, 64], False)
+        assert mem.l1d.hits == mem.l1d.misses == 0
+        with pytest.raises(MemoryModelError):
+            mem.walk_ahead([0, 64, 128], False)
+
     def test_replay_must_precede_the_first_request(self):
         mem = FastMemorySystem(make_system("O3+EVE-4"))
         mem.access(0.0, 0, False, "llc")

@@ -2,7 +2,9 @@
 
 Three layers: the intrinsics' two's-complement semantics against plain
 integer arithmetic, the macro-op micro-programs against the intrinsics,
-and structural invariants of traces and layouts.
+and structural invariants of traces and layouts.  The wrap to 32 bits
+itself is checked against the modular formula it replaced, since every
+other property here uses ``wrap32`` as its oracle.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.isa import VectorContext
-from repro.isa.intrinsics import wrap32
+from repro.isa.intrinsics import wrap32, wrap32_int
 from repro.uops import MacroOpRom, MicroEngine
 
 from tests.conftest import MacroTester
@@ -28,6 +30,44 @@ def make_ctx(values_a, values_b):
     b = ctx.vle32(ctx.vm.alloc_i32("b", np.resize(
         np.asarray(values_b, np.int64), n).astype(np.int32)))
     return ctx, a, b
+
+
+def modular_wrap32(x: int) -> int:
+    """The oracle: signed 32-bit wrap by the modular formula."""
+    return ((x & 0xFFFFFFFF) + 2 ** 31) % 2 ** 32 - 2 ** 31
+
+
+#: The int64 extremes and the values either side of every 32-bit edge.
+WRAP_EDGES = sorted({edge + delta
+                     for edge in (0, 2 ** 31, -(2 ** 31), 2 ** 32, -(2 ** 32))
+                     for delta in (-1, 0, 1)}
+                    | {-(2 ** 63), -(2 ** 63) + 1, 2 ** 63 - 2, 2 ** 63 - 1})
+int64s = st.one_of(st.integers(-(2 ** 63), 2 ** 63 - 1),
+                   st.sampled_from(WRAP_EDGES))
+
+
+class TestWrapProperties:
+    def test_edges(self):
+        want = [modular_wrap32(x) for x in WRAP_EDGES]
+        got = wrap32(np.array(WRAP_EDGES, dtype=np.int64))
+        assert got.dtype == np.int32
+        assert got.tolist() == want
+        assert [wrap32_int(x) for x in WRAP_EDGES] == want
+        assert [wrap32_int(np.int64(x)) for x in WRAP_EDGES] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(int64s, min_size=1, max_size=16))
+    def test_wrap32_matches_the_modular_formula(self, xs):
+        got = wrap32(np.array(xs, dtype=np.int64))
+        assert got.dtype == np.int32
+        assert got.tolist() == [modular_wrap32(x) for x in xs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(int64s)
+    def test_wrap32_int_matches_the_modular_formula(self, x):
+        got = wrap32_int(x)
+        assert type(got) is int
+        assert got == modular_wrap32(x)
 
 
 class TestIntrinsicsProperties:
