@@ -60,10 +60,11 @@ class TraceReplayer:
         self.scalars: Dict[int, int] = {}
 
     @staticmethod
-    def _splat64(scalar: int, vl: int) -> np.ndarray:
-        """Scalar operand splat, wrapped to int32 first (as the intrinsics
-        layer's ``_operand`` does) then widened for the semantics tables."""
-        return np.full(vl, wrap32_int(scalar), dtype=np.int64)
+    def _scalar64(scalar: int) -> np.int64:
+        """Scalar operand wrapped to int32 first, as one ``np.int64`` the
+        semantics tables broadcast (as the intrinsics layer's
+        ``_operand`` does)."""
+        return np.int64(wrap32_int(scalar))
 
     # -- state access ------------------------------------------------------
 
@@ -129,7 +130,7 @@ class TraceReplayer:
         if op in BINARY_SEMANTICS:
             a = self._read(instr.vs1, vl).astype(np.int64)
             b = (self._read(instr.vs2, vl).astype(np.int64)
-                 if instr.vs2 >= 0 else self._splat64(instr.scalar, vl))
+                 if instr.vs2 >= 0 else self._scalar64(instr.scalar))
             result = wrap32(BINARY_SEMANTICS[op](a, b))
             if instr.masked:
                 keep = (self._read(instr.vold, vl) if instr.vold >= 0
@@ -140,7 +141,7 @@ class TraceReplayer:
         if op in COMPARE_SEMANTICS:
             a = self._read(instr.vs1, vl).astype(np.int64)
             b = (self._read(instr.vs2, vl).astype(np.int64)
-                 if instr.vs2 >= 0 else self._splat64(instr.scalar, vl))
+                 if instr.vs2 >= 0 else self._scalar64(instr.scalar))
             self.mask = COMPARE_SEMANTICS[op](a, b)
             return
         if op in REDUCE_SEMANTICS:
@@ -195,7 +196,7 @@ class TraceReplayer:
         vl = instr.vl
         a = self._read(instr.vs1, vl)
         b = (self._read(instr.vs2, vl) if instr.vs2 >= 0
-             else self._splat64(instr.scalar, vl).astype(_I32))
+             else self._scalar64(instr.scalar).astype(_I32))
         self.regs[instr.vd] = np.where(self._read_mask(vl), a, b)
 
     def _op_vrgather(self, index: int, instr: VectorInstr) -> None:

@@ -120,7 +120,7 @@ from typing import List, Optional, Union
 
 from . import __version__
 from .compiler import compiler_descriptor
-from .config import all_system_names
+from .config import EVE_FACTORS, all_system_names
 from .errors import MicroProgramError, ReproError, RunStoreError
 from .experiments import ExperimentRunner, format_table, sweep_result_payload
 from .experiments.figures import ALL_APPS, area_table, figure2, table3
@@ -144,8 +144,6 @@ from .obs.trend import filter_history, historical_cell_seconds
 from .uops import MacroOpRom, assemble, disassemble, lint_program, lint_rom
 from .workloads import DEFAULT_SEED, REGISTRY, tiny_overrides
 from .workloads import canonical_workload as _canonical_workload
-
-EVE_FACTORS = (1, 2, 4, 8, 16, 32)
 
 
 def _make_runner(args, collect_metrics: bool = False,
@@ -246,20 +244,22 @@ def _recording(args) -> bool:
 def _finish_record(args, record: Optional[RunRecord]) -> int:
     """Archive and/or baseline-diff a freshly built record.
 
-    Shared tail of ``run`` / ``compare`` / ``stats``: append to the run
-    store when ``--record`` was given, and when ``--baseline REF`` was
-    given diff the fresh record against the resolved baseline, print the
-    regression report, and propagate the differ's exit code.
+    Shared tail of every verb that records: append to the run store
+    when ``--record`` was given, and when ``--baseline REF`` was given
+    (``scorecard`` has no such option) diff the fresh record against the
+    resolved baseline, print the regression report, and propagate the
+    differ's exit code.
     """
     if record is None:
         return 0
     store = RunStore(args.store)
     baseline = None
-    if args.baseline:
+    ref = getattr(args, "baseline", None)
+    if ref:
         # Resolve before appending so ``--baseline latest`` means "the
         # previous record", not the one this invocation just archived.
         try:
-            baseline = store.resolve(args.baseline)
+            baseline = store.resolve(ref)
         except RunStoreError as exc:
             print(f"baseline: {exc}", file=sys.stderr)
             return 2
@@ -781,12 +781,10 @@ def _cmd_scorecard(args) -> int:
         record = make_record(
             "scorecard", label=",".join(card.figures), tiny=args.tiny,
             command="repro scorecard",
-            fingerprint_extra=runner.params_override or None)
+            fingerprint_extra=_fingerprint_extra(runner))
         record.self_profile = runner.profiler.as_dict()
         record.extra = {"scorecard": payload}
-        store = RunStore(args.store)
-        record_id = store.append(record)
-        print(f"recorded {record_id} -> {store.runs_path}", file=sys.stderr)
+        _finish_record(args, record)
     if args.json_out:
         write_json(args.json_out, payload)
     return (0 if card.passed else 1) if args.gate else 0
@@ -811,7 +809,7 @@ def _cmd_uprog(args) -> int:
     print(disassemble(program))
     print()
     rows = [[n, MacroOpRom(n).cycles(args.macro, **params)]
-            for n in (1, 2, 4, 8, 16, 32)]
+            for n in EVE_FACTORS]
     print(format_table(["factor", "cycles"], rows))
     return 0
 
@@ -1515,8 +1513,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="DIR",
                        help=f"cell-cache directory "
                             f"(default: {DEFAULT_CACHE_ROOT})")
-    cache.add_argument("--stats", action="store_true",
-                       help="print the cache census (the default action)")
     cache.add_argument("--prune", action="store_true",
                        help="evict least-recently-used entries until the "
                             "cache fits --max-bytes (default budget: 0, "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 #: Bucket order as plotted in Figure 7.
@@ -111,20 +111,3 @@ class SimResult:
                                   for unit, buckets
                                   in sorted(self.unit_cycles.items())}
         return out
-
-
-def merge_fields(result: SimResult) -> Dict[str, object]:
-    """Flatten a result into a row for table/CSV reporting."""
-    row: Dict[str, object] = {
-        "system": result.system,
-        "workload": result.workload,
-        "cycles": result.cycles,
-        "time_ns": result.time_ns,
-        "instructions": result.instructions,
-    }
-    if result.breakdown is not None:
-        row.update(result.breakdown.as_dict())
-    for f in fields(result):
-        if f.name == "mem_stats":
-            row.update({f"mem_{k}": v for k, v in result.mem_stats.items()})
-    return row

@@ -426,7 +426,7 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
     """Simulate one group of sweep cells; runs inside a pool worker.
 
     ``spec`` is the picklable tuple ``(workload, systems, params_override,
-    cache_root, collect_metrics, verify, seed)``, where every system in
+    cache_root, collect_metrics, seed)``, where every system in
     ``systems`` grants the same vlmax.  Builds a fresh runner from it and
     runs the group through the runner's one cell loop,
     :meth:`~repro.experiments.runner.ExperimentRunner.run_group`, so the
@@ -438,10 +438,8 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
     so the group's other cells still reach the parent.
     """
     from .runner import ExperimentRunner  # runner imports this module
-    workload, systems, params_override, cache_root, collect_metrics, \
-        verify, seed = spec
-    runner = ExperimentRunner(params_override=params_override,
-                              verify=verify, seed=seed,
+    workload, systems, params_override, cache_root, collect_metrics, seed = spec
+    runner = ExperimentRunner(params_override=params_override, seed=seed,
                               cache_root=cache_root,
                               collect_metrics=collect_metrics)
     cells = runner.run_group(workload, systems)

@@ -62,7 +62,7 @@ def strict_check_enabled() -> bool:
 
 
 def build_trace(workload_name: str, vlmax: int,
-                params: Optional[dict] = None, verify: bool = True,
+                params: Optional[dict] = None,
                 seed: int = DEFAULT_SEED, strict: bool = False) -> Trace:
     """The trace a machine granting ``vlmax`` simulates: the workload's
     scalar trace at vlmax 0, otherwise its vector trace, which ``strict``
@@ -70,7 +70,7 @@ def build_trace(workload_name: str, vlmax: int,
     workload = get_workload(workload_name)
     if vlmax == 0:
         return workload.scalar_trace(params)
-    trace = workload.vector_trace(vlmax, params, verify=verify, seed=seed)
+    trace = workload.vector_trace(vlmax, params, seed=seed)
     if strict:
         require_strict_clean(trace)
     return trace
@@ -106,7 +106,6 @@ class ExperimentRunner:
     """
 
     def __init__(self, params_override: Optional[Dict[str, dict]] = None,
-                 verify: bool = True,
                  profiler: Optional[SelfProfiler] = None,
                  seed: int = DEFAULT_SEED,
                  strict_check: Optional[bool] = None,
@@ -118,7 +117,6 @@ class ExperimentRunner:
         self.jobs = max(1, jobs or os.cpu_count() or 1)
         self.cache_root = cache_root
         self.collect_metrics = collect_metrics
-        self.verify = verify
         self.seed = seed
         self.profiler = profiler or SelfProfiler()
         #: Campaign telemetry hub (:data:`~repro.obs.events.NULL_TELEMETRY`
@@ -168,8 +166,7 @@ class ExperimentRunner:
                 trace = build_trace(
                     workload_name, vlmax,
                     self.params_override.get(workload_name),
-                    verify=self.verify, seed=self.seed,
-                    strict=self.strict_check)
+                    seed=self.seed, strict=self.strict_check)
                 max_avl = trace.max_avl()
             if vlmax > 0 and max_avl <= vlmax:
                 self._unclamped[workload_name] = (max_avl, key)
@@ -324,8 +321,7 @@ class ExperimentRunner:
                 vlmax = trace_vlmax(make_system(system))
                 groups.setdefault((workload, vlmax), []).append(system)
         specs = [(workload, tuple(systems), self.params_override,
-                  self.cache_root, self.collect_metrics, self.verify,
-                  self.seed)
+                  self.cache_root, self.collect_metrics, self.seed)
                  for (workload, _vlmax), systems in groups.items()]
         units = [tuple(f"{s}/{workload}" for s in systems)
                  for workload, systems, *_ in specs]

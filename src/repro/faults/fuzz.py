@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import EVE_FACTORS
 from ..core.functional import EveFunctionalEngine
 from ..errors import FaultInjectionError
 from ..experiments.parallel import fan_out
@@ -42,7 +43,7 @@ from ..isa.intrinsics import VectorContext
 from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
 
 #: Every segment width the paper's design space covers (bits per segment).
-FUZZ_WIDTHS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
+FUZZ_WIDTHS: Tuple[int, ...] = EVE_FACTORS
 
 #: Current on-disk case format.
 CASE_VERSION = 1

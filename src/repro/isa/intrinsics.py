@@ -249,12 +249,14 @@ class VectorContext:
         return self.vl
 
     @staticmethod
-    def _operand(value: Operand, vl: int) -> Tuple[np.ndarray, int, int]:
-        """Return (values, source register, scalar immediate) for an operand."""
+    def _operand(value: Operand) -> Tuple[Union[np.ndarray, np.int64], int, int]:
+        """Return (values, source register, scalar immediate) for an
+        operand: a vector's lanes, or a scalar wrapped to int32 as one
+        ``np.int64`` that the semantics tables broadcast."""
         if isinstance(value, Vec):
             return value.values, value.reg, 0
         scalar = int(value)
-        return np.full(vl, wrap32_int(scalar), dtype=_I32), -1, scalar
+        return np.int64(wrap32_int(scalar)), -1, scalar
 
     def peek(self, value: Union[Vec, Mask]) -> np.ndarray:
         """Current value of a vector or mask as a fresh integer array.
@@ -376,7 +378,7 @@ class VectorContext:
     def _binary(self, op: str, a: Vec, b: Operand,
                 mask: Optional[Mask] = None, old: Optional[Vec] = None) -> Vec:
         vl = self._check_vl(a, *( (mask,) if mask else () ))
-        b_vals, b_reg, scalar = self._operand(b, vl)
+        b_vals, b_reg, scalar = self._operand(b)
         raw = BINARY_SEMANTICS[op](a.values.astype(np.int64),
                                    b_vals.astype(np.int64))
         result = wrap32(raw)
@@ -483,7 +485,7 @@ class VectorContext:
 
     def _compare(self, op: str, a: Vec, b: Operand) -> Mask:
         vl = self._check_vl(a)
-        b_vals, b_reg, scalar = self._operand(b, vl)
+        b_vals, b_reg, scalar = self._operand(b)
         result = COMPARE_SEMANTICS[op](a.values.astype(np.int64),
                                        b_vals.astype(np.int64))
         self._emit(VectorInstr(op=op, vl=vl, vd=0, vs1=a.reg, vs2=b_reg,
@@ -511,7 +513,7 @@ class VectorContext:
     def vmerge(self, mask: Mask, a: Vec, b: Operand) -> Vec:
         """Element select: ``a`` where mask is set, else ``b``."""
         vl = self._check_vl(a, mask)
-        b_vals, b_reg, scalar = self._operand(b, vl)
+        b_vals, b_reg, scalar = self._operand(b)
         result = np.where(mask.values, a.values, b_vals.astype(_I32))
         vec = self._new_vec(result)
         self._emit(VectorInstr(op="vmerge", vl=vl, vd=vec.reg, vs1=a.reg,
@@ -523,8 +525,8 @@ class VectorContext:
     def vmv(self, value: Operand) -> Vec:
         """Splat a scalar, or copy a vector register."""
         vl = self._check_vl() if not isinstance(value, Vec) else self._check_vl(value)
-        vals, src_reg, scalar = self._operand(value, vl)
-        vec = self._new_vec(vals.astype(_I32))
+        vals, src_reg, scalar = self._operand(value)
+        vec = self._new_vec(np.full(vl, vals, dtype=_I32))
         self._emit(VectorInstr(op="vmv", vl=vl, vd=vec.reg, vs1=src_reg,
                                scalar=scalar))
         return vec

@@ -6,9 +6,8 @@ processes may write at once.  :class:`Journal` is the single writer and
 reader both use, so the contract is stated here once:
 
 * **Appends are serialised.**  An appender holds an exclusive advisory
-  ``flock`` (on the journal itself, or on a sibling lock file when the
-  store keeps derived files in step with it) while it writes, flushes
-  and fsyncs; it unlocks only after the fsync.
+  ``flock`` on the journal file itself while it writes, flushes and
+  fsyncs; it unlocks only after the fsync.
 * **A line is committed once its newline is on disk.**  Readers count
   only newline-terminated lines; a final line without one (a writer
   killed mid-append, or an append still in flight on a host without
@@ -18,10 +17,9 @@ reader both use, so the contract is stated here once:
   lines never glue onto a fragment.
 * **Interior corruption is an error.**  A terminated line that does not
   parse raises the owning store's error with ``path:line``.
-* **Derived files are written by lock holders only.**  A store that
-  caches a view of the journal (the run store's index) rebuilds it from
-  the journal whenever it is missing or stale, and publishes it only
-  while holding the lock.
+
+Nothing derived from a journal is kept on disk: a reader parses the
+committed lines it needs.
 
 On hosts without ``fcntl`` appends degrade to lockless writes.
 """
@@ -31,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Tuple, Type
+from typing import Iterator, Sequence, Tuple, Type
 
 try:  # POSIX advisory locking; other hosts degrade to lockless appends.
     import fcntl
@@ -61,24 +59,21 @@ class Journal:
     """An append-only JSONL file under the contract above.
 
     ``error`` is the exception a corrupt line raises and ``what`` names
-    one line in its message (``record``, ``event``).  ``lock_path``
-    defaults to the journal itself.
+    one line in its message (``record``, ``event``).
     """
 
-    def __init__(self, path: str, error: Type[ReproError], what: str,
-                 lock_path: Optional[str] = None) -> None:
+    def __init__(self, path: str, error: Type[ReproError], what: str) -> None:
         self.path = path
         self.error = error
         self.what = what
-        self.lock_path = lock_path or path
 
     @contextmanager
     def locked(self) -> Iterator[None]:
         """Hold the journal's exclusive lock.  Not re-entrant."""
-        parent = os.path.dirname(self.lock_path)
+        parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(self.lock_path, "a") as handle:
+        with open(self.path, "a") as handle:
             if fcntl is not None:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
@@ -87,9 +82,9 @@ class Journal:
                 if fcntl is not None:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def write(self, lines: Sequence[str]) -> int:
+    def write(self, lines: Sequence[str]) -> None:
         """Append ``lines`` (serialised, without newlines) while the
-        caller holds :meth:`locked`; returns the journal's new size."""
+        caller holds :meth:`locked`."""
         with open(self.path, "a+b") as handle:
             size = os.fstat(handle.fileno()).st_size
             committed = _committed_size(handle)
@@ -98,7 +93,6 @@ class Journal:
             handle.write("".join(line + "\n" for line in lines).encode())
             handle.flush()
             os.fsync(handle.fileno())
-            return os.fstat(handle.fileno()).st_size
 
     def append(self, docs: Sequence[object]) -> None:
         """Serialise ``docs`` one per line and append them atomically."""

@@ -9,15 +9,12 @@ info, per-(system, workload) cycle counts, the flat metrics snapshot,
 and the self-profiler's host wall-clock — into an append-only JSONL
 file under ``.eve-runs/``.
 
-Storage layout (``root`` defaults to ``.eve-runs``)::
-
-    .eve-runs/runs.jsonl    one JSON record per line, append-only
-    .eve-runs/index.json    id -> summary cache (rebuilt if missing)
-
-``runs.jsonl`` is a :class:`~repro.obs.journal.Journal` and the source
-of truth; the index is a derived cache so a corrupted, stale or deleted
-index never loses history.  Records are compared by
-:mod:`repro.obs.diff` and rendered by ``repro history``.
+The store is one file, ``.eve-runs/runs.jsonl`` (``root`` defaults to
+``.eve-runs``): one JSON record per line, append-only, and a
+:class:`~repro.obs.journal.Journal` under its crash contract.  Every
+reader parses the records it needs from it.  Records are compared by
+:mod:`repro.obs.diff` and listed by ``repro history``
+(:func:`repro.obs.trend.filter_history`).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import platform
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from ..errors import RunStoreError
 from .journal import Journal
@@ -41,8 +38,6 @@ SCHEMA_VERSION = 1
 
 DEFAULT_ROOT = ".eve-runs"
 RUNS_FILENAME = "runs.jsonl"
-INDEX_FILENAME = "index.json"
-LOCK_FILENAME = ".lock"
 
 
 # -- environment capture -------------------------------------------------------
@@ -125,6 +120,19 @@ class RunRecord:
 
     def to_json_dict(self) -> Dict[str, object]:
         return asdict(self)
+
+    def summary(self) -> Dict[str, object]:
+        """The one-row view ``repro history`` lists."""
+        return {
+            "record_id": self.record_id,
+            "kind": self.kind,
+            "label": self.label,
+            "created": self.created,
+            "git_sha": str(self.git.get("sha", "unknown"))[:12],
+            "dirty": bool(self.git.get("dirty", False)),
+            "tiny": self.tiny,
+            "fingerprint": self.config_fingerprint,
+        }
 
     @classmethod
     def from_json_dict(cls, doc: Dict[str, object]) -> "RunRecord":
@@ -233,60 +241,35 @@ def flatten_record(record: RunRecord) -> Dict[str, float]:
 # -- the store -----------------------------------------------------------------
 
 class RunStore:
-    """Append-only archive of :class:`RunRecord` lines plus an index.
+    """Append-only archive of :class:`RunRecord` lines.
 
     ``runs.jsonl`` follows the journal contract in
-    :mod:`repro.obs.journal`.  Appends hold the lock on ``.lock``, so
-    concurrent sweep workers (or parallel CI jobs sharing one store) get
-    unique sequence ids, and the index is written only under that lock,
-    atomically (unique temp file + ``os.replace``).
+    :mod:`repro.obs.journal` and is the whole store.  An append holds
+    the journal's own lock while it picks the record's id and writes
+    the line, so concurrent sweep workers (or parallel CI jobs sharing
+    one store) get unique sequence ids.
     """
 
     def __init__(self, root: str = DEFAULT_ROOT) -> None:
         self.root = root
-        self._journal = Journal(self.runs_path, RunStoreError, "record",
-                                lock_path=self.lock_path)
+        self._journal = Journal(self.runs_path, RunStoreError, "record")
 
     @property
     def runs_path(self) -> str:
         return os.path.join(self.root, RUNS_FILENAME)
 
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, INDEX_FILENAME)
-
-    @property
-    def lock_path(self) -> str:
-        return os.path.join(self.root, LOCK_FILENAME)
-
     # -- writing ---------------------------------------------------------------
 
     def append(self, record: RunRecord) -> str:
-        """Assign an id, append one JSONL line, refresh the index, all
-        under the store lock."""
+        """Give ``record`` the id one past the largest committed sequence
+        number and append it as one JSONL line, both under the lock."""
         with self._journal.locked():
-            index = self._load_index()
-            seq = index["next_seq"]
-            record.record_id = f"{seq:06d}-{record.kind}"
-            index["journal_bytes"] = self._journal.write(
+            seqs = [int(r.record_id.split("-", 1)[0])
+                    for r in self.records() if r.record_id]
+            record.record_id = f"{max(seqs, default=0) + 1:06d}-{record.kind}"
+            self._journal.write(
                 [json.dumps(record.to_json_dict(), sort_keys=True)])
-            index["next_seq"] = seq + 1
-            index["records"].append(self._summary(record))
-            self._write_index(index)
         return record.record_id
-
-    @staticmethod
-    def _summary(record: RunRecord) -> Dict[str, object]:
-        return {
-            "record_id": record.record_id,
-            "kind": record.kind,
-            "label": record.label,
-            "created": record.created,
-            "git_sha": str(record.git.get("sha", "unknown"))[:12],
-            "dirty": bool(record.git.get("dirty", False)),
-            "tiny": record.tiny,
-            "fingerprint": record.config_fingerprint,
-        }
 
     # -- reading ---------------------------------------------------------------
 
@@ -295,16 +278,6 @@ class RunStore:
         store yet)."""
         for doc in self._journal.docs():
             yield RunRecord.from_json_dict(doc)
-
-    def history(self, limit: Optional[int] = None,
-                kind: Optional[str] = None) -> List[Dict[str, object]]:
-        """Index summaries, newest first."""
-        index = self._load_index()
-        rows = list(index.get("records", []))
-        if kind is not None:
-            rows = [r for r in rows if r.get("kind") == kind]
-        rows.reverse()
-        return rows[:limit] if limit else rows
 
     def load(self, record_id: str) -> RunRecord:
         for record in self.records():
@@ -333,60 +306,6 @@ class RunStore:
         if os.path.sep in ref or ref.endswith(".json") or os.path.exists(ref):
             return load_record_file(ref)
         return self.load(ref)
-
-    # -- the index cache -------------------------------------------------------
-
-    def _journal_bytes(self) -> int:
-        try:
-            return os.path.getsize(self.runs_path)
-        except OSError:
-            return 0
-
-    def _load_index(self) -> Dict[str, object]:
-        """The index, rebuilt in memory from the journal when it is
-        missing, unreadable, or stale (its ``journal_bytes`` no longer
-        match the journal).  Never writes; lock holders publish."""
-        try:
-            with open(self.index_path) as handle:
-                index = json.load(handle)
-            if (isinstance(index, dict)
-                    and index.get("journal_bytes") == self._journal_bytes()):
-                return index
-        except (OSError, ValueError):
-            pass
-        return self._index_from_journal()
-
-    def _write_index(self, index: Dict[str, object]) -> None:
-        # Unique temp name + os.replace: a crashed or concurrent writer
-        # can never leave a torn index or clobber another's temp file.
-        tmp = f"{self.index_path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as handle:
-                json.dump(index, handle, indent=2, sort_keys=True)
-            os.replace(tmp, self.index_path)
-        finally:
-            if os.path.exists(tmp):  # pragma: no cover - error path
-                os.unlink(tmp)
-
-    def rebuild_index(self) -> Dict[str, object]:
-        """Recreate the index cache from ``runs.jsonl`` (source of
-        truth) and publish it, serialised against concurrent appenders."""
-        with self._journal.locked():
-            index = self._index_from_journal()
-            self._write_index(index)
-        return index
-
-    def _index_from_journal(self) -> Dict[str, object]:
-        journal_bytes = self._journal_bytes()
-        records = list(self.records())
-        seqs = [int(r.record_id.split("-", 1)[0]) for r in records
-                if r.record_id]
-        return {
-            "version": 1,
-            "journal_bytes": journal_bytes,
-            "next_seq": (max(seqs) + 1) if seqs else 1,
-            "records": [self._summary(r) for r in records],
-        }
 
 
 def load_record_file(path: str) -> RunRecord:

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from ..config import EVE_FACTORS
 from ..experiments import paper_targets as targets
 from ..experiments.figures import (ALL_APPS, EVE_SYSTEMS, GEOMEAN_APPS,
                                    figure6, figure7, figure8,
@@ -264,7 +265,7 @@ def _score_table4(card: Scorecard, runner: ExperimentRunner,
         for column, paper in targets.TABLE4_GEOMEAN_VS_IV.items():
             card.add_datapoint("table4", "geomean*", f"{column} vs O3+IV",
                                paper, geo[column], pivot=1.0)
-        eve_cols = {f"E-{n}": geo[f"E-{n}"] for n in (1, 2, 4, 8, 16, 32)}
+        eve_cols = {f"E-{n}": geo[f"E-{n}"] for n in EVE_FACTORS}
         card.add_check("table4", "EVE geomean vs IV peaks at E-8",
                        max(eve_cols, key=eve_cols.get) == "E-8",
                        detail=f"peak {max(eve_cols, key=eve_cols.get)}")

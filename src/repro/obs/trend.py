@@ -8,10 +8,10 @@ one under the *same* tolerance policies the diff gate uses, so a trend
 flags a regression exactly when ``repro diff`` would.
 
 Also home to the small record-filtering helpers (`record_matches`,
-`select_records`, `filter_history`) shared by ``repro history``,
-``repro report``, and the trend computation itself, plus the
-historical per-cell wall-clock estimate the progress renderer's ETA
-and the watchdog's stall threshold are seeded from.
+`select_records`, and `filter_history`, the one history query) shared
+by ``repro history``, ``repro report``, and the trend computation
+itself, plus the historical per-cell wall-clock estimate the progress
+renderer's ETA and the watchdog's stall threshold are seeded from.
 """
 
 from __future__ import annotations
@@ -70,16 +70,11 @@ def filter_history(store: RunStore, *, kind: Optional[str] = None,
                    workload: Optional[str] = None,
                    system: Optional[str] = None,
                    limit: Optional[int] = None) -> List[Dict[str, object]]:
-    """Index-style summaries, newest first, honouring the full filter
-    set.  With only ``kind``/``limit`` this reads the cheap index; the
-    workload/system filters require the full records."""
-    if workload is None and system is None:
-        return store.history(limit=limit, kind=kind)
-    rows = []
-    for record in store.records():
-        if record_matches(record, kind=kind, workload=workload,
-                          system=system):
-            rows.append(RunStore._summary(record))
+    """Record summaries (:meth:`RunRecord.summary`), newest first, of
+    the records that pass every filter, at most ``limit`` of them."""
+    rows = [record.summary() for record in store.records()
+            if record_matches(record, kind=kind, workload=workload,
+                              system=system)]
     rows.reverse()
     return rows[:limit] if limit else rows
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..config import EVE_FACTORS
 from ..errors import LintError
 from .cfg import ControlFlowGraph
 from .program import MicroProgram
@@ -130,7 +131,7 @@ def check_program(program: MicroProgram, factor: int,
     return findings
 
 
-def lint_rom(factors: Sequence[int] = (1, 2, 4, 8, 16, 32),
+def lint_rom(factors: Sequence[int] = EVE_FACTORS,
              element_bits: int = 32,
              macro: Optional[str] = None) -> Tuple[int, List[Finding]]:
     """Lint every ROM program for every ``factor``.

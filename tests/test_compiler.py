@@ -626,7 +626,7 @@ class TestCacheDistinctness:
 
         def cell(collect_metrics):
             spec = ("vvadd", ("IO",), TINY_PARAMS, root, collect_metrics,
-                    False, 20230225)
+                    20230225)
             (out,) = simulate_cell(spec)["cells"]
             return out
 

@@ -74,7 +74,7 @@ class TestRunner:
         from repro.workloads import REGISTRY
         runner = ExperimentRunner(
             params_override={"vvadd": dict(REGISTRY["vvadd"].tiny_params)},
-            verify=False, strict_check=True)
+            strict_check=True)
         assert runner.trace_for("O3+EVE-4", "vvadd").vlmax == 2048
 
     def test_eve_result_carries_breakdown(self, tiny_runner):

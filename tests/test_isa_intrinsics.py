@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import IsaError, MemoryModelError
 from repro.isa import VectorContext
-from repro.isa.intrinsics import wrap32
+from repro.isa.intrinsics import BINARY_SEMANTICS, COMPARE_SEMANTICS, wrap32
 
 I32MIN, I32MAX = -(2 ** 31), 2 ** 31 - 1
 
@@ -176,6 +176,34 @@ class TestComparesAndSelect:
         m = ctx.vmslt(vec(ctx, range(16)), 8)
         r = ctx.vadd(a, 10, mask=m, old=old)
         assert list(r.values) == [11] * 8 + [7] * 8
+
+
+#: Scalars just outside the int32 range, and 2**32, which wraps to zero.
+WRAP_EDGES = (2 ** 31, -2 ** 31 - 1, 2 ** 32, 2 ** 32 + 5)
+EDGE_LANES = [0, 1, -1, 2, -2, 31, 32, 33, I32MAX, I32MIN, I32MAX - 1,
+              I32MIN + 1, 0x7FFF, -0x8000, 5, -5]
+
+
+class TestScalarOperands:
+    """A scalar operand acts as a register holding its ``vmv`` splat."""
+
+    @pytest.mark.parametrize("scalar", WRAP_EDGES)
+    @pytest.mark.parametrize("op", sorted(set(BINARY_SEMANTICS) - {"vnot"}))
+    def test_binary(self, ctx, op, scalar):
+        a = vec(ctx, EDGE_LANES)
+        by_scalar = getattr(ctx, op)(a, scalar)
+        by_register = getattr(ctx, op)(a, ctx.vmv(scalar))
+        assert np.array_equal(by_scalar.values, by_register.values)
+
+    @pytest.mark.parametrize("scalar", WRAP_EDGES)
+    @pytest.mark.parametrize("op", sorted(COMPARE_SEMANTICS))
+    def test_compare_and_merge(self, ctx, op, scalar):
+        a = vec(ctx, EDGE_LANES)
+        mask = getattr(ctx, op)(a, scalar)
+        assert np.array_equal(mask.values,
+                              getattr(ctx, op)(a, ctx.vmv(scalar)).values)
+        assert np.array_equal(ctx.vmerge(mask, a, scalar).values,
+                              ctx.vmerge(mask, a, ctx.vmv(scalar)).values)
 
 
 class TestMemoryOps:

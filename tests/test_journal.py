@@ -18,6 +18,7 @@ import pytest
 from repro.errors import EventLogError, RunStoreError
 from repro.obs.events import Event, EventLog, follow_events, read_events
 from repro.obs.runstore import RunRecord, RunStore
+from repro.obs.trend import filter_history
 
 #: What a writer killed mid-append leaves behind: a line with no newline.
 FRAGMENT = '{"kind": "run", "lab'
@@ -163,28 +164,34 @@ class TestFollowEvents:
         assert units == ["a", "b"]
 
 
-class TestRunStoreIndex:
-    def test_readers_never_publish_the_index(self, tmp_path):
+class TestRunStoreIds:
+    def test_a_stale_parent_index_and_lock_are_ignored(self, tmp_path):
+        # Older builds kept a derived index.json and a .lock beside the
+        # journal.  This index is one record behind yet claims the
+        # journal's byte size, so their staleness rule would trust it.
         store = RunStore(str(tmp_path / "runs"))
-        store.append(RunRecord(kind="run", label="a"))
-        os.remove(store.index_path)
-        assert [r["label"] for r in store.history()] == ["a"]
-        assert store.latest().label == "a"
-        assert not os.path.exists(store.index_path)
-        assert store.append(RunRecord(kind="run", label="b")) == "000002-run"
-        assert os.path.exists(store.index_path)
-
-    def test_a_stale_index_is_rebuilt_from_the_journal(self, tmp_path):
-        # A writer killed between its journal fsync and its index write
-        # leaves an index one record behind the journal.
-        store = RunStore(str(tmp_path / "runs"))
-        store.append(RunRecord(kind="run", label="a"))
-        with open(store.index_path) as handle:
-            stale = handle.read()
-        store.append(RunRecord(kind="run", label="b"))
-        with open(store.index_path, "w") as handle:
-            handle.write(stale)
-        assert [r["label"] for r in store.history()] == ["b", "a"]
+        for label in ("a", "b"):
+            store.append(RunRecord(kind="run", label=label))
+        first = next(store.records())
+        index = json.dumps({
+            "version": 1, "next_seq": 2, "records": [first.summary()],
+            "journal_bytes": os.path.getsize(store.runs_path)})
+        (tmp_path / "runs" / "index.json").write_text(index)
+        (tmp_path / "runs" / ".lock").write_text("")
         assert store.append(RunRecord(kind="run", label="c")) == "000003-run"
+        assert [r["label"] for r in filter_history(store)] == ["c", "b", "a"]
+        assert (tmp_path / "runs" / "index.json").read_text() == index
+        assert sorted(os.listdir(store.root)) == [
+            ".lock", "index.json", "runs.jsonl"]
+
+    def test_append_after_a_torn_tail_takes_the_next_id(self, tmp_path):
+        # The fragment names a higher id, but an uncommitted line never
+        # counts toward the next one.
+        store = RunStore(str(tmp_path / "runs"))
+        store.append(RunRecord(kind="run", label="a"))
+        with open(store.runs_path, "a") as handle:
+            handle.write('{"record_id": "000009-run", "kind": "ru')
+        assert store.append(RunRecord(kind="run", label="b")) == "000002-run"
         assert [r.record_id for r in store.records()] == [
-            "000001-run", "000002-run", "000003-run"]
+            "000001-run", "000002-run"]
+        _assert_clean(store.runs_path)

@@ -29,6 +29,7 @@ from repro.obs.events import (TERMINAL_EVENTS, CampaignTelemetry, EventLog,
 from repro.obs.runstore import RunStore, make_record
 from repro.obs.scorecard import build_scorecard, scorecard_pairs
 from repro.obs.selfprof import SelfProfiler
+from repro.obs.trend import filter_history
 from repro.workloads import DEFAULT_SEED, REGISTRY, canonical_workload
 
 TINY_PARAMS = {name: dict(wl.tiny_params) for name, wl in REGISTRY.items()}
@@ -46,7 +47,7 @@ def _serial_cycles():
 def _group_spec(systems, root, collect_metrics=False, seed=DEFAULT_SEED):
     """A :func:`simulate_cell` spec for vvadd on ``systems``."""
     return ("vvadd", tuple(systems), TINY_PARAMS, root, collect_metrics,
-            True, seed)
+            seed)
 
 
 def _record_from(results):
@@ -634,12 +635,8 @@ class TestConcurrentRunStore:
 
         store = RunStore(root)
         records = list(store.records())  # every JSONL line parses
-        assert len(records) == procs * per_proc
-        assert {r.record_id for r in records} == set(all_ids)
-
-        rebuilt = store.rebuild_index()
-        assert rebuilt["next_seq"] == procs * per_proc + 1
-        summaries = {r["record_id"] for r in rebuilt["records"]}
-        assert summaries == set(all_ids)
-        assert store.history(limit=None) == list(
-            reversed(rebuilt["records"]))
+        expected = {f"{seq:06d}-run" for seq in range(1, procs * per_proc + 1)}
+        assert set(all_ids) == expected
+        assert [r.record_id for r in records] == sorted(expected)
+        assert filter_history(store) == [r.summary()
+                                         for r in reversed(records)]

@@ -1,30 +1,6 @@
-"""SimResult utilities and report-row flattening."""
+"""The Figure 7 execution-breakdown buckets."""
 
-import pytest
-
-from repro.cores.result import BREAKDOWN_BUCKETS, SimResult, StallBreakdown, merge_fields
-
-
-class TestMergeFields:
-    def test_flattens_breakdown_and_mem_stats(self):
-        result = SimResult(
-            system="O3+EVE-8", workload="vvadd", cycles=100.0,
-            cycle_time_ns=1.025, instructions=42,
-            breakdown=StallBreakdown(busy=60, ld_mem_stall=40),
-            mem_stats={"l1d": (1, 2)},
-        )
-        row = merge_fields(result)
-        assert row["system"] == "O3+EVE-8"
-        assert row["busy"] == 60
-        assert row["mem_l1d"] == (1, 2)
-        assert row["time_ns"] == pytest.approx(102.5)
-
-    def test_without_breakdown(self):
-        result = SimResult(system="IO", workload="w", cycles=10.0,
-                           cycle_time_ns=1.0)
-        row = merge_fields(result)
-        assert "busy" not in row
-        assert row["cycles"] == 10.0
+from repro.cores.result import BREAKDOWN_BUCKETS, StallBreakdown
 
 
 class TestBucketOrder:

@@ -1,4 +1,4 @@
-"""Tests for the longitudinal run store: records, JSONL archive, index."""
+"""Tests for the longitudinal run store: records and the JSONL archive."""
 
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +17,7 @@ from repro.obs.runstore import (
     load_record_file,
     make_record,
 )
+from repro.obs.trend import filter_history
 
 
 def sample_record(kind="run", label="IO:vvadd"):
@@ -181,7 +182,7 @@ class TestRunStore:
     def test_empty_store(self, tmp_path):
         store = RunStore(str(tmp_path / "runs"))
         assert list(store.records()) == []
-        assert store.history() == []
+        assert filter_history(store) == []
         with pytest.raises(RunStoreError):
             store.latest()
 
@@ -190,21 +191,27 @@ class TestRunStore:
         store.append(sample_record(kind="run", label="a"))
         store.append(sample_record(kind="bench", label="b"))
         store.append(sample_record(kind="run", label="c"))
-        rows = store.history()
+        rows = filter_history(store)
         assert [r["label"] for r in rows] == ["c", "b", "a"]
-        assert [r["label"] for r in store.history(limit=1)] == ["c"]
-        assert [r["label"] for r in store.history(kind="run")] == ["c", "a"]
+        assert rows[0] == store.latest().summary()
+        assert [r["label"] for r in filter_history(store, limit=1)] == ["c"]
+        assert [r["label"]
+                for r in filter_history(store, kind="run")] == ["c", "a"]
 
-    def test_index_is_rebuildable_cache(self, tmp_path):
+    def test_next_id_is_one_past_the_largest_committed_seq(self, tmp_path):
+        # Ids follow the largest committed sequence number, not the
+        # record count: a store whose second line was removed by hand
+        # still never reuses an id.
         store = RunStore(str(tmp_path / "runs"))
-        store.append(sample_record(label="a"))
-        store.append(sample_record(label="b"))
-        import os
-        os.remove(store.index_path)
-        # The JSONL is the source of truth: history and the id sequence
-        # survive losing the index.
-        assert [r["label"] for r in store.history()] == ["b", "a"]
-        assert store.append(sample_record(label="c")) == "000003-run"
+        for label in ("a", "b", "c"):
+            store.append(sample_record(label=label))
+        with open(store.runs_path) as handle:
+            lines = handle.readlines()
+        with open(store.runs_path, "w") as handle:
+            handle.writelines([lines[0], lines[2]])
+        assert store.append(sample_record(label="d")) == "000004-run"
+        assert [r["record_id"] for r in filter_history(store)] == [
+            "000004-run", "000003-run", "000001-run"]
 
     def test_threaded_runstore_appends_assign_unique_ids(self, tmp_path):
         store = RunStore(str(tmp_path))
@@ -227,6 +234,10 @@ class TestRunStore:
             handle.write("{not json\n")
         with pytest.raises(RunStoreError, match=":2"):
             list(store.records())
+        with pytest.raises(RunStoreError, match=":2"):
+            filter_history(store)
+        with pytest.raises(RunStoreError, match=":2"):
+            store.append(sample_record())
 
     def test_load_record_file_errors(self, tmp_path):
         with pytest.raises(RunStoreError, match="cannot read"):

@@ -184,6 +184,12 @@ class TestScorecardCli:
         record = RunStore(store_dir).latest(kind="scorecard")
         assert record.tiny
         assert record.extra["scorecard"]["figures"] == ["table4"]
+        # The fingerprint folds in what every simulated record's does:
+        # the params and the compiler descriptor.
+        assert main(["sweep", "--tiny", "--systems", "IO", "--workloads",
+                     "vvadd", "--record", "--store", store_dir]) == 0
+        sweep = RunStore(store_dir).latest(kind="sweep")
+        assert record.config_fingerprint == sweep.config_fingerprint
 
     def test_json_out_writes_file(self, tmp_path, capsys):
         out_file = tmp_path / "scorecard.json"
