@@ -34,8 +34,9 @@ from ..isa.instructions import ScalarBlock, VectorInstr
 from ..isa.opcodes import Category
 from ..isa.trace import Trace
 
-#: Line-request table: event index -> list of line addresses (vector
-#: memory ops) or list of per-pattern line lists (scalar blocks).
+#: Line-request table: event index -> a range or tuple of line addresses
+#: (vector memory ops) or a list of per-pattern line lists (scalar
+#: blocks).
 LinesTable = Dict[int, object]
 
 
@@ -161,11 +162,13 @@ def hoist_memory_lines(trace: Trace) -> LinesTable:
     """Precompute every event's cache-line request list.
 
     Vector memory ops get their request stream
-    (:meth:`MemAccess.request_lines`): one request per element
-    for strided and indexed categories, one per distinct line in
-    first-touch order for unit-stride.  Scalar blocks get one line list
-    per access pattern.  All entries are plain Python ints so the
-    per-request simulation loops never touch numpy scalars.  Only
+    (:meth:`MemAccess.request_lines`, a ``range`` or a ``tuple``): one
+    request per element for strided and indexed categories, one per
+    distinct line in first-touch order for unit-stride.  Scalar blocks
+    get a list holding one line list per access pattern; those stay
+    lists because the benchmark harness tells a scalar entry by its
+    first item being a ``list``.  All entries are plain Python ints so
+    the per-request simulation loops never touch numpy scalars.  Only
     explicit address vectors (gathers and scatters) are deduplicated
     with ``np.unique``; an arithmetic pattern's distinct lines are
     written down directly (547 of the 18,368 patterns hoisted for
@@ -175,7 +178,7 @@ def hoist_memory_lines(trace: Trace) -> LinesTable:
     for index, event in enumerate(trace.events):
         if isinstance(event, ScalarBlock):
             if event.accesses:
-                table[index] = [pattern.request_lines(False)
+                table[index] = [list(pattern.request_lines(False))
                                 for pattern in event.accesses]
         elif isinstance(event, VectorInstr) and event.mem is not None:
             table[index] = event.mem.request_lines(event.per_element)

@@ -68,9 +68,9 @@ class ScalarCore(Machine):
             is_store = pattern.is_store
             walk_ahead(pattern_lines, is_store)
             for line in pattern_lines:
-                completion = access(now, line, is_store)
-                if completion.done - l1_hit > now:
-                    now = completion.done - l1_hit
+                done = access(now, line, is_store)[1]
+                if done - l1_hit > now:
+                    now = done - l1_hit
         return now
 
     def _run_block_overlapped(self, now: float, block: ScalarBlock,
@@ -94,8 +94,7 @@ class ScalarCore(Machine):
             is_store = pattern.is_store
             walk_ahead(pattern_lines, is_store)
             for line in pattern_lines:
-                completion = access(t_issue, line, is_store)
-                latency = completion.done - t_issue
+                latency = access(t_issue, line, is_store)[1] - t_issue
                 exposed = (latency - l1_hit) * (1.0 - core.miss_overlap)
                 exposed_end = max(exposed_end, t_issue + l1_hit + max(0.0, exposed))
                 t_issue += spacing

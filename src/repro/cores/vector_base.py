@@ -56,8 +56,8 @@ class VectorMachineBase(Machine):
             is_store = pattern.is_store
             walk_ahead(pattern_lines, is_store)
             for line in pattern_lines:
-                completion = access(t, line, is_store)
-                exposed = (completion.done - t) * (1.0 - core.miss_overlap)
+                done = access(t, line, is_store)[1]
+                exposed = (done - t) * (1.0 - core.miss_overlap)
                 end = max(end, t + exposed)
                 t += 1.0
         if self.attr.enabled:

@@ -426,8 +426,11 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
     """Simulate one group of sweep cells; runs inside a pool worker.
 
     ``spec`` is the picklable tuple ``(workload, systems, params_override,
-    cache_root, collect_metrics, seed)``, where every system in
-    ``systems`` grants the same vlmax.  Builds a fresh runner from it and
+    cache_root, collect_metrics, seed, strict_check)``, where every
+    system in ``systems`` grants the same vlmax and ``strict_check`` is
+    the parent runner's resolved setting, so a worker checks exactly
+    what an in-process run checks, whatever ``EVE_STRICT_CHECK`` says.
+    Builds a fresh runner from it and
     runs the group through the runner's one cell loop,
     :meth:`~repro.experiments.runner.ExperimentRunner.run_group`, so the
     group builds and compiles its trace once.  Returns ``{"cells",
@@ -438,8 +441,10 @@ def simulate_cell(spec: tuple) -> Dict[str, object]:
     so the group's other cells still reach the parent.
     """
     from .runner import ExperimentRunner  # runner imports this module
-    workload, systems, params_override, cache_root, collect_metrics, seed = spec
+    (workload, systems, params_override, cache_root, collect_metrics, seed,
+     strict_check) = spec
     runner = ExperimentRunner(params_override=params_override, seed=seed,
+                              strict_check=strict_check,
                               cache_root=cache_root,
                               collect_metrics=collect_metrics)
     cells = runner.run_group(workload, systems)

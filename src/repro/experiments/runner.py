@@ -321,7 +321,8 @@ class ExperimentRunner:
                 vlmax = trace_vlmax(make_system(system))
                 groups.setdefault((workload, vlmax), []).append(system)
         specs = [(workload, tuple(systems), self.params_override,
-                  self.cache_root, self.collect_metrics, self.seed)
+                  self.cache_root, self.collect_metrics, self.seed,
+                  self.strict_check)
                  for (workload, _vlmax), systems in groups.items()]
         units = [tuple(f"{s}/{workload}" for s in systems)
                  for workload, systems, *_ in specs]

@@ -20,7 +20,7 @@ read per event by the timing loops, the trace compiler and the analyzer.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,9 +85,10 @@ class MemAccess(namedtuple("MemAccess", ("base", "stride", "count",
         _, first = np.unique(lines, return_index=True)
         return lines[np.sort(first)] * LINE_BYTES
 
-    def request_lines(self, per_element: bool) -> List[int]:
+    def request_lines(self, per_element: bool) -> Sequence[int]:
         """The cache-line request stream a machine issues for this
-        pattern, as plain ints.
+        pattern, as plain ints in an immutable sequence: a ``range`` for
+        an arithmetic run of lines, a ``tuple`` otherwise.
 
         ``per_element`` (strided and indexed accesses) issues one request
         per element at the line its address falls in, duplicates kept:
@@ -103,19 +104,25 @@ class MemAccess(namedtuple("MemAccess", ("base", "stride", "count",
         element's to the last element's (descending for a negative
         stride); with ``|stride| >= LINE_BYTES`` every element has a
         line of its own, so they are the per-element list.
+
+        CPython's cyclic collector never tracks a ``range`` and stops
+        tracking a tuple of ints at its first collection, so a compiled
+        trace's request lines cost the collector nothing on later
+        passes, where lists would be traversed again at every full
+        collection.
         """
         if self.addresses is not None and not per_element:
-            return self.line_addresses().tolist()
+            return tuple(self.line_addresses().tolist())
         if per_element or abs(self.stride) >= LINE_BYTES:
-            return (self.element_addresses() // LINE_BYTES
-                    * LINE_BYTES).tolist()
+            return tuple((self.element_addresses() // LINE_BYTES
+                          * LINE_BYTES).tolist())
         if self.count == 0:
-            return []
+            return ()
         first = self.base // LINE_BYTES * LINE_BYTES
         last = (self.base + self.stride * (self.count - 1)) \
             // LINE_BYTES * LINE_BYTES
         step = -LINE_BYTES if self.stride < 0 else LINE_BYTES
-        return list(range(first, last + step, step))
+        return range(first, last + step, step)
 
     def total_bytes(self) -> int:
         return self.num_accesses * self.elem_bytes

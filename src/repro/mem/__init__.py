@@ -19,7 +19,9 @@ only the tracer, metrics and attribution hooks.  Machines call
 :func:`memory_system`, which picks the subclass only when a hook is on.
 Every run streams its vector requests through the one fused kernel,
 :meth:`FastMemorySystem.stream`; a traced or metered model observes the
-hits the kernel resolves inline through its hit observer.
+hits the kernel resolves inline.  :meth:`FastMemorySystem.access`
+answers a single request as a ``(grant, done, level, mshr_stall)``
+tuple.
 
 A request is served by a tag walk, which reduces it to a one-byte code
 (the level that served it plus its LLC victim's DRAM writebacks), and a
@@ -34,8 +36,7 @@ no tag array.  The machines keep the records on the compiled trace
 from .mshr import MshrPool
 from .cache import CacheArray
 from .dram import DramChannel, FastDramChannel
-from .hierarchy import (Completion, FastMemorySystem, MemorySystem,
-                        TagWalk, memory_system)
+from .hierarchy import FastMemorySystem, MemorySystem, TagWalk, memory_system
 from .reconfig import ReconfigCost, spawn_cost, teardown_cost
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "CacheArray",
     "DramChannel",
     "FastDramChannel",
-    "Completion",
     "FastMemorySystem",
     "MemorySystem",
     "TagWalk",

@@ -17,7 +17,8 @@ class CacheArray:
     """Tags, dirty bits, and LRU state for one cache level.
 
     Per-set ``{line: [way, dirty]}`` dicts make tag matching O(1) (tags
-    are unique within a set: ``fill`` refreshes instead of duplicating)
+    are unique within a set: ``fill`` refreshes instead of duplicating,
+    and ``install`` is only handed absent lines)
     and double as the recency order: every touch moves its entry to the
     end, so the least-recently-touched line is the dict's first key.
     A sorted free-way list keeps the "first invalid way" rule, so a line
@@ -66,11 +67,30 @@ class CacheArray:
 
     def fill(self, line_addr: int,
              dirty: bool = False) -> Optional[Tuple[int, bool]]:
-        """Install a line, evicting the LRU way if the set is full.
+        """Install a line, evicting the LRU way if the set is full; a
+        line already resident (racing fills) is refreshed instead: made
+        most recent, and dirty if ``dirty``.
 
         Returns the victim as ``(line address, dirty)``, or ``None`` when
         nothing was evicted.
         """
+        line = line_addr // self.line_bytes
+        lru = self._lru[line % self.sets]
+        if lru is not None:
+            entry = lru.pop(line, None)
+            if entry is not None:
+                lru[line] = entry
+                if dirty:
+                    entry[1] = True
+                return None
+        return self.install(line_addr, dirty)
+
+    def install(self, line_addr: int,
+                dirty: bool = False) -> Optional[Tuple[int, bool]]:
+        """:meth:`fill` for a line known not to be resident, without the
+        refresh probe: the hierarchy's tag walk fills a level only after
+        that level missed the line.  Installing a resident line would
+        duplicate its tag."""
         line = line_addr // self.line_bytes
         s = line % self.sets
         lru = self._lru[s]
@@ -78,13 +98,6 @@ class CacheArray:
             lru = self._lru[s] = {}
             free = self._free[s] = list(range(self.ways))
         else:
-            entry = lru.pop(line, None)
-            if entry is not None:
-                # already present (e.g. racing fills) — refresh
-                lru[line] = entry
-                if dirty:
-                    entry[1] = True
-                return None
             free = self._free[s]
         evicted = None
         if free:

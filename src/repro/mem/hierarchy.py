@@ -16,31 +16,50 @@ The vector units hand each memory macro-op's whole request list to
 (``walk_ahead()``), then issue single ``access()`` calls.
 
 A request is served in two steps.  The **tag walk**,
-:meth:`FastMemorySystem._walker`, does only ``lookup`` / ``fill`` /
+:meth:`FastMemorySystem._walker`, does only ``lookup`` / ``install`` /
 ``invalidate`` and reduces the request to a one-byte code: the level
 that served it plus the DRAM writebacks its LLC victim costs.  The
-**timing replay**, :meth:`FastMemorySystem._time`, turns a code into the
-L2-bank, MSHR and DRAM float operations of the level chain, in the
-chain's order.  Tags never read simulated time, so the codes depend only
-on the request sequence and the cache geometry: a run records them as a
-:class:`TagWalk`, and a later run that issues the same requests replays
-it (:meth:`FastMemorySystem.replay`) and touches no tag array.
+**timing replay**, :meth:`FastMemorySystem._timer`, turns a code into
+the L2-bank, MSHR and DRAM float operations of the level chain, in the
+chain's order, and answers ``(grant, done, stall)``.  Both are bound
+once per port when the model is built.  Tags never read simulated
+time, so the codes depend only on the request sequence and the cache
+geometry: a run records them as a :class:`TagWalk`, and a later run
+that issues the same requests replays it
+(:meth:`FastMemorySystem.replay`) and touches no tag array.
 
-There is one model.  :class:`FastMemorySystem` carries no hooks;
-:class:`MemorySystem` subclasses it and adds only the tracer, metrics
-and attribution hooks, all on the timing side.  :func:`memory_system`
-picks between them from the hooks a machine was given, so an
-instrumented run times exactly what a plain run times.  There is one
-stream loop, :meth:`FastMemorySystem.stream`, for every run: a request
-it does not resolve inline goes through ``access()``, and with the
-tracer or the metrics on, each hit it resolves inline goes to the
-model's :attr:`~FastMemorySystem.hit_observer`, the method the hooked
-``access()`` also calls, so every request keeps its span and latency
-sample in request order.
+:meth:`FastMemorySystem.access` answers one request as a plain tuple,
+``(grant, done, level, mshr_stall)``, and keeps the vector port's
+Figure 8 totals.  There is one model.  :class:`FastMemorySystem`
+carries no hooks; :class:`MemorySystem` subclasses it and adds only the
+tracer, metrics and attribution hooks, all on the timing side.
+:func:`memory_system` picks between them from the hooks a machine was
+given, so an instrumented run times exactly what a plain run times.
+There is one stream kernel, :meth:`FastMemorySystem.stream`, for every
+run: a request it does not resolve inline goes through ``access()``,
+and with the tracer or the metrics on, each hit it resolves inline goes
+to the hooked model's ``_observe``, the method the hooked ``access()``
+also calls, so every request keeps its span and latency sample in
+request order.  With nothing to do per hit (no LSQ window, no L2 bank,
+no observer: EVE's VMU on a plain model), the kernel advances each run
+of first-level hits by its issue interval alone.
+
+No closure or bound method the model stores may reach the model
+itself: the walkers and timers close over the tag arrays, the pools and
+the DRAM channel, and the hooked model picks its observer per stream.
+A reference cycle through the model would leave every run's hierarchy,
+three tag arrays and all, to the cyclic collector: a timer that
+captured ``self`` left about 240,000 objects per perfbench ``sweep``
+pass to it.  For the same reason the trace compiler hoists request
+lines as ``range`` and ``tuple`` objects
+(:meth:`~repro.isa.instructions.MemAccess.request_lines`), which the
+collector stops scanning: as lists, all 644,200 requests a ``sweep``
+pass hoists were re-traversed at every full collection.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
@@ -61,21 +80,15 @@ _PORT_TRACK = {"l1": "L1D", "l2": "L2", "llc": "LLC"}
 #: writebacks (0–2) its LLC victim cost, so codes run 0–5.
 L1, L2, LLC, DRAM = 0, 1, 2, 3
 
-#: The level each code names, as :attr:`Completion.level` spells it.
+#: The level each code names, as :meth:`FastMemorySystem.access` spells
+#: it.
 LEVELS = ("l1", "l2", "llc", "dram", "dram", "dram")
 
-
-class Completion:
-    """Outcome of one line request."""
-
-    __slots__ = ("grant", "done", "level", "mshr_stall")
-
-    def __init__(self, grant: float, done: float, level: str,
-                 mshr_stall: float) -> None:
-        self.grant = grant            # when the request was accepted
-        self.done = done              # when the data is available
-        self.level = level            # 'l1' | 'l2' | 'llc' | 'dram'
-        self.mshr_stall = mshr_stall  # time spent waiting to send it
+#: Per first-level hit code of a port without L2 banks: a
+#: ``bytes.translate`` table that maps that code to 0 and every other
+#: code (a miss) to 1.
+_MISS_MASK = {hit: bytes(int(code != hit) for code in range(256))
+              for hit in (L1, LLC)}
 
 
 class TagWalk:
@@ -102,10 +115,10 @@ class FastMemorySystem:
     first level.
     """
 
-    #: Called by :meth:`stream` with each first-level hit it resolves
-    #: inline, as ``(now, line_addr, is_store, port, grant, done, level,
-    #: mshr_stall)``; ``None`` (nothing observes) on the plain model.
-    hit_observer: Optional[Callable[..., None]] = None
+    #: Whether :meth:`stream` hands each first-level hit it resolves
+    #: inline to ``_observe``: only a :class:`MemorySystem` whose tracer
+    #: or metrics are on does.
+    observes = False
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
@@ -133,9 +146,11 @@ class FastMemorySystem:
         self._pos = 0
         #: The record being replayed; ``None`` while walking.
         self._replaying: Optional[TagWalk] = None
-        #: The tag walk of each port (:meth:`_walker`), bound once so a
-        #: single :meth:`access` pays no per-call set-up.
+        #: The tag walk (:meth:`_walker`) and the timing replay
+        #: (:meth:`_timer`) of each port, bound once so a single
+        #: :meth:`access` pays no per-call set-up or port dispatch.
         self._walkers = {port: self._walker(port) for port in PORTS}
+        self._timers = {port: self._timer(port) for port in PORTS}
 
     # -- the tag walk and the timing replay -----------------------------------
 
@@ -176,12 +191,19 @@ class FastMemorySystem:
         lookups down to the serving level, then the fills back up, with
         the LLC victim's inner copies invalidated (inclusion) and dirty
         L1/L2 victims written into the level below.  Only the entry
-        level sees ``is_store``; the levels below it see loads.
+        level sees ``is_store``; the levels below it see loads.  Every
+        fill follows a miss of its line at its level, so the walk calls
+        :meth:`CacheArray.install`, which skips ``fill``'s refresh
+        probe.
         """
         l1d, l2, llc = self.l1d, self.l2, self.llc
         first, hit = {"l1": (l1d, L1), "l2": (l2, L2), "llc": (llc, LLC)}[port]
         on_l1, on_l2, on_llc = port == "l1", port == "l2", port == "llc"
         sets, n_sets, line_bytes = first._lru, first.sets, first.line_bytes
+        l2_lookup, llc_lookup = l2.lookup, llc.lookup
+        l1d_install, l2_install, llc_install = (l1d.install, l2.install,
+                                                llc.install)
+        l1d_invalidate, l2_invalidate = l1d.invalidate, l2.invalidate
         append = self._codes.append
 
         def walk(lines: Sequence[int], is_store: bool) -> None:
@@ -197,44 +219,45 @@ class FastMemorySystem:
                     append(hit)
                     continue
                 misses += 1
-                if on_l1 and l2.lookup(line_addr, False):
+                if on_l1 and l2_lookup(line_addr, False):
                     code = L2
                 else:
-                    if not on_llc and llc.lookup(line_addr, False):
+                    if not on_llc and llc_lookup(line_addr, False):
                         code = LLC
                     else:
                         code = DRAM
-                        evicted = llc.fill(line_addr, on_llc and is_store)
+                        evicted = llc_install(line_addr, on_llc and is_store)
                         if evicted is not None:
                             ev_line, ev_dirty = evicted
                             if ev_dirty:
                                 code += 1
                             # Inclusive hierarchy: drop inner copies of
                             # the victim; a dirty L2 copy writes back too.
-                            if l2.invalidate(ev_line):
+                            if l2_invalidate(ev_line):
                                 code += 1
-                            l1d.invalidate(ev_line)
+                            l1d_invalidate(ev_line)
                     if not on_llc:
-                        evicted = l2.fill(line_addr, on_l2 and is_store)
+                        evicted = l2_install(line_addr, on_l2 and is_store)
                         if evicted is not None and evicted[1]:
                             # Dirty L2 victims write back into the LLC.
-                            if not llc.lookup(evicted[0], True):
-                                llc.fill(evicted[0], True)
+                            if not llc_lookup(evicted[0], True):
+                                llc_install(evicted[0], True)
                 if on_l1:
-                    evicted = l1d.fill(line_addr, is_store)
+                    evicted = l1d_install(line_addr, is_store)
                     if evicted is not None and evicted[1]:
-                        if not l2.lookup(evicted[0], True):
-                            l2.fill(evicted[0], True)
+                        if not l2_lookup(evicted[0], True):
+                            l2_install(evicted[0], True)
                 append(code)
             first.hits += len(lines) - misses
             first.misses += misses
 
         return walk
 
-    def _time(self, now: float, line_addr: int, port: str,
-              code: int) -> Completion:
-        """The timing replay: one request's :class:`Completion` from its
-        code.
+    def _timer(self, port: str
+               ) -> Callable[[float, int, int], Tuple[float, float, float]]:
+        """The timing replay of requests entering at ``port``: a function
+        from one request's ``(now, line_addr, code)`` to its ``(grant,
+        done, stall)``.
 
         Entering at the port's level, each level below a miss holds an
         MSHR from its grant until the data returns: L1D (``l1`` port),
@@ -242,52 +265,89 @@ class FastMemorySystem:
         (``l1``/``l2``), then the LLC and DRAM, whose victim writebacks
         queue on the channel when the data arrives.  The grant is the
         entry level's, and the stall sums the levels' MSHR stalls
-        (plus the L2 bank wait when the L2 serves).  A request on the
-        vector (LLC) port also counts toward Figure 8's accounting.
+        (plus the L2 bank wait when the L2 serves).
+
+        Each port's timer is its own flat function, so a request pays
+        no port dispatch.  It closes over the pools, the L2 banks and
+        the DRAM channel it was bound to, never over the model (see the
+        module docstring), so a model that swaps its channel must bind
+        its timers again.
         """
-        if port == "l1":
-            if code == L1:
-                return Completion(now, now + self._l1_hit, "l1", 0.0)
-            grant_l1, stall_l1 = self.l1d_mshrs.acquire(now)
-            now = grant_l1 + self._l1_hit
-        elif port != "l2" and port != "llc":
-            raise MemoryModelError(
-                f"unknown port {port!r} (expected one of {PORTS})")
-        if port != "llc":
-            bank_free = self._l2_bank_free
-            bank = line_addr // self._l2_line % len(bank_free)
+        l1_hit, l2_hit, llc_hit = self._l1_hit, self._l2_hit, self._llc_hit
+        l2_line = self._l2_line
+        bank_free = self._l2_bank_free
+        n_banks = len(bank_free)
+        l1_acquire, l1_release = self.l1d_mshrs.acquire, self.l1d_mshrs.release
+        l2_acquire, l2_release = self.l2_mshrs.acquire, self.l2_mshrs.release
+        llc_acquire = self.llc_mshrs.acquire
+        llc_release = self.llc_mshrs.release
+        service, writeback = self.dram.service, self.dram.writeback
+
+        def time_llc(now: float, line_addr: int, code: int):
+            if code == LLC:
+                return now, now + llc_hit, 0.0
+            grant, stall = llc_acquire(now)
+            done = service(grant + llc_hit)[1]
+            if code > DRAM:
+                writeback(done)
+                if code > DRAM + 1:
+                    writeback(done)
+            llc_release(done)
+            return grant, done, stall
+
+        def time_l2(now: float, line_addr: int, code: int):
+            bank = line_addr // l2_line % n_banks
             at = bank_free[bank]
             start = at if at > now else now
             bank_free[bank] = start + 1.0  # pipelined, 1-cycle occupancy
             if code == L2:
-                grant, done, stall = now, start + self._l2_hit, start - now
-            else:
-                grant, stall = self.l2_mshrs.acquire(start)
-                now = grant + self._l2_hit
-        if code >= LLC:
+                return now, start + l2_hit, start - now
+            grant, stall = l2_acquire(start)
+            now = grant + l2_hit
             if code == LLC:
-                grant_llc, done, stall_llc = now, now + self._llc_hit, 0.0
+                done = now + llc_hit
             else:
-                grant_llc, stall_llc = self.llc_mshrs.acquire(now)
-                dram = self.dram
-                _, done = dram.service(grant_llc + self._llc_hit)
+                grant_llc, stall_llc = llc_acquire(now)
+                done = service(grant_llc + llc_hit)[1]
                 if code > DRAM:
-                    dram.writeback(done)
+                    writeback(done)
                     if code > DRAM + 1:
-                        dram.writeback(done)
-                self.llc_mshrs.release(done)
-            if port == "llc":
-                self.vector_requests += 1
-                self.vector_mshr_stall += stall_llc
-                if stall_llc > 0:
-                    self.vector_stalled_requests += 1
-                return Completion(grant_llc, done, LEVELS[code], stall_llc)
-            self.l2_mshrs.release(done)
-            stall = stall + stall_llc
-        if port == "l1":
-            self.l1d_mshrs.release(done)
-            grant, stall = grant_l1, stall_l1 + stall
-        return Completion(grant, done, LEVELS[code], stall)
+                        writeback(done)
+                llc_release(done)
+                stall = stall + stall_llc
+            l2_release(done)
+            return grant, done, stall
+
+        def time_l1(now: float, line_addr: int, code: int):
+            if code == L1:
+                return now, now + l1_hit, 0.0
+            grant, stall_l1 = l1_acquire(now)
+            now = grant + l1_hit
+            bank = line_addr // l2_line % n_banks
+            at = bank_free[bank]
+            start = at if at > now else now
+            bank_free[bank] = start + 1.0  # pipelined, 1-cycle occupancy
+            if code == L2:
+                done, stall = start + l2_hit, start - now
+            else:
+                grant_l2, stall = l2_acquire(start)
+                now = grant_l2 + l2_hit
+                if code == LLC:
+                    done = now + llc_hit
+                else:
+                    grant_llc, stall_llc = llc_acquire(now)
+                    done = service(grant_llc + llc_hit)[1]
+                    if code > DRAM:
+                        writeback(done)
+                        if code > DRAM + 1:
+                            writeback(done)
+                    llc_release(done)
+                    stall = stall + stall_llc
+                l2_release(done)
+            l1_release(done)
+            return grant, done, stall_l1 + stall
+
+        return {"l1": time_l1, "l2": time_l2, "llc": time_llc}[port]
 
     def walk_ahead(self, lines: Sequence[int], is_store: bool,
                    port: str = "l1") -> None:
@@ -310,25 +370,36 @@ class FastMemorySystem:
     # -- public ports ---------------------------------------------------------
 
     def access(self, now: float, line_addr: int, is_store: bool,
-               port: str = "l1") -> Completion:
+               port: str = "l1") -> Tuple[float, float, str, float]:
         """Issue one cache-line request on the given port: walk its tags
-        (unless replaying), then time its code."""
+        (unless replaying), then time its code.  Returns ``(grant, done,
+        level, mshr_stall)``: when the request was accepted, when its
+        data is available, the level that served it (``'l1'``,
+        ``'l2'``, ``'llc'`` or ``'dram'``) and how long it waited to be
+        sent.  A request on the vector (LLC) port also counts toward
+        Figure 8's accounting."""
         codes = self._codes
         pos = self._pos
+        try:
+            timer = self._timers[port]
+        except KeyError:
+            raise MemoryModelError(
+                f"unknown port {port!r} (expected one of {PORTS})") from None
         if pos == len(codes):
             if self._replaying is not None:
                 raise MemoryModelError(
                     f"replay handed more requests than the "
                     f"{len(codes)} its record holds")
-            try:
-                walk = self._walkers[port]
-            except KeyError:
-                raise MemoryModelError(
-                    f"unknown port {port!r} (expected one of {PORTS})"
-                ) from None
-            walk((line_addr,), is_store)
+            self._walkers[port]((line_addr,), is_store)
         self._pos = pos + 1
-        return self._time(now, line_addr, port, codes[pos])
+        code = codes[pos]
+        grant, done, stall = timer(now, line_addr, code)
+        if port == "llc":
+            self.vector_requests += 1
+            self.vector_mshr_stall += stall
+            if stall > 0:
+                self.vector_stalled_requests += 1
+        return grant, done, LEVELS[code], stall
 
     def stream(self, start: float, lines: Sequence[int], is_store: bool,
                port: str, interval: float,
@@ -351,10 +422,11 @@ class FastMemorySystem:
         (EVE's VMU), the L2 bank delay plus hit (DV), the L1 hit behind
         the ``window`` slot (IV's LSQ).  Every other request goes
         through :meth:`access`, so the miss path (MSHRs, DRAM, the
-        vector-port counters) is written once.  Each inline hit is
-        handed to :attr:`hit_observer` when one is set, before the next
-        request issues, so a hooked model observes every request in
-        request order.
+        vector-port counters) is written once.  On a model that
+        observes, each inline hit is handed to ``_observe`` before the
+        next request issues, so a hooked model observes every request
+        in request order.  With no window, no L2 bank and no observer,
+        :meth:`_stream_runs` times the list run by run.
 
         Results are byte-identical to issuing every request through
         :meth:`access` under the issue rule ``max(at, grant) +
@@ -373,10 +445,13 @@ class FastMemorySystem:
             raise MemoryModelError(
                 f"unknown port {port!r} (expected one of {PORTS})")
         self.walk_ahead(lines, is_store, port)
+        if not self.observes and window is None and banks is None:
+            return self._stream_runs(start, lines, is_store, port, interval,
+                                     hit, hit_latency)
         codes = self._codes
         pos = self._pos
         access = self.access
-        observe = self.hit_observer
+        observe = self._observe if self.observes else None
         acquire = release = None
         if window is not None:
             acquire, release = window.acquire, window.release
@@ -390,10 +465,9 @@ class FastMemorySystem:
             at = t if acquire is None else acquire(t)[0]
             if codes[pos] != hit:
                 self._pos = pos
-                completion = access(at, line_addr, is_store, port)
-                done = completion.done
-                stall += completion.mshr_stall
-                grant = completion.grant
+                grant, done, _, mshr_stall = access(at, line_addr, is_store,
+                                                    port)
+                stall += mshr_stall
                 t = (grant if grant > at else at) + interval
             else:
                 hits += 1
@@ -426,6 +500,62 @@ class FastMemorySystem:
             first_done = start
         return t, first_done, last_done, stall
 
+    def _stream_runs(self, start: float, lines: Sequence[int],
+                     is_store: bool, port: str, interval: float, hit: int,
+                     hit_latency: float
+                     ) -> Tuple[float, float, float, float]:
+        """:meth:`stream` when a first-level hit needs nothing but its
+        issue time: no LSQ window, no L2 bank, no observer.
+
+        Each run of consecutive hits only advances the issue clock, one
+        ``t = at + interval`` per hit, and is closed once with its last
+        hit's ``done``; the misses go through :meth:`access` as in
+        :meth:`stream`.  It answers what :meth:`stream`'s per-request
+        loop answers, byte for byte: it makes the same float additions
+        in the same order; within a run each hit issues no earlier than
+        the one before it, so the run's last hit has its latest ``done``;
+        and a stream that opens with a hit has first ``done`` ``start +
+        hit_latency``.
+        """
+        base = self._pos
+        n = len(lines)
+        # 1 where a request misses the first level, 0 where it hits.
+        misses = self._codes[base:base + n].translate(_MISS_MASK[hit])
+        access = self.access
+        t = last_done = start
+        first_done = start + hit_latency if n and not misses[0] else None
+        stall = 0.0
+        hits = 0
+        i = 0
+        while i < n:
+            if misses[i]:
+                self._pos = base + i
+                grant, done, _, mshr_stall = access(t, lines[i], is_store,
+                                                    port)
+                stall += mshr_stall
+                t = (grant if grant > t else t) + interval
+                if first_done is None:
+                    first_done = done
+                i += 1
+            else:
+                end = misses.find(1, i)
+                if end < 0:
+                    end = n
+                hits += end - i
+                for _ in repeat(None, end - i - 1):
+                    t += interval
+                done = t + hit_latency
+                t += interval
+                i = end
+            if done > last_done:
+                last_done = done
+        self._pos = base + n
+        if port == "llc":
+            self.vector_requests += hits
+        if first_done is None:
+            first_done = start
+        return t, first_done, last_done, stall
+
     # -- statistics -----------------------------------------------------------
 
     def level_stats(self, elapsed: float = 0.0) -> dict:
@@ -451,9 +581,11 @@ class MemorySystem(FastMemorySystem):
 
     Requests stream through the one fused kernel.  The charges are made
     on the miss path (the MSHR pools and the DRAM channel), which goes
-    through :meth:`access`; with the tracer or metrics on, the kernel's
-    inline hits go to :meth:`_observe`, which :meth:`access` calls for
-    every other request."""
+    through :meth:`access`; with the tracer or metrics on, the model
+    :attr:`~FastMemorySystem.observes`, and the kernel's inline hits go
+    to :meth:`_observe`, which :meth:`access` calls for every other
+    request.  The flag is a plain bool, not a stored bound method, so
+    the model holds no reference to itself."""
 
     def __init__(self, config: SystemConfig,
                  tracer: Optional[SpanTracer] = None,
@@ -469,21 +601,20 @@ class MemorySystem(FastMemorySystem):
             pool.attr = self.attr
         self.dram = DramChannel(config.dram, config.llc.line_bytes,
                                 tracer=self.tracer, attribution=self.attr)
+        # The timers close over the channel: bind them to the hooked one.
+        self._timers = {port: self._timer(port) for port in PORTS}
         #: Pre-bound per-port latency histograms (no-ops when disabled).
         self._latency_hist = {
             port: self.metrics.histogram(f"mem.{port}.latency")
             for port in PORTS}
-        if self.tracer.enabled or self.metrics.enabled:
-            self.hit_observer = self._observe
+        self.observes = self.tracer.enabled or self.metrics.enabled
 
     def access(self, now: float, line_addr: int, is_store: bool,
-               port: str = "l1") -> Completion:
+               port: str = "l1") -> Tuple[float, float, str, float]:
         """Issue one cache-line request on the given port."""
-        completion = super().access(now, line_addr, is_store, port)
-        self._observe(now, line_addr, is_store, port, completion.grant,
-                      completion.done, completion.level,
-                      completion.mshr_stall)
-        return completion
+        result = super().access(now, line_addr, is_store, port)
+        self._observe(now, line_addr, is_store, port, *result)
+        return result
 
     def _observe(self, now: float, line_addr: int, is_store: bool,
                  port: str, grant: float, done: float, level: str,

@@ -44,6 +44,7 @@ from repro.experiments.parallel import (CACHE_VERSION, params_fingerprint,
                                         simulate_cell)
 from repro.experiments.systems import build_machine
 from repro.faults import fuzz
+from repro.isa.instructions import ScalarBlock
 from repro.isa.intrinsics import VectorContext
 from repro.mem.hierarchy import (PORTS, FastMemorySystem, MemorySystem,
                                  memory_system)
@@ -193,6 +194,30 @@ class TestBlockScheduler:
                  and not getattr(event, "accesses", ())]
         assert quiet
         assert all(compiled.lines_for(index) == () for index in quiet)
+
+    @pytest.mark.parametrize("system", ["IO", "O3+EVE-4"])
+    def test_hoisted_lines_keep_their_shapes(self, system, tiny_runner):
+        """A vector memory op's requests are a ``range`` or a ``tuple``;
+        a scalar block's entry is a list of per-pattern lists, the shape
+        the benchmark harness counts by."""
+        kinds = set()
+        for workload in sorted(REGISTRY):
+            trace = tiny_runner.trace_for(system, workload)
+            compiled = compile_trace(trace)
+            for index, event in enumerate(trace.events):
+                lines = compiled.lines_for(index)
+                if isinstance(event, ScalarBlock) and event.accesses:
+                    assert type(lines) is list
+                    assert [type(p) for p in lines] == \
+                        [list] * len(event.accesses)
+                    assert lines == [list(pattern.request_lines(False))
+                                     for pattern in event.accesses]
+                    kinds.add("scalar")
+                elif getattr(event, "mem", None) is not None:
+                    assert type(lines) in (range, tuple)
+                    kinds.add(type(lines).__name__)
+        assert kinds == ({"scalar"} if system == "IO"
+                         else {"range", "tuple"})
 
 
 # -- the frozen memory-model reference ----------------------------------------
@@ -402,7 +427,10 @@ def _assert_same_charges(got, want, context=None):
 
 
 def _completion(c):
-    return [c.grant, c.done, c.level, c.mshr_stall]
+    """An ``access()`` answer, ``(grant, done, level, mshr_stall)``, as
+    a list."""
+    grant, done, level, mshr_stall = c
+    return [grant, done, level, mshr_stall]
 
 
 def _access_loop(mem, start, lines, is_store, port, interval, window=None):
@@ -413,15 +441,14 @@ def _access_loop(mem, start, lines, is_store, port, interval, window=None):
     stall = 0.0
     for i, line in enumerate(lines):
         at = t if window is None else window.acquire(t)[0]
-        completion = mem.access(at, line, is_store, port)
-        done = completion.done
+        grant, done, _, mshr_stall = mem.access(at, line, is_store, port)
         if window is not None:
             window.release(done)
         if i == 0:
             first_done = done
         last_done = max(last_done, done)
-        stall += completion.mshr_stall
-        t = max(at, completion.grant) + interval
+        stall += mshr_stall
+        t = max(at, grant) + interval
     return t, first_done, last_done, stall
 
 
@@ -498,7 +525,7 @@ class TestFastMemorySystem:
                     zip(lines, stores, ports, gaps)):
                 got = mem.access(now, line, store, port)
                 assert _completion(got) == want["accesses"][i], (name, i)
-                now = max(now + gap, got.done - 40.0)
+                now = max(now + gap, got[1] - 40.0)
             assert _plain(mem.level_stats(elapsed=now)) == \
                 want["level_stats"], name
             assert _vector_counters(mem) == {
@@ -515,7 +542,7 @@ class TestFastMemorySystem:
                     zip(*_stream(seed=7, count=2000))):
                 got = mem.access(now, line, store, port)
                 assert _completion(got) == want["before"][i], (name, i)
-                now = max(now + gap, got.done - 40.0)
+                now = max(now + gap, got[1] - 40.0)
 
             doomed = slice(config.llc.ways // 2, config.llc.ways)
             assert list(mem.llc.resident_lines(doomed)) == \
@@ -529,7 +556,7 @@ class TestFastMemorySystem:
                     zip(*_stream(seed=8, count=1000))):
                 got = mem.access(now, line, store, port)
                 assert _completion(got) == want["after"][i], (name, i)
-                now = max(now + gap, got.done - 40.0)
+                now = max(now + gap, got[1] - 40.0)
             assert _plain(mem.level_stats(now)) == want["level_stats"]
 
     @pytest.mark.parametrize("windowed", [False, True])
@@ -589,7 +616,7 @@ class TestFastMemorySystem:
     def test_hooks_choose_the_hooked_model(self):
         config = make_system("IO")
         assert type(memory_system(config)) is FastMemorySystem
-        assert memory_system(config).hit_observer is None
+        assert not memory_system(config).observes
         for hook, value in _hooks().items():
             mem = memory_system(config, **{hook: value})
             assert type(mem) is MemorySystem, hook
@@ -598,7 +625,7 @@ class TestFastMemorySystem:
             assert mem.dram.attr is mem.attr
             assert mem.llc_mshrs.attr is mem.attr
             # Only a span or a latency sample needs each hit observed.
-            assert (mem.hit_observer is None) == (hook == "attribution")
+            assert mem.observes == (hook != "attribution")
 
 
 # -- compiler descriptors in cache keys ---------------------------------------
@@ -626,7 +653,7 @@ class TestCacheDistinctness:
 
         def cell(collect_metrics):
             spec = ("vvadd", ("IO",), TINY_PARAMS, root, collect_metrics,
-                    20230225)
+                    20230225, False)
             (out,) = simulate_cell(spec)["cells"]
             return out
 

@@ -28,7 +28,7 @@ from repro.experiments import ExperimentRunner, sweep_pairs
 from repro.experiments.systems import build_machine, trace_vlmax
 from repro.mem.cache import CacheArray
 from repro.mem.dram import FastDramChannel
-from repro.mem.hierarchy import DRAM, Completion, FastMemorySystem, TagWalk
+from repro.mem.hierarchy import DRAM, FastMemorySystem, TagWalk
 from repro.mem.mshr import MshrPool
 from repro.workloads import REGISTRY
 
@@ -115,7 +115,7 @@ class ChainModel:
             self.vector_mshr_stall += stall
             if stall > 0:
                 self.vector_stalled_requests += 1
-        return Completion(grant, done, level, stall)
+        return grant, done, level, stall
 
     def stream(self, start, lines, is_store, port, interval, window=None):
         """``stream()``'s contract: one :meth:`access` per request, each
@@ -124,22 +124,24 @@ class ChainModel:
         stall = 0.0
         for i, line in enumerate(lines):
             at = t if window is None else window.acquire(t)[0]
-            completion = self.access(at, line, is_store, port)
-            done = completion.done
+            grant, done, _, mshr_stall = self.access(at, line, is_store, port)
             if window is not None:
                 window.release(done)
             if i == 0:
                 first_done = done
             last_done = max(last_done, done)
-            stall += completion.mshr_stall
-            t = max(at, completion.grant) + interval
+            stall += mshr_stall
+            t = max(at, grant) + interval
         return t, first_done, last_done, stall
 
     level_stats = FastMemorySystem.level_stats
 
 
 def _completion(c) -> list:
-    return [c.grant, c.done, c.level, c.mshr_stall]
+    """An ``access()`` answer, ``(grant, done, level, mshr_stall)``, as
+    a list."""
+    grant, done, level, mshr_stall = c
+    return [grant, done, level, mshr_stall]
 
 
 def _vector_counters(mem) -> tuple:

@@ -45,9 +45,10 @@ def _serial_cycles():
 
 
 def _group_spec(systems, root, collect_metrics=False, seed=DEFAULT_SEED):
-    """A :func:`simulate_cell` spec for vvadd on ``systems``."""
+    """A :func:`simulate_cell` spec for vvadd on ``systems``, checked as
+    strictly as a default runner would check it."""
     return ("vvadd", tuple(systems), TINY_PARAMS, root, collect_metrics,
-            seed)
+            seed, runner_module.strict_check_enabled())
 
 
 def _record_from(results):
@@ -370,6 +371,41 @@ class TestRepeatPrefetch:
         assert seen[0] == ({"cells": 2, "simulated": 0, "cached": 2},
                            {("IO/vvadd", "cache_hit"),
                             ("O3+EVE-4/vvadd", "cache_hit")})
+
+
+class TestWorkerStrictCheck:
+    """A pool worker checks traces exactly as strictly as its runner,
+    whatever ``EVE_STRICT_CHECK`` says."""
+
+    @pytest.mark.skipif(parallel.START_METHOD != "fork",
+                        reason="the spy reaches pool workers by fork")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("env,strict", [(None, True), ("1", False)],
+                             ids=["unset-strict", "set-lenient"])
+    def test_workers_follow_the_runners_strict_check(
+            self, env, strict, jobs, tmp_path, monkeypatch):
+        log = tmp_path / "checks.log"
+        check = runner_module.require_strict_clean
+
+        def spy(trace):
+            with open(log, "a") as out:  # forked workers append too
+                out.write(f"{trace.vlmax}\n")
+            check(trace)
+
+        monkeypatch.setattr(runner_module, "require_strict_clean", spy)
+        if env is None:
+            monkeypatch.delenv(runner_module.STRICT_CHECK_ENV,
+                               raising=False)
+        else:
+            monkeypatch.setenv(runner_module.STRICT_CHECK_ENV, env)
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=jobs,
+                                  strict_check=strict)
+        # Three vlmaxes, so three groups on the pool.
+        runner.prefetch([(s, "vvadd")
+                         for s in ("O3+DV", "O3+EVE-8", "O3+EVE-4")])
+        checks = log.read_text().split() if log.exists() else []
+        assert sorted(map(int, checks)) == ([64, 1024, 2048] if strict
+                                            else [])
 
 
 class TestCellCache:

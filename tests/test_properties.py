@@ -219,8 +219,8 @@ class TestTraceProperties:
         if stride < 0:
             base += -stride * (count - 1)  # every address stays >= 0
         acc = MemAccess(base=base, stride=stride, count=count)
-        distinct = acc.request_lines(False)
-        per_element = acc.request_lines(True)
+        distinct = list(acc.request_lines(False))
+        per_element = list(acc.request_lines(True))
         assert distinct == acc.line_addresses().tolist()
         assert per_element == (acc.element_addresses() // 64 * 64).tolist()
         assert all(type(line) is int for line in distinct + per_element)
