@@ -14,6 +14,13 @@ would have produced.  In a pool worker, :func:`simulate_cell` runs a
 group through the runner's one cell loop on a fresh runner, which
 builds and compiles the group's trace once.
 
+Every unit runs with CPython's cyclic collector paused
+(:func:`_observed_call`), in-process and in pool workers alike.  The
+simulator makes no cyclic garbage: nothing a model, trace or runner
+stores refers back to its owner, so reference counting frees all a
+unit drops, and the collections its allocations would start only
+re-traverse the live trace records and free nothing.
+
 A **result cache** keyed by ``(system, workload, params-fingerprint,
 config-fingerprint)`` makes repeat invocations cheap — the config
 fingerprint digests every Table III system config plus the toolkit
@@ -30,12 +37,14 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import hashlib
 import json
 import multiprocessing
 import os
 import pickle
 import queue
+import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -310,13 +319,32 @@ def _observed_call(func: Callable, spec) -> Dict[str, object]:
     any exception — the parent replays these as ``started`` / terminal
     events.  Exceptions are captured, not raised, so one failed unit
     cannot stop its siblings or tear down the pool before they report.
+
+    ``func`` runs with the cyclic collector paused, and a ``finally``
+    restores exactly the state it found.  The program makes no cyclic
+    garbage (DESIGN.md §15), so reference counting still frees all the
+    unit drops as it drops it; a unit that made cycles would hold them
+    until it ends.  Only the main thread pauses, and only a collector
+    it finds on: a nested unit, or a caller that had disabled the
+    collector, keeps that state, and a unit on another thread never
+    touches the process-wide switch, since two threads saving and
+    restoring it around overlapping units could leave it off for good.
+    A unit that raises leaves one cycle (the captured error's traceback
+    holds this frame), which the first collection after the unit frees.
     """
     t0 = time.monotonic()
     value = error = None
+    pause = (gc.isenabled()
+             and threading.current_thread() is threading.main_thread())
+    if pause:
+        gc.disable()
     try:
         value = func(spec)
     except Exception as exc:  # replayed + re-raised by the parent
         error = exc
+    finally:
+        if pause:
+            gc.enable()
     return {"value": value, "error": error, "t0": t0,
             "t1": time.monotonic(), "pid": os.getpid()}
 
@@ -384,7 +412,10 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
     siblings still run, every spec gets exactly one ``on_complete``,
     and the first failure in input order is re-raised once all have
     finished.  The pool is created per call and always joined on exit
-    (:func:`_leased_pool`).
+    (:func:`_leased_pool`).  Each unit, not the loop, runs with the
+    cyclic collector paused: a pause around the whole in-process loop
+    would not reach pool workers, and the first collection after it
+    would scan every survivor of every unit at once.
     """
     if not specs:
         return []

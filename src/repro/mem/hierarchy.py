@@ -47,11 +47,14 @@ of first-level hits by its issue interval alone.
 No closure or bound method the model stores may reach the model
 itself: the walkers and timers close over the tag arrays, the pools and
 the DRAM channel, and the hooked model picks its observer per stream.
-A reference cycle through the model would leave every run's hierarchy,
-three tag arrays and all, to the cyclic collector: a timer that
-captured ``self`` left about 240,000 objects per perfbench ``sweep``
-pass to it.  For the same reason the trace compiler hoists request
-lines as ``range`` and ``tuple`` objects
+That is one case of a program-wide rule (DESIGN.md §15): every campaign
+unit runs with the cyclic collector paused
+(:func:`repro.experiments.parallel.fan_out`), so a reference cycle
+through the model would hold every run's hierarchy, three tag arrays
+and all, until its unit ends, and then leave it to the collector; a
+timer that captured ``self`` left about 240,000 objects per perfbench
+``sweep`` pass to it.  For the same reason the trace compiler hoists
+request lines as ``range`` and ``tuple`` objects
 (:meth:`~repro.isa.instructions.MemAccess.request_lines`), which the
 collector stops scanning: as lists, all 644,200 requests a ``sweep``
 pass hoists were re-traversed at every full collection.

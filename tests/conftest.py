@@ -1,6 +1,10 @@
-"""Shared fixtures: small SRAM geometries, ROMs, and a tiny-input runner."""
+"""Shared fixtures: small SRAM geometries, ROMs, a tiny-input runner,
+and the cyclic collector switched off."""
 
 from __future__ import annotations
+
+import gc
+import sys
 
 import numpy as np
 import pytest
@@ -72,3 +76,21 @@ TINY_PARAMS = {name: dict(wl.tiny_params) for name, wl in REGISTRY.items()}
 @pytest.fixture(scope="session")
 def tiny_runner() -> ExperimentRunner:
     return ExperimentRunner(params_override=TINY_PARAMS)
+
+
+@pytest.fixture
+def no_collector():
+    """The cyclic collector off, with nothing left for it beforehand.
+
+    pytest keeps the last failed test's traceback (``sys.last_*``) until
+    the next test's call starts, and that traceback is a cycle: dropped
+    there, it would read as this test's garbage, so it goes first.
+    """
+    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
+        sys.__dict__.pop(name, None)
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

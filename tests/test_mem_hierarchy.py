@@ -252,17 +252,6 @@ class TestStreamHitRuns:
 
 # -- no reference cycle through a model ---------------------------------------
 
-@pytest.fixture
-def no_collector():
-    """The cyclic collector off, with nothing left for it beforehand."""
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 class TestNoReferenceCycles:
     """A memory model is freed by reference counting alone: nothing it
     stores (walkers, timers, the observer choice) refers back to it, so

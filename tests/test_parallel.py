@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import multiprocessing.pool
 import os
 import pickle
 import struct
+import threading
 import time
 
 import pytest
 
+from repro.analysis import build_depgraph
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentRunner, sweep_pairs
@@ -23,6 +26,10 @@ from repro.experiments.parallel import (CellCache, cache_stats, fan_out,
                                         simulate_cell,
                                         sweep_config_fingerprint)
 from repro.experiments.systems import canonical_system
+from repro.faults.campaign import run_campaign
+from repro.faults.fuzz import fuzz_many
+from repro.obs import (AttributionCollector, build_bottleneck_report,
+                       collect_nodes)
 from repro.obs.diff import diff_records
 from repro.obs.events import (TERMINAL_EVENTS, CampaignTelemetry, EventLog,
                               TelemetryMonitor, Watchdog, check_conservation)
@@ -90,6 +97,25 @@ def _unpicklable_on_one(x):
         return lambda: x
     time.sleep(0.2)
     return x
+
+
+def _collector_enabled(_spec):
+    return gc.isenabled()
+
+
+def _group_garbage(systems):
+    """Run one tiny vvadd group through :func:`simulate_cell` with the
+    collector off; answers the group's cell count and what a collection
+    then finds."""
+    gc.collect()
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        cells = len(simulate_cell(_group_spec(systems, None))["cells"])
+        return cells, gc.collect()
+    finally:
+        if was_on:
+            gc.enable()
 
 
 class _OrderRecorder(TelemetryMonitor):
@@ -225,6 +251,167 @@ class TestFanOut:
         if monitored:
             # Every unit still got its terminal event.
             assert check_conservation(hub.ordered_events()) == []
+
+
+class TestCollectorPause:
+    """Every unit runs with the cyclic collector paused, and the state
+    the unit found comes back, however the unit ends."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_unit_runs_with_the_collector_paused(self, jobs):
+        assert fan_out(_collector_enabled, [0, 1], jobs=jobs) == [False,
+                                                                   False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_collector_resumes_after_a_return_or_a_reraise(self, jobs):
+        assert fan_out(_double, [0, 1, 2], jobs=jobs) == [0, 2, 4]
+        assert gc.isenabled()
+        with pytest.raises(ValueError, match="unit 1 failed"):
+            fan_out(_fail_on_one, [0, 1, 2], jobs=jobs)
+        assert gc.isenabled()
+
+    def test_a_caller_that_paused_the_collector_keeps_it_paused(self):
+        gc.disable()
+        try:
+            assert fan_out(_collector_enabled, [0, 1], jobs=1) == [False,
+                                                                   False]
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_nested_fan_outs_restore_the_state(self):
+        seen = []
+
+        def outer(x):
+            before = gc.isenabled()
+            inner = fan_out(_collector_enabled, [x], jobs=1)
+            seen.append((before, inner, gc.isenabled()))
+            return x
+
+        assert fan_out(outer, [0, 1], jobs=1) == [0, 1]
+        # Each inner unit finds its outer unit's state and leaves it so.
+        assert len(seen) == 2
+        assert all(inner == [before] and after == before
+                   for before, inner, after in seen)
+        assert gc.isenabled()
+
+    def test_a_keyboard_interrupt_propagates_and_resumes_the_collector(self):
+        def unit(_x):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            fan_out(unit, [0, 1], jobs=1)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_unit_on_another_thread_leaves_the_collector_alone(
+            self, enabled):
+        seen = []
+
+        def unit(_x):
+            seen.append(gc.isenabled())
+
+        thread = threading.Thread(target=parallel._observed_call,
+                                  args=(unit, 0))
+        if not enabled:
+            gc.disable()
+        try:
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert seen == [enabled]
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_no_collection_starts_while_a_unit_runs(self):
+        inside, started = [], []
+
+        def hook(phase, info):
+            if phase == "start" and inside:
+                started.append(info["generation"])
+
+        def unit(n):
+            inside.append(True)
+            try:
+                kept = [[i] for i in range(n)]
+                return len(kept)
+            finally:
+                inside.clear()
+
+        gc.callbacks.append(hook)
+        try:
+            assert fan_out(unit, [200_000], jobs=1) == [200_000]
+        finally:
+            gc.callbacks.remove(hook)
+        assert started == []
+
+
+class TestNoCyclicGarbage:
+    """What the pause stands on: no kind of unit leaves garbage that
+    only the cyclic collector could free.  Each case runs with the
+    collector off, drops what it made, and a collection must find
+    nothing.  (``tests/test_mem_hierarchy.py`` covers the plain serial
+    sweep and each kind of instrumented run.)"""
+
+    @pytest.mark.parametrize("kind", ["metered", "strict", "events"])
+    def test_a_tiny_prefetch(self, kind, tmp_path, no_collector):
+        def sweep():
+            if kind == "events":
+                options = {"telemetry": CampaignTelemetry(
+                    "sweep", log=EventLog(str(tmp_path / "events.jsonl")),
+                    campaign_id="c")}
+            else:
+                options = {"metered": {"collect_metrics": True},
+                           "strict": {"strict_check": True}}[kind]
+            runner = ExperimentRunner(params_override=TINY_PARAMS, **options)
+            runner.prefetch(sweep_pairs())
+            runner.telemetry.finalize()
+            assert len(runner._results) == 70
+            if kind == "metered":
+                assert len(runner._metrics) == 70
+
+        sweep()
+        assert gc.collect() == 0
+
+    def test_a_group_in_a_pool_worker(self, no_collector):
+        groups = [("IO", "O3"), ("O3+EVE-1", "O3+EVE-4")]
+        assert fan_out(_group_garbage, groups, jobs=2) == [(2, 0), (2, 0)]
+
+    def test_fuzz_and_fault_campaigns(self, no_collector):
+        assert fuzz_many(2) == []
+        report = run_campaign(6, seed=0, jobs=1)
+        assert len(report.outcomes) == 6
+        del report
+        assert gc.collect() == 0
+
+    def test_the_attribute_path(self, no_collector):
+        def attribute():
+            runner = ExperimentRunner(params_override=TINY_PARAMS)
+            for system, kernel in (("O3+EVE-4", "backprop"),
+                                   ("O3", "pathfinder")):
+                attr = AttributionCollector()
+                result = runner.run(system, kernel, attribution=attr)
+                attr.require_conserved(context=f"{system}/{kernel}")
+                trace = runner.trace_for(system, kernel)
+                nodes = collect_nodes(attr, trace)
+                graph = (build_depgraph(trace) if trace.vlmax is not None
+                         else None)
+                report = build_bottleneck_report(
+                    attr, nodes, graph, result.system, result.workload,
+                    top=10)
+                assert report.to_json_dict()
+
+        attribute()
+        assert gc.collect() == 0
+
+    def test_a_scorecard(self, no_collector):
+        card = build_scorecard(
+            runner=ExperimentRunner(params_override=TINY_PARAMS), tiny=True)
+        assert card.to_json_dict()
+        del card
+        assert gc.collect() == 0
 
 
 class TestParallelDeterminism:
